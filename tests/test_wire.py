@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hoot.errors import CapacityError, ConfigError, ParseError
-from hoot.tagcrypt import PlainTag, ShortTag, seal
+from hoot.tagcrypt import FAST_KDF, PlainTag, ShortTag, open_hoot, seal
 from hoot.wire import (
     DEFAULT_PARAMS,
     WireParams,
@@ -187,3 +187,19 @@ def test_params_validation():
         WireParams(mac_bits=157)
     with pytest.raises(ConfigError):
         WireParams(glyph_budget=0)
+
+
+README_WIRE = "#f7uuy qWCJvKcfPRqOmTcYOwYsNBAXv5l68nJ78hEQ6OgEYf7MXT83qE76G5ICPsQEFrfKB1GT2TgbjBAWIkGpdzfcmFOLn2rRes0d"
+
+
+def test_readme_worked_example_is_bit_exact():
+    tag = PlainTag("garden-party-x7")
+    line = seal_to_wire(b"meet at dawn", [tag], FAST_KDF, rng=random.Random(42))
+    assert line == README_WIRE
+    assert len(line) == 103
+    assert open_hoot(parse(line), tag, FAST_KDF) == b"meet at dawn"
+
+
+@pytest.mark.parametrize("k,limit", [(12, 41), (18, 40), (24, 39), (32, 38)])
+def test_readme_capacity_table(k, limit):
+    assert capacity(WireParams(k=k, glyph_budget=140), 1) == limit
