@@ -26,10 +26,9 @@ from .tagcrypt import (
     FAST_KDF,
     Hoot,
     KdfConfig,
-    KdfMode,
-    MEMORY_HARD_KDF,
     PlainTag,
     derive_tag_material,
+    kdf_config,
     open_with_material,
     seal,
 )
@@ -52,20 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _kdf_from_args(args) -> KdfConfig:
-    base = MEMORY_HARD_KDF if args.kdf == "memory-hard" else FAST_KDF
-    fields = {}
-    if args.kdf_work is not None:
-        fields["work"] = args.kdf_work
-    if args.kdf_memory is not None:
-        fields["memory"] = args.kdf_memory
-    if args.kdf_parallelism is not None:
-        fields["parallelism"] = args.kdf_parallelism
-    if args.kdf_output_bits is not None:
-        fields["output_bits"] = args.kdf_output_bits
-    return replace(base, **fields) if fields else base
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
@@ -109,19 +94,22 @@ def _wire_params(args) -> wire.WireParams:
     return wire.WireParams(k=args.k, glyph_budget=args.glyph_budget)
 
 
-def _log_config(args, kdf: KdfConfig):
+def _kdf(args) -> KdfConfig:
+    """Build the KDF the flags name and log the command's effective configuration."""
+    kdf = kdf_config(args.kdf, args.kdf_work, args.kdf_memory, args.kdf_parallelism, args.kdf_output_bits)
     log.info(
         "config: k=%d kdf=%s(work=%d, memory=%d, parallelism=%d, output_bits=%d) "
-        "glyph_budget=%d seed=%s",
+        "glyph_budget=%s seed=%s",
         args.k,
         kdf.mode.value,
         kdf.work,
         kdf.memory,
         kdf.parallelism,
         kdf.output_bits,
-        args.glyph_budget,
+        getattr(args, "glyph_budget", None),
         getattr(args, "seed", None),
     )
+    return kdf
 
 
 def _rng(args) -> random.Random | None:
@@ -129,8 +117,7 @@ def _rng(args) -> random.Random | None:
 
 
 def cmd_seal(args) -> int:
-    kdf = _kdf_from_args(args)
-    _log_config(args, kdf)
+    kdf = _kdf(args)
     tags = _gather_tags(args, need_many=True)
     message = sys.stdin.buffer.read() if args.message == "-" else args.message.encode("utf-8")
     line = wire.seal_to_wire(message, tags, kdf, _wire_params(args), rng=_rng(args))
@@ -139,8 +126,7 @@ def cmd_seal(args) -> int:
 
 
 def cmd_open(args) -> int:
-    kdf = _kdf_from_args(args)
-    _log_config(args, kdf)
+    kdf = _kdf(args)
     tag = _gather_tags(args, need_many=False)[0]
     params = _wire_params(args)
     material = derive_tag_material(tag, kdf, params.k)
@@ -171,8 +157,7 @@ def cmd_open(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    kdf = _kdf_from_args(args)
-    _log_config(args, kdf)
+    kdf = _kdf(args)
     if args.target.startswith("#"):
         target = wire.decode_short_tag(args.target[1:], args.k)
     else:
@@ -272,7 +257,7 @@ def cmd_analyze(args) -> int:
     elif args.what == "report":
         _require(args, "corpus")
         corpus = analysis.load_corpus(args.corpus)
-        report = analysis.anonymity_report(corpus, args.k, _kdf_from_args(args), top_buckets=args.top)
+        report = analysis.anonymity_report(corpus, args.k, _kdf(args), top_buckets=args.top)
         sys.stdout.write(report.render())
         if args.rank_out:
             with open(args.rank_out, "w", encoding="utf-8") as handle:
@@ -346,37 +331,39 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: _Parser):
+def _add_k_and_kdf(parser: _Parser, default_kdf: str):
     parser.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
-    parser.add_argument("--kdf", choices=["fast", "memory-hard"], default=None)
+    parser.add_argument("--kdf", choices=["fast", "memory-hard"], default=default_kdf)
     parser.add_argument("--kdf-work", type=int, default=None)
     parser.add_argument("--kdf-memory", type=int, default=None)
     parser.add_argument("--kdf-parallelism", type=int, default=None)
     parser.add_argument("--kdf-output-bits", type=int, default=None)
-    parser.add_argument("--glyph-budget", type=int, default=wire.DEFAULT_GLYPH_BUDGET)
-    parser.add_argument("--seed", type=int, default=None, help="deterministic randomness")
-    parser.add_argument("--config", help="JSON file of default flag values")
 
 
 def build_parser() -> _Parser:
+    """One subparser per command, each registering only the flags it reads."""
     parser = _Parser(prog="hoot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seal", help="seal a message for one or more groups")
-    _add_common(p)
+    _add_k_and_kdf(p, "memory-hard")
+    p.add_argument("--glyph-budget", type=int, default=wire.DEFAULT_GLYPH_BUDGET)
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
     p.add_argument("message", help="message text, or '-' to read bytes from stdin")
     p.add_argument("--tag", action="append", help="plain tag (repeatable)")
-    p.set_defaults(run=cmd_seal, default_kdf="memory-hard")
+    p.set_defaults(run=cmd_seal)
 
     p = sub.add_parser("open", help="filter a stream of wire lines for our group")
-    _add_common(p)
+    _add_k_and_kdf(p, "memory-hard")
+    p.add_argument("--glyph-budget", type=int, default=wire.DEFAULT_GLYPH_BUDGET)
     p.add_argument("file", nargs="?", default="-", help="wire lines file, or '-' for stdin")
     p.add_argument("--tag", action="append", help="plain tag")
     p.add_argument("--stats", action="store_true", help="print match counters to stderr")
-    p.set_defaults(run=cmd_open, default_kdf="memory-hard")
+    p.set_defaults(run=cmd_open)
 
     p = sub.add_parser("collide", help="search a suffix space for colliding plain tags")
-    _add_common(p)
+    _add_k_and_kdf(p, "fast")
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
     p.add_argument("--prefix", required=True)
     p.add_argument("--target", required=True, help="plain tag, or '#token' for a raw short tag")
     p.add_argument("--suffix-len", type=int, required=True)
@@ -384,16 +371,17 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exhaustive", "first-n"], default="exhaustive")
     p.add_argument("--count", type=int, default=1, help="matches wanted in first-n mode")
     p.add_argument("--shards", type=int, default=1)
-    p.set_defaults(run=cmd_collide, default_kdf="fast")
+    p.set_defaults(run=cmd_collide)
 
     p = sub.add_parser("simulate", help="run a feed/censor scenario script")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
     p.add_argument("script", help="scenario JSON file")
     p.add_argument("--json", action="store_true", help="emit stats as JSON")
-    p.set_defaults(run=cmd_simulate, default_kdf="fast")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("analyze", help="entropy, collision, bandwidth, and corpus reports")
-    _add_common(p)
+    _add_k_and_kdf(p, "fast")
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
     p.add_argument(
         "what",
         choices=["entropy", "brute-force", "collision-prob", "bandwidth", "report", "gen-corpus"],
@@ -415,14 +403,17 @@ def build_parser() -> _Parser:
     p.add_argument("--exponent", type=float, default=1.0)
     p.add_argument("--total", type=int)
     p.add_argument("--out")
-    p.set_defaults(run=cmd_analyze, default_kdf="fast")
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("bench", help="measure seal/open throughput")
-    _add_common(p)
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--reject-fraction", type=float, default=0.9)
-    p.set_defaults(run=cmd_bench, default_kdf="fast")
+    p.set_defaults(run=cmd_bench)
 
+    for command in sub.choices.values():
+        command.add_argument("--config", help="JSON file of default flag values for this command")
     return parser
 
 
@@ -435,8 +426,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.kdf is None:
-        args.kdf = args.default_kdf
     try:
         return args.run(args)
     except UsageError as exc:

@@ -171,20 +171,22 @@ def find_tag(
 
     if spec.mode is SearchMode.EXHAUSTIVE:
         digits = _suffix_digits(start, alphabet_size, spec.suffix_length)
-        suffix = bytearray(b"".join(glyph_bytes[d] for d in digits))
+        # one entry per suffix position: glyphs may be several UTF-8 bytes wide
+        glyphs = [glyph_bytes[d] for d in digits]
         top = alphabet_size - 1
         for _ in range(start, stop):
             if cancel is not None and cancel.is_set():
                 break
             result.candidates_tried += 1
+            suffix = b"".join(glyphs)
             if fast:
                 h = base.copy()
-                h.update(bytes(suffix))
+                h.update(suffix)
                 value = int.from_bytes(h.digest()[:tag_bytes], "big") >> shift
             else:
-                value = _slow_short_tag(spec, bytes(suffix))
+                value = _slow_short_tag(spec, suffix)
             if value == target_value:
-                plain = PlainTag(spec.prefix + bytes(suffix).decode("utf-8"))
+                plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
                 result.matches.append((plain, ShortTag(value, spec.k)))
                 if on_match is not None:
                     on_match()
@@ -192,10 +194,10 @@ def find_tag(
             for position in range(spec.suffix_length - 1, -1, -1):
                 if digits[position] < top:
                     digits[position] += 1
-                    suffix[position : position + 1] = glyph_bytes[digits[position]]
+                    glyphs[position] = glyph_bytes[digits[position]]
                     break
                 digits[position] = 0
-                suffix[position : position + 1] = glyph_bytes[0]
+                glyphs[position] = glyph_bytes[0]
     else:
         for position in range(start, stop):
             if cancel is not None and cancel.is_set():

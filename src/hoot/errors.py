@@ -28,7 +28,7 @@ class CapacityError(HootError, ValueError):
 class ParseError(HootError, ValueError):
     """A wire line is not a valid rendering.
 
-    ``kind`` classifies the failure: "no-tag", "bad-tag",
+    ``kind`` classifies the failure: "too-long", "no-tag", "bad-tag",
     "payload-length", or "bad-alphabet".
     """
 

@@ -34,10 +34,10 @@ from .tagcrypt import (
     FAST_KDF,
     Hoot,
     KdfConfig,
-    KdfMode,
     PlainTag,
     ShortTag,
     derive_tag_material,
+    kdf_config,
     open_with_material,
     seal,
 )
@@ -138,7 +138,6 @@ class Feed:
         self.replay_horizon = replay_horizon
         self._lock = threading.Lock()
         self._posts: list[FeedPost] = []
-        self._hoots: list[Hoot] = []
         self._by_tag: dict[ShortTag, list[int]] = {}
         self._seen: OrderedDict[bytes, None] = OrderedDict()
 
@@ -157,7 +156,6 @@ class Feed:
             post_id = len(self._posts) + 1
             entry = FeedPost(post_id, sender, wire_text, arrival=post_id)
             self._posts.append(entry)
-            self._hoots.append(hoot)
             for tag in set(hoot.short_tags):
                 self._by_tag.setdefault(tag, []).append(post_id)
             self._seen[key] = None
@@ -243,15 +241,6 @@ class ScenarioScript:
         return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
 
 
-def _kdf_from_dict(raw: dict) -> KdfConfig:
-    mode = KdfMode(raw.get("mode", "fast-hash"))
-    fields = {}
-    for key in ("work", "memory", "parallelism", "output_bits"):
-        if key in raw:
-            fields[key] = int(raw[key])
-    return KdfConfig(mode=mode, **fields)
-
-
 def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     if "short_tag" in raw:
         return wire.decode_short_tag(str(raw["short_tag"]).lstrip("#"), k)
@@ -263,7 +252,9 @@ def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
 def load_scenario(source: str | dict) -> ScenarioScript:
     """Build a script from a JSON string or an already-decoded dict."""
     raw = json.loads(source) if isinstance(source, str) else source
-    kdf = _kdf_from_dict(raw.get("kdf", {}))
+    given = raw.get("kdf", {})
+    kdf = kdf_config(given.get("mode", "fast-hash"), given.get("work"), given.get("memory"),
+                     given.get("parallelism"), given.get("output_bits"))
     k = int(raw.get("k", 24))
     groups = tuple(
         GroupSpec(
@@ -360,23 +351,10 @@ class FeedStats:
 
     def render(self) -> str:
         """Deterministic key=value text, stable under diffing."""
-        lines = []
         d = self.to_dict()
-        for key in (
-            "submitted",
-            "accepted",
-            "rejected_replay",
-            "rejected_censored",
-            "rejected_malformed",
-            "target_posts",
-            "target_blocked",
-            "target_block_rate",
-            "collateral_posts",
-            "collateral_blocked",
-            "collateral_block_rate",
-        ):
-            lines.append(f"{key} = {d[key]}")
-        for token, t in d["per_tag"].items():
+        per_tag = d.pop("per_tag")
+        lines = [f"{key} = {value}" for key, value in d.items()]
+        for token, t in per_tag.items():
             ratio = "n/a" if t["cover_ratio"] is None else f"{t['cover_ratio']:.4f}"
             lines.append(
                 f"tag #{token}: total={t['total']} blocked={t['blocked']} "

@@ -101,6 +101,17 @@ FAST_KDF = KdfConfig()
 MEMORY_HARD_KDF = KdfConfig(mode=KdfMode.MEMORY_HARD)
 
 
+def kdf_config(mode: str, work=None, memory=None, parallelism=None, output_bits=None) -> KdfConfig:
+    """Build a KdfConfig from a mode name and optional integer fields.
+
+    ``mode`` is a KdfMode value, or "fast" as the command line spells
+    "fast-hash". A field left as None keeps its KdfConfig default.
+    """
+    given = {"work": work, "memory": memory, "parallelism": parallelism, "output_bits": output_bits}
+    fields = {key: int(value) for key, value in given.items() if value is not None}
+    return KdfConfig(mode=KdfMode("fast-hash" if mode == "fast" else mode), **fields)
+
+
 @dataclass(frozen=True)
 class PlainTag:
     """The secret hashtag that doubles as the group's password."""

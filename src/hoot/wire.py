@@ -31,6 +31,8 @@ from .errors import CapacityError, ConfigError, ParseError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
+    KEY_BLOCK_BYTES,
+    MAC_BYTES,
     KdfConfig,
     MAX_K,
     MIN_K,
@@ -48,44 +50,40 @@ DEFAULT_GLYPH_BUDGET = 140
 
 @dataclass(frozen=True)
 class WireParams:
-    """Bit widths and budget that fix the wire arithmetic.
+    """Short-tag width k and glyph budget of a wire line.
 
-    ``tag_glyph_bits`` exists for capacity arithmetic over alternative
-    tag encodings; the codec itself only renders 5-bit base32 tags.
+    The rest of the layout is fixed by the protocol: 5-bit base32 tag
+    glyphs, and tagcrypt's 40-byte key blocks and 20-byte MAC.
     """
 
     k: int = DEFAULT_K
-    mac_bits: int = 160
-    key_block_bits: int = 320
     glyph_budget: int = DEFAULT_GLYPH_BUDGET
-    tag_glyph_bits: int = 5
 
     def __post_init__(self):
         if not MIN_K <= self.k <= MAX_K:
             raise ConfigError(f"k={self.k} outside supported range {MIN_K}..{MAX_K}")
-        if self.mac_bits % 8 or self.key_block_bits % 8:
-            raise ConfigError("mac and key block widths must be whole bytes")
-        if self.glyph_budget < 1 or self.tag_glyph_bits < 1:
-            raise ConfigError("glyph budget and tag glyph width must be positive")
-
-    @property
-    def tag_glyphs(self) -> int:
-        return -(-self.k // self.tag_glyph_bits)
+        if self.glyph_budget < 1:
+            raise ConfigError("glyph budget must be positive")
 
 
 DEFAULT_PARAMS = WireParams()
 
 
+def tag_glyphs(k: int) -> int:
+    """Base32 glyphs that carry a k-bit short tag: ceil(k/5)."""
+    return -(-k // 5)
+
+
 def encode_short_tag(tag: ShortTag) -> str:
     """Render a short tag as lowercase base32, without the '#'."""
-    glyphs = -(-tag.k // 5)
+    glyphs = tag_glyphs(tag.k)
     padded = tag.value << (glyphs * 5 - tag.k)
     return "".join(BASE32_ALPHABET[(padded >> (5 * i)) & 0x1F] for i in range(glyphs - 1, -1, -1))
 
 
 def decode_short_tag(text: str, k: int) -> ShortTag:
     """Inverse of encode_short_tag; case-insensitive on input."""
-    glyphs = -(-k // 5)
+    glyphs = tag_glyphs(k)
     folded = text.lower()
     if len(folded) != glyphs:
         raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
@@ -103,16 +101,12 @@ def decode_short_tag(text: str, k: int) -> ShortTag:
 
 def header_glyphs(params: WireParams, n_tags: int) -> int:
     """Glyphs taken by the hashtag tokens, separators, and payload gap."""
-    return n_tags * (2 + params.tag_glyphs)
-
-
-def payload_glyphs(params: WireParams, n_tags: int, message_len: int) -> int:
-    bits = n_tags * params.key_block_bits + params.mac_bits + 8 * message_len
-    return -(-bits // 6)
+    return n_tags * (2 + tag_glyphs(params.k))
 
 
 def total_glyphs(params: WireParams, n_tags: int, message_len: int) -> int:
-    return header_glyphs(params, n_tags) + payload_glyphs(params, n_tags, message_len)
+    payload_bits = 8 * (n_tags * KEY_BLOCK_BYTES + MAC_BYTES + message_len)
+    return header_glyphs(params, n_tags) + (payload_bits + 5) // 6
 
 
 def capacity(params: WireParams, n_tags: int) -> int:
@@ -125,34 +119,30 @@ def capacity(params: WireParams, n_tags: int) -> int:
     """
     if n_tags < 1:
         raise ValueError("capacity needs at least one tag")
-    payload_budget_bits = 6 * (params.glyph_budget - header_glyphs(params, n_tags))
-    free = payload_budget_bits - n_tags * params.key_block_bits - params.mac_bits
-    best = max(0, free // 8)
-    while best > 0 and total_glyphs(params, n_tags, best) > params.glyph_budget:
-        best -= 1
-    return best
+    payload_bits = 6 * (params.glyph_budget - header_glyphs(params, n_tags))
+    return max(0, (payload_bits - 8 * (n_tags * KEY_BLOCK_BYTES + MAC_BYTES)) // 8)
+
+
+def _check_fits(params: WireParams, n_tags: int, message_len: int) -> None:
+    """Raise CapacityError unless the message renders within the glyph budget."""
+    needed = total_glyphs(params, n_tags, message_len)
+    if needed > params.glyph_budget:
+        limit = capacity(params, n_tags)
+        raise CapacityError(
+            f"message of {message_len} bytes needs {needed} glyphs, over the budget of "
+            f"{params.glyph_budget}; capacity {limit} bytes for {n_tags} tag(s)",
+            needed=needed,
+            budget=params.glyph_budget,
+            capacity=limit,
+        )
 
 
 def encode(hoot: Hoot, params: WireParams = DEFAULT_PARAMS) -> str:
     """Render a hoot as one hashtag-searchable line."""
-    if params.tag_glyph_bits != 5:
-        raise ConfigError("only 5-bit base32 tag rendering is implemented")
-    n = len(hoot.short_tags)
     for tag in hoot.short_tags:
         if tag.k != params.k:
             raise ConfigError(f"hoot carries k={tag.k} tags but params expect k={params.k}")
-    for block in hoot.key_blocks:
-        if len(block) * 8 != params.key_block_bits:
-            raise ConfigError("hoot key block width does not match params")
-    needed = total_glyphs(params, n, len(hoot.ciphertext))
-    if needed > params.glyph_budget:
-        raise CapacityError(
-            f"{needed} glyphs exceed the budget of {params.glyph_budget}; "
-            f"capacity for {n} tag(s) is {capacity(params, n)} bytes",
-            needed=needed,
-            budget=params.glyph_budget,
-            capacity=capacity(params, n),
-        )
+    _check_fits(params, len(hoot.short_tags), len(hoot.ciphertext))
     tokens = " ".join("#" + encode_short_tag(tag) for tag in hoot.short_tags)
     body = b"".join(hoot.key_blocks) + hoot.mac + hoot.ciphertext
     payload = base64.b64encode(body).rstrip(b"=").decode("ascii")
@@ -162,10 +152,14 @@ def encode(hoot: Hoot, params: WireParams = DEFAULT_PARAMS) -> str:
 def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     """Parse a wire line back into a hoot.
 
-    Raises ParseError with a ``kind`` of "no-tag", "bad-tag",
-    "payload-length", or "bad-alphabet".
+    Raises ParseError with a ``kind`` of "too-long" (more glyphs than
+    ``params.glyph_budget``, checked before any decoding), "no-tag",
+    "bad-tag", "payload-length", or "bad-alphabet".
     """
-    tokens = text.strip().split(" ")
+    text = text.strip()
+    if len(text) > params.glyph_budget:
+        raise ParseError(f"{len(text)} glyphs exceed the budget of {params.glyph_budget}", kind="too-long")
+    tokens = text.split(" ")
     tags: list[ShortTag] = []
     index = 0
     while index < len(tokens) and tokens[index].startswith("#"):
@@ -190,16 +184,14 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     if base64.b64encode(body).rstrip(b"=").decode("ascii") != payload:
         # non-zero trailing bits: a truncated or reframed payload
         raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
-    block_bytes = params.key_block_bits // 8
-    mac_bytes = params.mac_bits // 8
-    fixed = len(tags) * block_bytes + mac_bytes
+    fixed = len(tags) * KEY_BLOCK_BYTES + MAC_BYTES
     if len(body) < fixed:
         raise ParseError(
             f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {fixed}",
             kind="payload-length",
         )
-    blocks = tuple(body[i * block_bytes : (i + 1) * block_bytes] for i in range(len(tags)))
-    mac = body[len(tags) * block_bytes : fixed]
+    blocks = tuple(body[i * KEY_BLOCK_BYTES : (i + 1) * KEY_BLOCK_BYTES] for i in range(len(tags)))
+    mac = body[len(tags) * KEY_BLOCK_BYTES : fixed]
     ciphertext = body[fixed:]
     return Hoot(tuple(tags), blocks, mac, ciphertext)
 
@@ -220,12 +212,5 @@ def seal_to_wire(
     plain_tags = list(plain_tags)
     if not plain_tags:
         raise ValueError("seal needs at least one plain tag")
-    limit = capacity(params, len(plain_tags))
-    if len(message) > limit:
-        raise CapacityError(
-            f"message of {len(message)} bytes exceeds capacity {limit} for {len(plain_tags)} tag(s)",
-            needed=total_glyphs(params, len(plain_tags), len(message)),
-            budget=params.glyph_budget,
-            capacity=limit,
-        )
+    _check_fits(params, len(plain_tags), len(message))
     return encode(seal(message, plain_tags, cfg, k=params.k, rng=rng), params)

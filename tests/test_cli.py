@@ -28,6 +28,12 @@ def test_seal_then_open_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "open", str(stream), "--tag", "cli-group", "--kdf", "fast")
     assert code == EXIT_OK
     assert out == "meet at dawn\n"
+    # a budget shorter than the line makes it malformed
+    code, out, err = run(
+        capsys, "open", str(stream), "--tag", "cli-group", "--kdf", "fast", "--glyph-budget", "50", "--stats",
+    )
+    assert code == EXIT_OK and out == ""
+    assert "malformed=1" in err
 
 
 def test_seal_is_deterministic_given_seed(capsys):
@@ -223,6 +229,30 @@ def test_config_file_defaults_can_be_overridden(capsys, tmp_path):
     # an explicit flag beats the config file
     _, overridden, _ = run(capsys, "seal", "m", "--tag", "t", "--config", str(config), "--k", "24")
     assert overridden != from_config
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"groups": [{"name": "g", "plain_tag": "flag-group", "messages": 1}]}))
+    feed = tmp_path / "feed.txt"
+    feed.write_text("")
+    for argv in (
+        ("simulate", str(script), "--k", "18", "--kdf", "memory-hard"),
+        ("bench", "--iterations", "10", "--kdf", "fast"),
+        ("collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--glyph-budget", "200"),
+        ("open", str(feed), "--tag", "t", "--kdf", "fast", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "unrecognized arguments" in err
+
+
+def test_config_key_a_command_lacks_is_named(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"glyph_budget": 200}))
+    code, _, err = run(capsys, "bench", "--iterations", "10", "--config", str(config))
+    assert code == EXIT_USAGE
+    assert "--glyph-budget" in err
 
 
 def test_usage_errors_exit_one(capsys):

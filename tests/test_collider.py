@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -47,6 +48,17 @@ def test_exhaustive_equals_oracle():
     oracle = brute_force_oracle("probe-", "ab", 8, 0x5, 4)
     assert {m[0].text for m in result.matches} == oracle
     assert result.candidates_tried == 256
+
+
+def test_multibyte_alphabet_equals_oracle():
+    alphabet = "aäöüß€"
+    oracle = brute_force_oracle("probe-", alphabet, 4, 0x9, 6)
+    assert oracle
+    spec = SearchSpec(prefix="probe-", target=ShortTag(0x9, 6), suffix_length=4, alphabet=alphabet, k=6)
+    assert {m[0].text for m in find_tag(spec).matches} == oracle
+    assert {m[0].text for m in find_tag_sharded(spec, 3).matches} == oracle
+    first_n = replace(spec, mode=SearchMode.FIRST_N, count=len(oracle), seed=3)
+    assert {m[0].text for m in find_tag(first_n).matches} == oracle
 
 
 def test_matches_recompute_to_target():

@@ -85,6 +85,10 @@ def test_malformed_rejected():
     outcome = feed.post("a", "not a wire line")
     assert not outcome.accepted and outcome.reason is RejectReason.MALFORMED
     assert outcome.detail == "no-tag"
+    oversized = wire_line(b"m", PlainTag("long-post"), 1) + "A" * 4000
+    outcome = feed.post("a", oversized)
+    assert outcome.reason is RejectReason.MALFORMED and outcome.detail == "too-long"
+    assert len(feed) == 0
 
 
 def test_replay_horizon_eviction():

@@ -13,7 +13,6 @@ from hoot.wire import (
     decode_short_tag,
     encode,
     encode_short_tag,
-    header_glyphs,
     parse,
     seal_to_wire,
     total_glyphs,
@@ -114,12 +113,16 @@ def test_default_budget_cannot_hold_two_tags():
         encode(sealed(message=b"", tags=("a-group", "b-group")), DEFAULT_PARAMS)
 
 
-def test_capacity_with_compact_nonce_free_layout():
-    # 12-bit tag in two 6-bit glyphs, 256-bit key block, 160-bit MAC:
-    # header 4 glyphs, payload budget 136 glyphs = 816 bits, 400 free
-    params = WireParams(k=12, key_block_bits=256, tag_glyph_bits=6)
-    assert header_glyphs(params, 1) == 4
-    assert capacity(params, 1) == 50
+def test_capacity_grid_is_exact():
+    for k in range(1, 65):
+        for budget in range(1, 401):
+            params = WireParams(k=k, glyph_budget=budget)
+            for n_tags in range(1, 5):
+                c = capacity(params, n_tags)
+                if c > 0:
+                    assert total_glyphs(params, n_tags, c) <= budget
+                if total_glyphs(params, n_tags, 0) <= budget:
+                    assert total_glyphs(params, n_tags, c + 1) > budget
 
 
 def test_seal_to_wire_enforces_capacity():
@@ -157,6 +160,16 @@ def test_parse_error_classification():
     assert err.value.kind == "bad-alphabet"
 
 
+@pytest.mark.parametrize("glyphs", [141, 4087])
+def test_parse_rejects_lines_over_the_budget(glyphs):
+    line = encode(sealed(), WireParams(k=24))
+    padded = line + "A" * (glyphs - len(line))
+    assert len(padded) == glyphs
+    with pytest.raises(ParseError) as err:
+        parse(padded, WireParams(k=24, glyph_budget=140))
+    assert err.value.kind == "too-long"
+
+
 def test_parse_rejects_noncanonical_trailing_bits():
     params = WireParams(k=24)
     line = encode(sealed(message=b"0123456789AB"), params)  # 72-byte body, 96 glyphs
@@ -183,8 +196,6 @@ def test_encode_rejects_mismatched_k():
 def test_params_validation():
     with pytest.raises(ConfigError):
         WireParams(k=0)
-    with pytest.raises(ConfigError):
-        WireParams(mac_bits=157)
     with pytest.raises(ConfigError):
         WireParams(glyph_budget=0)
 
