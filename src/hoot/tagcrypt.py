@@ -23,14 +23,31 @@ belongs to a different group colliding on the same short tag.
 The 64-bit random nonce on each key block keeps the tag key's CTR
 keystream from repeating across messages of the same group; it travels
 in the clear as the first 8 bytes of the 40-byte key block.
+
+Under NIST SP 800-38A the CTR keystream is the block cipher applied to
+the counter blocks, so a key block is computed as
+
+    key_block = nonce || (k_enc||k_mac) XOR AES-ECB(tag_key, nonce||0 || nonce||1)
+
+which is bit-identical to the AES-CTR formula above: the low 64 bits of
+the counter only go from 0 to 1, so no carry reaches the nonce. Each
+TagMaterial builds its AES-ECB context once, on first use, and reuses
+it, under a lock, for every key block it wraps or unwraps.
+
+Memory-hard derivations are memoized per (plain tag, n, r, p, output
+length) in a bounded least-recently-used cache of the last 64, holding
+only the derived bytes; the fast hash is not cached. The cache lives in
+the process, so a fresh process pays the full scrypt cost again.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import hmac
 import secrets
+import threading
 from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -48,6 +65,9 @@ KEY_BLOCK_NONCE_BYTES = 8
 KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
 
 _ZERO_COUNTER = bytes(16)
+_FIRST_COUNTER = bytes(8)
+_SECOND_COUNTER = (1).to_bytes(8, "big")
+_SCRYPT_CACHE_SIZE = 64
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -168,14 +188,40 @@ class ShortTag:
 
 @dataclass(frozen=True)
 class TagMaterial:
-    """Everything a subscriber derives from a plain tag."""
+    """Everything a subscriber derives from a plain tag.
+
+    The tag key stays out of ``repr`` so a logged material does not leak
+    the group's key. One instance may be shared between threads.
+    """
 
     short_tag: ShortTag
-    tag_key: bytes
+    tag_key: bytes = field(repr=False)
 
     def __post_init__(self):
         if len(self.tag_key) != TAG_KEY_BYTES:
             raise ValueError("tag key must be 128 bits")
+
+    @functools.cached_property
+    def _ecb(self):
+        # cryptography's cipher contexts raise "Already borrowed" when two
+        # threads call update at once, so each use holds the lock.
+        return Cipher(algorithms.AES(self.tag_key), modes.ECB()).encryptor(), threading.Lock()
+
+    def __getstate__(self):
+        # the cipher context and its lock cannot be pickled; a copy builds its own
+        return {name: value for name, value in vars(self).items() if name != "_ecb"}
+
+    def wrap(self, nonce: bytes, data: bytes) -> bytes:
+        """XOR session-key bytes with the tag key's CTR keystream from nonce||0.
+
+        Wrapping and unwrapping are the same operation.
+        """
+        if len(nonce) != KEY_BLOCK_NONCE_BYTES or len(data) != 2 * SESSION_KEY_BYTES:
+            raise ValueError(f"wrap takes a {KEY_BLOCK_NONCE_BYTES}-byte nonce and {2 * SESSION_KEY_BYTES} bytes")
+        ecb, lock = self._ecb
+        with lock:
+            stream = ecb.update(nonce + _FIRST_COUNTER + nonce + _SECOND_COUNTER)
+        return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)
@@ -221,6 +267,19 @@ def _expand_digest(digest: bytes, nbytes: int) -> bytes:
     return bytes(out[:nbytes])
 
 
+@functools.lru_cache(maxsize=_SCRYPT_CACHE_SIZE)
+def _scrypt(secret: bytes, n: int, r: int, p: int, dklen: int) -> bytes:
+    return hashlib.scrypt(
+        secret,
+        salt=_KDF_SALT,
+        n=n,
+        r=r,
+        p=p,
+        maxmem=256 * r * n * max(1, p) + (1 << 20),
+        dklen=dklen,
+    )
+
+
 def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     """Stretch a plain tag into its long tag.
 
@@ -235,16 +294,7 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
         data = _expand_digest(hashlib.sha1(secret).digest(), (bits + 7) // 8)
     else:
         bits = cfg.output_bits
-        n, r, p = cfg.scrypt_params()
-        data = hashlib.scrypt(
-            secret,
-            salt=_KDF_SALT,
-            n=n,
-            r=r,
-            p=p,
-            maxmem=256 * r * n * max(1, p) + (1 << 20),
-            dklen=(bits + 7) // 8,
-        )
+        data = _scrypt(secret, *cfg.scrypt_params(), (bits + 7) // 8)
     pad = len(data) * 8 - bits
     if pad:
         data = data[:-1] + bytes([data[-1] & (0xFF << pad) & 0xFF])
@@ -301,15 +351,14 @@ def seal(
         raise ValueError("seal needs at least one plain tag")
     keys = generate_session_keys(rng)
     ciphertext = _ctr_xcrypt(keys.k_enc, _ZERO_COUNTER, message)
-    mac = hmac.new(keys.k_mac, ciphertext, hashlib.sha1).digest()
+    mac = hmac.digest(keys.k_mac, ciphertext, "sha1")
     short_tags = []
     key_blocks = []
     for tag in plain_tags:
         material = derive_tag_material(tag, cfg, k)
         nonce = _random_bytes(rng, KEY_BLOCK_NONCE_BYTES)
-        wrapped = _ctr_xcrypt(material.tag_key, nonce + bytes(8), keys.k_enc + keys.k_mac)
         short_tags.append(material.short_tag)
-        key_blocks.append(nonce + wrapped)
+        key_blocks.append(nonce + material.wrap(nonce, keys.k_enc + keys.k_mac))
     return Hoot(tuple(short_tags), tuple(key_blocks), mac, ciphertext)
 
 
@@ -324,11 +373,9 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
         if short_tag != material.short_tag:
             continue
         block = hoot.key_blocks[position]
-        nonce, wrapped = block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:]
-        keys = _ctr_xcrypt(material.tag_key, nonce + bytes(8), wrapped)
+        keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])
         k_enc, k_mac = keys[:SESSION_KEY_BYTES], keys[SESSION_KEY_BYTES:]
-        candidate_mac = hmac.new(k_mac, hoot.ciphertext, hashlib.sha1).digest()
-        if hmac.compare_digest(candidate_mac, hoot.mac):
+        if hmac.compare_digest(hmac.digest(k_mac, hoot.ciphertext, "sha1"), hoot.mac):
             return _ctr_xcrypt(k_enc, _ZERO_COUNTER, hoot.ciphertext)
     return None
 

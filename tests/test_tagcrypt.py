@@ -1,14 +1,23 @@
 """Tag derivation, splitting, and seal/open behavior."""
 
+import copy
 import hashlib
+import pickle
 import random
+import sys
+import threading
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from hoot import tagcrypt
 from hoot.errors import ConfigError
 from hoot.tagcrypt import (
     FAST_KDF,
+    MEMORY_HARD_KDF,
     Hoot,
     KdfConfig,
     KdfMode,
@@ -16,9 +25,11 @@ from hoot.tagcrypt import (
     PlainTag,
     SessionKeys,
     ShortTag,
+    TagMaterial,
     derive_long_tag,
     derive_tag_material,
     open_hoot,
+    open_with_material,
     seal,
     split_tag,
 )
@@ -47,7 +58,9 @@ def test_derivation_is_deterministic():
 
 def test_memory_hard_deterministic_and_distinct_from_fast():
     cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**14)
+    tagcrypt._scrypt.cache_clear()
     a = derive_long_tag(PlainTag("abc"), cfg)
+    tagcrypt._scrypt.cache_clear()  # so b comes from scrypt again, not from the cache
     b = derive_long_tag(PlainTag("abc"), cfg)
     assert a == b
     assert a.bits == 160
@@ -219,3 +232,157 @@ def test_derive_tag_material_convenience():
     material = derive_tag_material(PlainTag("abc"), FAST_KDF, 12)
     digest = hashlib.sha1(b"abc").digest()
     assert material.short_tag.value == int.from_bytes(digest[:2], "big") >> 4
+
+
+@pytest.fixture
+def scrypt_calls(monkeypatch):
+    """Count hashlib.scrypt calls, starting and ending with an empty cache."""
+    calls = []
+    real = hashlib.scrypt
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "scrypt", counting)
+    tagcrypt._scrypt.cache_clear()
+    yield calls
+    tagcrypt._scrypt.cache_clear()
+
+
+def test_memory_hard_derivation_is_cached(scrypt_calls):
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
+    first = derive_tag_material(PlainTag("cached-tag"), cfg)
+    assert derive_tag_material(PlainTag("cached-tag"), cfg) == first
+    assert len(scrypt_calls) == 1
+    derive_long_tag(PlainTag("cached-tag"), MEMORY_HARD_KDF)
+    derive_long_tag(PlainTag("cached-tag"), MEMORY_HARD_KDF)
+    assert len(scrypt_calls) == 2
+
+
+def test_memory_hard_cache_misses_on_any_input_change(scrypt_calls):
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
+    derive_long_tag(PlainTag("cached-tag"), cfg)
+    derive_long_tag(PlainTag("other-tag"), cfg)
+    derive_long_tag(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**5))
+    wide = derive_long_tag(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4, output_bits=192))
+    assert len(scrypt_calls) == 4
+    assert wide.bits == 192
+
+
+def test_memory_hard_cache_is_bounded(scrypt_calls):
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
+    for i in range(65):
+        derive_long_tag(PlainTag(f"tag-{i}"), cfg)
+    assert len(scrypt_calls) == 65
+    derive_long_tag(PlainTag("tag-0"), cfg)
+    assert len(scrypt_calls) == 66
+
+
+def test_fast_hash_is_not_cached(scrypt_calls):
+    derive_long_tag(PlainTag("abc"), FAST_KDF)
+    assert scrypt_calls == []
+    assert tagcrypt._scrypt.cache_info().currsize == 0
+
+
+def _reference_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    enc = Cipher(algorithms.AES(key), modes.CTR(nonce + bytes(8))).encryptor()
+    return enc.update(data) + enc.finalize()
+
+
+@given(st.binary(min_size=16, max_size=16), st.binary(min_size=8, max_size=8), st.binary(min_size=32, max_size=32))
+@example(bytes(16), b"\xff" * 8, bytes(32))
+@example(b"\xff" * 16, b"\xff" * 8, b"\xff" * 32)
+def test_wrap_equals_aes_ctr_from_nonce_counter(tag_key, nonce, data):
+    material = TagMaterial(ShortTag(0, 24), tag_key)
+    assert material.wrap(nonce, data) == _reference_ctr(tag_key, nonce, data)
+    assert material.wrap(nonce, material.wrap(nonce, data)) == data
+
+
+def test_wrap_rejects_wrong_lengths():
+    material = TagMaterial(ShortTag(0, 24), bytes(16))
+    with pytest.raises(ValueError):
+        material.wrap(bytes(7), bytes(32))
+    with pytest.raises(ValueError):
+        material.wrap(bytes(8), bytes(31))
+
+
+class _AllOnesNonce(random.Random):
+    """Draws key-block nonces of all 0xff bytes, other bytes as usual."""
+
+    def randbytes(self, n):
+        return b"\xff" * n if n == tagcrypt.KEY_BLOCK_NONCE_BYTES else super().randbytes(n)
+
+
+def test_seal_open_round_trip_with_all_ones_nonce():
+    tag = PlainTag("all-ones-nonce")
+    hoot = seal(b"counter edge", [tag], rng=_AllOnesNonce(5))
+    assert hoot.key_blocks[0][: tagcrypt.KEY_BLOCK_NONCE_BYTES] == b"\xff" * 8
+    assert open_hoot(hoot, tag) == b"counter edge"
+
+
+def test_wrapping_context_joins_no_equality_hash_or_repr():
+    a = derive_tag_material(PlainTag("abc"))
+    b = derive_tag_material(PlainTag("abc"))
+    open_with_material(seal(b"m", [PlainTag("abc")], rng=random.Random(1)), a)
+    assert "_ecb" in vars(a) and "_ecb" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_material_pickles_and_copies_after_use():
+    material = derive_tag_material(PlainTag("abc"))
+    hoot = seal(b"m", [PlainTag("abc")], rng=random.Random(1))
+    assert open_with_material(hoot, material) == b"m"
+    for twin in (pickle.loads(pickle.dumps(material)), copy.deepcopy(material), copy.copy(material)):
+        assert twin == material
+        assert open_with_material(hoot, twin) == b"m"
+
+
+def test_repr_hides_tag_key():
+    material = derive_tag_material(PlainTag("abc"))
+    assert material.tag_key.hex() not in repr(material)
+    assert repr(material.tag_key) not in repr(material)
+
+
+def test_shared_material_opens_correctly_across_threads():
+    # Four threads share one material, and so its cipher context, from
+    # its first use on. A short switch interval makes them interleave
+    # inside wrap; 25 passes over the hoots make an overlap near certain.
+    tag = PlainTag("shared-across-threads")
+    material = derive_tag_material(tag)
+    rng = random.Random(11)
+    work = []
+    for _ in range(4):
+        batch = []
+        for _ in range(200):
+            message = rng.randbytes(rng.randint(0, 39))
+            batch.append((seal(message, [tag], rng=rng), message))
+        work.append(batch)
+    wrong = [0] * len(work)
+    done = [0] * len(work)
+    start = threading.Barrier(len(work))
+
+    def opener(index):
+        start.wait()
+        for _ in range(25):
+            for hoot, message in work[index]:
+                try:
+                    if open_with_material(hoot, material) != message:
+                        wrong[index] += 1
+                except RuntimeError:
+                    wrong[index] += 1
+                done[index] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=opener, args=(i,)) for i in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [25 * 200] * len(work)
+    assert wrong == [0] * len(work)
