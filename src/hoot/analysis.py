@@ -84,10 +84,6 @@ class BruteForceTime:
     def full_years(self) -> float:
         return self.full_seconds / SECONDS_PER_YEAR
 
-    @property
-    def expected_years(self) -> float:
-        return self.expected_seconds / SECONDS_PER_YEAR
-
 
 def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceTime:
     """Seconds to sweep a namespace at ``rate`` tries/sec/core.

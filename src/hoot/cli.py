@@ -173,10 +173,7 @@ def cmd_collide(args) -> int:
         kdf=kdf,
         seed=args.seed or 0,
     )
-    if args.shards > 1:
-        result = collider.find_tag_sharded(spec, args.shards)
-    else:
-        result = collider.find_tag(spec)
+    result = collider.find_tag(spec)
     for plain, short in result.matches:
         print(f"{plain.text}\t#{wire.encode_short_tag(short)}")
     log.info(
@@ -370,7 +367,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alphabet", default=collider.ALPHANUMERIC)
     p.add_argument("--mode", choices=["exhaustive", "first-n"], default="exhaustive")
     p.add_argument("--count", type=int, default=1, help="matches wanted in first-n mode")
-    p.add_argument("--shards", type=int, default=1)
     p.set_defaults(run=cmd_collide)
 
     p = sub.add_parser("simulate", help="run a feed/censor scenario script")

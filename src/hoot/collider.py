@@ -6,15 +6,17 @@ those whose derived short tag equals the target's. Exhaustive mode
 scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
-started. The space partitions cleanly for parallel workers.
+started. A search splits into shards by visit position; the shards run
+in position order in one process, so a sharded search returns exactly
+the serial result.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import string
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -133,91 +135,63 @@ def _suffix_digits(index: int, alphabet_size: int, length: int) -> list[int]:
     return digits
 
 
-def find_tag(
-    spec: SearchSpec,
-    cancel: threading.Event | None = None,
-    on_match=None,
-) -> SearchResult:
-    """Run one search shard to completion (or cancellation).
+def _candidates(spec: SearchSpec):
+    """Suffix bytes of each candidate in the spec's position range, in visit order."""
+    start, stop = spec.position_range
+    glyph_bytes = [g.encode("utf-8") for g in spec.alphabet]
+    if spec.mode is SearchMode.EXHAUSTIVE:
+        # product order is position order: the last suffix glyph varies fastest
+        suffixes = itertools.product(glyph_bytes, repeat=spec.suffix_length)
+        return map(b"".join, itertools.islice(suffixes, start, stop))
+    permute = _permutation(spec.space_size, spec.seed)
+    alphabet_size = len(glyph_bytes)
+    return (
+        b"".join(glyph_bytes[d] for d in _suffix_digits(permute(position), alphabet_size, spec.suffix_length))
+        for position in range(start, stop)
+    )
+
+
+def find_tag(spec: SearchSpec) -> SearchResult:
+    """Run one search shard to completion.
 
     Exhaustive mode returns every match in its position range; first-n
     mode returns the first ``spec.count`` matches in the seeded random
     order. Matches are (plain tag, short tag) pairs, independently
-    recomputable from the KDF. ``on_match`` is invoked once per match,
-    letting a shard coordinator stop the others early.
+    recomputable from the KDF.
     """
     target = resolve_target(spec)
     start, stop = spec.position_range
     result = SearchResult()
     began = time.perf_counter()
 
-    alphabet_size = len(spec.alphabet)
-    glyph_bytes = [g.encode("utf-8") for g in spec.alphabet]
-    prefix_bytes = spec.prefix.encode("utf-8")
-    want = spec.count if spec.mode is SearchMode.FIRST_N else None
-    permute = _permutation(spec.space_size, spec.seed) if spec.mode is SearchMode.FIRST_N else None
-
-    fast = spec.kdf.mode is KdfMode.FAST_HASH and spec.kdf.output_bits <= 160
+    # a fast-hash short tag is the leading k <= 64 bits of the plain
+    # tag's SHA-1 digest at any output_bits: the expansion is digest-prefixed
+    fast = spec.kdf.mode is KdfMode.FAST_HASH
     if not fast:
         log.warning(
             "searching with a non-trivial KDF: each of up to %d candidates pays the full derivation cost",
             stop - start,
         )
 
-    base = hashlib.sha1(prefix_bytes)
+    base = hashlib.sha1(spec.prefix.encode("utf-8"))
     tag_bytes = (spec.k + 7) // 8
     shift = tag_bytes * 8 - spec.k
     target_value = target.value
+    first_n = spec.mode is SearchMode.FIRST_N
 
-    if spec.mode is SearchMode.EXHAUSTIVE:
-        digits = _suffix_digits(start, alphabet_size, spec.suffix_length)
-        # one entry per suffix position: glyphs may be several UTF-8 bytes wide
-        glyphs = [glyph_bytes[d] for d in digits]
-        top = alphabet_size - 1
-        for _ in range(start, stop):
-            if cancel is not None and cancel.is_set():
+    for suffix in _candidates(spec):
+        result.candidates_tried += 1
+        if fast:
+            h = base.copy()
+            h.update(suffix)
+            value = int.from_bytes(h.digest()[:tag_bytes], "big") >> shift
+        else:
+            value = _slow_short_tag(spec, suffix)
+        if value == target_value:
+            plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
+            result.matches.append((plain, ShortTag(value, spec.k)))
+            if first_n and len(result.matches) >= spec.count:
                 break
-            result.candidates_tried += 1
-            suffix = b"".join(glyphs)
-            if fast:
-                h = base.copy()
-                h.update(suffix)
-                value = int.from_bytes(h.digest()[:tag_bytes], "big") >> shift
-            else:
-                value = _slow_short_tag(spec, suffix)
-            if value == target_value:
-                plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
-                result.matches.append((plain, ShortTag(value, spec.k)))
-                if on_match is not None:
-                    on_match()
-            # odometer increment, least significant digit last
-            for position in range(spec.suffix_length - 1, -1, -1):
-                if digits[position] < top:
-                    digits[position] += 1
-                    glyphs[position] = glyph_bytes[digits[position]]
-                    break
-                digits[position] = 0
-                glyphs[position] = glyph_bytes[0]
-    else:
-        for position in range(start, stop):
-            if cancel is not None and cancel.is_set():
-                break
-            index = permute(position)
-            suffix = b"".join(glyph_bytes[d] for d in _suffix_digits(index, alphabet_size, spec.suffix_length))
-            result.candidates_tried += 1
-            if fast:
-                h = base.copy()
-                h.update(suffix)
-                value = int.from_bytes(h.digest()[:tag_bytes], "big") >> shift
-            else:
-                value = _slow_short_tag(spec, suffix)
-            if value == target_value:
-                plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
-                result.matches.append((plain, ShortTag(value, spec.k)))
-                if on_match is not None:
-                    on_match()
-                if len(result.matches) >= want:
-                    break
 
     result.elapsed = time.perf_counter() - began
     return result
@@ -242,37 +216,25 @@ def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:
     return [replace(spec, start=bounds[i], stop=bounds[i + 1]) for i in range(shards)]
 
 
-def find_tag_sharded(spec: SearchSpec, shards: int, max_workers: int | None = None) -> SearchResult:
-    """Run a search across shard workers and merge their results.
+def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
+    """Run a search as ``partition(spec, shards)`` and merge the results.
 
-    First-n mode cancels outstanding shards once enough matches have
-    arrived; cancellation lands within one candidate's work.
+    The shards run one after another in position order in the calling
+    thread. First-n mode asks each shard only for the matches still
+    missing and stops once ``spec.count`` are in, so the result is
+    ``find_tag(spec)``'s in both modes.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    pieces = partition(spec, shards)
-    cancel = threading.Event()
-    began = time.perf_counter()
-    lock = threading.Lock()
-    found = 0
-
-    def note_match():
-        nonlocal found
-        if spec.mode is not SearchMode.FIRST_N:
-            return
-        with lock:
-            found += 1
-            if found >= spec.count:
-                cancel.set()
-
-    with ThreadPoolExecutor(max_workers=max_workers or shards) as pool:
-        outcomes = list(pool.map(lambda piece: find_tag(piece, cancel, note_match), pieces))
     merged = SearchResult()
-    for outcome in outcomes:
+    began = time.perf_counter()
+    for piece in partition(spec, shards):
+        if spec.mode is SearchMode.FIRST_N:
+            missing = spec.count - len(merged.matches)
+            if missing == 0:
+                break
+            piece = replace(piece, count=missing)
+        outcome = find_tag(piece)
         merged.matches.extend(outcome.matches)
         merged.candidates_tried += outcome.candidates_tried
-    if spec.mode is SearchMode.FIRST_N:
-        merged.matches = merged.matches[: spec.count]
     merged.elapsed = time.perf_counter() - began
     return merged
 

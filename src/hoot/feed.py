@@ -64,7 +64,6 @@ class FeedPost:
     id: int
     sender: str
     wire: str
-    arrival: int
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class Feed:
             if rule_index is not None:
                 return PostOutcome(False, reason=RejectReason.CENSORED, rule_index=rule_index)
             post_id = len(self._posts) + 1
-            entry = FeedPost(post_id, sender, wire_text, arrival=post_id)
+            entry = FeedPost(post_id, sender, wire_text)
             self._posts.append(entry)
             for tag in set(hoot.short_tags):
                 self._by_tag.setdefault(tag, []).append(post_id)

@@ -1,12 +1,17 @@
 """Collision search: oracle equivalence, sharding, random order."""
 
+import contextlib
 import hashlib
-import threading
+import logging
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoot.collider import (
+    ALPHANUMERIC,
     SearchMode,
     SearchSpec,
     estimate_runtime,
@@ -61,6 +66,21 @@ def test_multibyte_alphabet_equals_oracle():
     assert {m[0].text for m in find_tag(first_n).matches} == oracle
 
 
+def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
+    # the expansion past 160 bits is digest-prefixed, so the short tag is
+    # still the digest's leading k bits
+    oracle = brute_force_oracle("probe-", "abc", 5, 0x2D, 6)
+    assert oracle
+    spec = SearchSpec(
+        prefix="probe-", target=ShortTag(0x2D, 6), suffix_length=5, alphabet="abc", k=6,
+        kdf=KdfConfig(output_bits=256),
+    )
+    with caplog.at_level(logging.WARNING, logger="hoot.collider"):
+        result = find_tag(spec)
+    assert {m[0].text for m in result.matches} == oracle
+    assert not caplog.records
+
+
 def test_matches_recompute_to_target():
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x5, 4), suffix_length=8, alphabet="ab", k=4)
     for plain, short in find_tag(spec).matches:
@@ -74,6 +94,53 @@ def test_shard_counts_agree(shards):
     result = find_tag_sharded(spec, shards)
     assert {m[0].text for m in result.matches} == expected
     assert result.candidates_tried == 256
+
+
+@contextlib.contextmanager
+def fast_thread_switching():
+    """Switch threads every 10 µs, so a result that depends on scheduling shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shards=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+    count=st.integers(1, 4),
+    length=st.integers(0, 4),
+    alphabet=st.sampled_from(["ab", "abc", "aäöüß€", ALPHANUMERIC[:7]]),
+    mode=st.sampled_from(SearchMode),
+    value=st.integers(0, 15),
+)
+def test_sharded_equals_serial(shards, seed, count, length, alphabet, mode, value):
+    spec = SearchSpec(
+        prefix="probe-", target=ShortTag(value, 4), suffix_length=length, alphabet=alphabet, k=4,
+        mode=mode, count=count, seed=seed,
+    )
+    serial = find_tag(spec)
+    with fast_thread_switching():
+        sharded = find_tag_sharded(spec, shards)
+    assert sharded.matches == serial.matches
+    assert sharded.candidates_tried == serial.candidates_tried
+    if mode is SearchMode.EXHAUSTIVE:
+        assert sharded.candidates_tried == spec.space_size
+
+
+def test_sharded_first_n_does_not_depend_on_scheduling():
+    spec = SearchSpec(
+        prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=3, alphabet=ALPHANUMERIC, k=8,
+        mode=SearchMode.FIRST_N, count=3, seed=5,
+    )
+    serial = find_tag(spec).matches
+    assert len(serial) == 3
+    with fast_thread_switching():
+        runs = [find_tag_sharded(spec, 4).matches for _ in range(20)]
+    assert all(run == serial for run in runs)
 
 
 def test_partition_is_disjoint_and_covering():
@@ -176,21 +243,6 @@ def test_memory_hard_search_verifies():
     assert result.candidates_tried == 16
     for plain, short in result.matches:
         assert derive_tag_material(plain, cfg, 2).short_tag == short
-
-
-def test_cancellation_stops_within_one_candidate():
-    cancel = threading.Event()
-    calls = 0
-
-    def stop_after_first():
-        nonlocal calls
-        calls += 1
-        cancel.set()
-
-    spec = SearchSpec(prefix="probe-", target=ShortTag(0x5, 4), suffix_length=8, alphabet="ab", k=4)
-    result = find_tag(spec, cancel=cancel, on_match=stop_after_first)
-    assert calls == 1
-    assert result.candidates_tried < 256
 
 
 def test_spec_validation():
