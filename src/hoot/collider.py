@@ -8,7 +8,8 @@ pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
 started. A search splits into shards by visit position; the shards run
 in position order in one process, so a sharded search returns exactly
-the serial result.
+the serial result. An exhaustive fast-hash search hashes its candidates
+a batch at a time with a vectorised SHA-1 in numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 BASE64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 _MASK64 = (1 << 64) - 1
+_BATCH = 1 << 13  # candidates per step of an exhaustive fast-hash search
+
+_SHA1_H = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+_SHA1_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)
 
 
 class SearchMode(Enum):
@@ -173,33 +178,74 @@ def find_tag(spec: SearchSpec) -> SearchResult:
             stop - start,
         )
 
-    base = hashlib.sha1(spec.prefix.encode("utf-8"))
-    tag_bytes = (spec.k + 7) // 8
-    shift = tag_bytes * 8 - spec.k
-    target_value = target.value
+    prefix = spec.prefix.encode("utf-8")
+    tags = map(prefix.__add__, _candidates(spec))
     first_n = spec.mode is SearchMode.FIRST_N
-
-    for suffix in _candidates(spec):
-        result.candidates_tried += 1
-        if fast:
-            h = base.copy()
-            h.update(suffix)
-            value = int.from_bytes(h.digest()[:tag_bytes], "big") >> shift
-        else:
-            value = _slow_short_tag(spec, suffix)
-        if value == target_value:
-            plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
-            result.matches.append((plain, ShortTag(value, spec.k)))
-            if first_n and len(result.matches) >= spec.count:
-                break
+    # only exhaustive mode fills whole batches; first-n steps stay short, and memory-hard
+    # ones single, so that a first-n search pays for little or nothing past its last match
+    size = (64 if first_n else _BATCH) if fast else 1
+    for batch in iter(lambda: list(itertools.islice(tags, size)), []):
+        hits = [i for i, value in enumerate(_short_tags(batch, spec)) if value == target.value]
+        if first_n:
+            hits = hits[: spec.count - len(result.matches)]
+        result.matches += [(PlainTag(batch[i].decode("utf-8")), target) for i in hits]
+        if first_n and len(result.matches) == spec.count:
+            result.candidates_tried += hits[-1] + 1
+            break
+        result.candidates_tried += len(batch)
 
     result.elapsed = time.perf_counter() - began
     return result
 
 
-def _slow_short_tag(spec: SearchSpec, suffix: bytes) -> int:
-    plain = PlainTag(spec.prefix + suffix.decode("utf-8"))
-    return derive_tag_material(plain, spec.kdf, spec.k).short_tag.value
+def _short_tags(batch: list[bytes], spec: SearchSpec) -> list[int]:
+    """The k-bit short tag of each plain tag in ``batch``."""
+    if spec.kdf.mode is not KdfMode.FAST_HASH:
+        plain = (PlainTag(tag.decode("utf-8")) for tag in batch)
+        return [derive_tag_material(p, spec.kdf, spec.k).short_tag.value for p in plain]
+    if len(batch) < _BATCH:  # numpy's fixed cost per call outweighs its gain on a short batch
+        return [int.from_bytes(hashlib.sha1(tag).digest()[:8], "big") >> (64 - spec.k) for tag in batch]
+    return (_sha1_leading64(batch) >> (64 - spec.k)).tolist()
+
+
+def _sha1_leading64(messages: list[bytes]):
+    """Leading 64 bits of each message's SHA-1 digest (FIPS 180-4), as a numpy uint64 array.
+
+    Each 64-byte block is 80 rounds of uint32 array operations over every message of one length.
+    """
+    import numpy as np  # on first use, so that importing the collider stays cheap
+
+    def rotl(x, n):
+        return (x << np.uint32(n)) | (x >> np.uint32(32 - n))
+
+    lengths = np.fromiter(map(len, messages), np.int64, len(messages))
+    leading = np.empty(len(messages), np.uint64)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        padded = np.zeros((len(rows), 64 * ((length + 8) // 64 + 1)), np.uint8)
+        group = b"".join([messages[i] for i in rows.tolist()])
+        padded[:, :length] = np.frombuffer(group, np.uint8).reshape(len(rows), length)
+        padded[:, length] = 0x80
+        padded[:, -8:] = np.frombuffer((8 * length).to_bytes(8, "big"), np.uint8)
+        words = padded.view(">u4").T.astype(np.uint32)  # row t: word t of every message
+        del padded
+        state = [np.full(len(rows), h, np.uint32) for h in _SHA1_H]
+        for block in range(0, len(words), 16):
+            w = list(words[block : block + 16])
+            a, b, c, d, e = state
+            for t in range(80):
+                if t >= 16:
+                    w[t % 16] = rotl(w[(t - 3) % 16] ^ w[(t - 8) % 16] ^ w[(t - 14) % 16] ^ w[t % 16], 1)
+                if t < 20:
+                    f = d ^ (b & (c ^ d))
+                elif 40 <= t < 60:
+                    f = (b & c) | (d & (b | c))
+                else:
+                    f = b ^ c ^ d
+                a, b, c, d, e = rotl(a, 5) + f + e + np.uint32(_SHA1_K[t // 20]) + w[t % 16], a, rotl(b, 30), c, d
+            state = [x + y for x, y in zip(state, (a, b, c, d, e))]
+        leading[rows] = (state[0].astype(np.uint64) << np.uint64(32)) | state[1]
+    return leading
 
 
 def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:

@@ -20,6 +20,7 @@ from hoot.collider import (
     partition,
     resolve_target,
     _permutation,
+    _sha1_leading64,
 )
 from hoot.tagcrypt import (
     KdfConfig,
@@ -79,6 +80,41 @@ def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
         result = find_tag(spec)
     assert {m[0].text for m in result.matches} == oracle
     assert not caplog.records
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.binary(max_size=200), min_size=1, max_size=40))
+def test_vectorised_sha1_equals_hashlib(messages):
+    expected = [int.from_bytes(hashlib.sha1(m).digest()[:8], "big") for m in messages]
+    assert _sha1_leading64(messages).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "alphabet,length", [("abcdefghijklmnop", 4), ("aäöüß€", 6)], ids=["one-byte", "multibyte"]
+)
+def test_full_batches_equal_oracle(alphabet, length):
+    # 65,536 and 46,656 candidates: exhaustive mode hashes full batches
+    # with the vectorised SHA-1; first-n counts its tries across many steps
+    spec = SearchSpec(prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=length, alphabet=alphabet, k=8)
+    oracle = brute_force_oracle("probe-", alphabet, length, 0x5A, 8)
+    result = find_tag(spec)
+    assert {m[0].text for m in result.matches} == oracle
+    assert result.candidates_tried == spec.space_size
+
+    first_n = replace(spec, mode=SearchMode.FIRST_N, count=100, seed=11)
+    permute = _permutation(spec.space_size, 11)
+    walk = []
+    for position in range(spec.space_size):
+        index, digits = permute(position), []
+        for _ in range(length):
+            index, digit = divmod(index, len(alphabet))
+            digits.append(alphabet[digit])
+        walk.append("probe-" + "".join(reversed(digits)))
+    hits = [i for i, text in enumerate(walk) if text in oracle][:100]
+    assert len(hits) == 100
+    result = find_tag(first_n)
+    assert [m[0].text for m in result.matches] == [walk[i] for i in hits]
+    assert result.candidates_tried == hits[-1] + 1
 
 
 def test_matches_recompute_to_target():
