@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, derive_tag_material
+from .tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, short_tags
 from .wire import encode_short_tag
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -262,32 +262,22 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
     """
     if not corpus.entries:
         raise ValueError("corpus is empty")
-    grouped: dict[ShortTag, list[tuple[str, int]]] = {}
-    for name, count in corpus.entries:
-        tag = derive_tag_material(PlainTag(name), kdf, k).short_tag
-        grouped.setdefault(tag, []).append((name, count))
-    buckets = tuple(
-        sorted(
-            (
-                TagBucket(
-                    short_tag=tag,
-                    token=encode_short_tag(tag),
-                    members=tuple(sorted(members, key=lambda m: (-m[1], m[0]))),
-                    volume=sum(count for _, count in members),
-                )
-                for tag, members in grouped.items()
-            ),
-            key=lambda b: (-b.volume, b.token),
-        )
-    )
+    entries = sorted(corpus.entries, key=lambda m: (-m[1], m[0]))  # each bucket lists its largest first
+    values = short_tags([PlainTag(name).encoded() for name, _ in entries], kdf, k)  # PlainTag checks outside names
+    grouped: dict[int, list[tuple[str, int]]] = {}
+    for value, entry in zip(values, entries):
+        grouped.setdefault(value, []).append(entry)
+    buckets = []
+    for value, members in grouped.items():
+        tag = ShortTag(value, k)
+        buckets.append(TagBucket(tag, encode_short_tag(tag), tuple(members), sum(count for _, count in members)))
+    buckets.sort(key=lambda b: (-b.volume, b.token))
+    assert sum(b.volume for b in buckets) == corpus.total
     pairs = tuple(rank_frequency(corpus))
-    report = AnonymityReport(
+    return AnonymityReport(
         k=k,
-        buckets=buckets if top_buckets is None else buckets[:top_buckets],
+        buckets=tuple(buckets[:top_buckets]),
         total_volume=corpus.total,
         rank_frequency=pairs,
         slope=powerlaw_slope(pairs),
     )
-    if top_buckets is None:
-        assert sum(b.volume for b in report.buckets) == corpus.total
-    return report

@@ -2,11 +2,12 @@
 
 A group's only secret is its plain tag, a short human-shareable hashtag
 string. A key derivation function stretches the plain tag into a long
-tag; the first k bits become the short tag (the public, searchable
-group identifier, deliberately collision-prone) and the next 128 bits
-become the tag key. Each sealed message carries fresh random session
-keys wrapped under the tag key of every addressed group, a MAC over the
-ciphertext, and the ciphertext itself:
+tag; the first k bits become the short tag (the public, searchable group
+identifier, deliberately collision-prone) and the next 128 bits become
+the tag key. A fast-hash short tag is the leading k bits of SHA-1 at any
+output_bits; ``short_tags`` is the batched form. Each sealed message
+carries fresh random session keys wrapped under the tag key of every
+addressed group, a MAC over the ciphertext, and the ciphertext itself:
 
     long_tag  = H(plain_tag)
     short_tag = long_tag.bits[0 : k]
@@ -68,6 +69,9 @@ _ZERO_COUNTER = bytes(16)
 _FIRST_COUNTER = bytes(8)
 _SECOND_COUNTER = (1).to_bytes(8, "big")
 _SCRYPT_CACHE_SIZE = 64
+SHORT_TAG_STEP = 1 << 13  # plain tags per vectorised SHA-1 call; fewer take hashlib, as numpy costs ~2 ms a call
+_SHA1_H = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+_SHA1_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -280,6 +284,16 @@ def _scrypt(secret: bytes, n: int, r: int, p: int, dklen: int) -> bytes:
     )
 
 
+def _long_tag_bits(cfg: KdfConfig) -> int:
+    return max(160, cfg.output_bits) if cfg.mode is KdfMode.FAST_HASH else cfg.output_bits
+
+
+def _check_k(long_tag_bits: int, k: int) -> None:
+    ShortTag(0, k)  # raises unless MIN_K <= k <= MAX_K
+    if long_tag_bits < k + 128:
+        raise ValueError(f"long tag has {long_tag_bits} bits; k={k} needs {k + 128}")
+
+
 def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     """Stretch a plain tag into its long tag.
 
@@ -289,11 +303,10 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     fixed protocol salt.
     """
     secret = plain_tag.encoded()
+    bits = _long_tag_bits(cfg)
     if cfg.mode is KdfMode.FAST_HASH:
-        bits = max(160, cfg.output_bits)
         data = _expand_digest(hashlib.sha1(secret).digest(), (bits + 7) // 8)
     else:
-        bits = cfg.output_bits
         data = _scrypt(secret, *cfg.scrypt_params(), (bits + 7) // 8)
     pad = len(data) * 8 - bits
     if pad:
@@ -303,10 +316,7 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
 
 def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
     """Carve a long tag into its k-bit short tag and 128-bit tag key."""
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
-    if long_tag.bits < k + 128:
-        raise ValueError(f"long tag has {long_tag.bits} bits; k={k} needs {k + 128}")
+    _check_k(long_tag.bits, k)
     short = ShortTag(long_tag.bit_slice(0, k), k)
     key = long_tag.bit_slice(k, 128).to_bytes(TAG_KEY_BYTES, "big")
     return TagMaterial(short, key)
@@ -314,6 +324,61 @@ def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
 
 def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int = DEFAULT_K) -> TagMaterial:
     return split_tag(derive_long_tag(plain_tag, cfg), k)
+
+
+def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
+    """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
+
+    k is checked first. A vectorised SHA-1 takes full steps of SHORT_TAG_STEP fast-hash tags, hashlib the rest.
+    """
+    _check_k(_long_tag_bits(cfg), k)
+    if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
+        return [derive_long_tag(PlainTag(tag.decode("utf-8")), cfg).bit_slice(0, k) for tag in plain_tags]
+    shift = 64 - k
+    values = []
+    for at in range(0, len(plain_tags) - SHORT_TAG_STEP + 1, SHORT_TAG_STEP):
+        values += (_sha1_leading64(plain_tags[at : at + SHORT_TAG_STEP]) >> shift).tolist()
+    return values + [int.from_bytes(hashlib.sha1(tag).digest()[:8], "big") >> shift for tag in plain_tags[len(values) :]]
+
+
+def _sha1_leading64(messages: list[bytes]):
+    """Leading 64 bits of each message's SHA-1 digest (FIPS 180-4), as a numpy uint64 array.
+
+    Each 64-byte block is 80 rounds of uint32 array operations over every message of one length.
+    """
+    import numpy as np  # on first use, so that importing hoot stays cheap
+
+    def rotl(x, n):
+        return (x << np.uint32(n)) | (x >> np.uint32(32 - n))
+
+    lengths = np.fromiter(map(len, messages), np.int64, len(messages))
+    leading = np.empty(len(messages), np.uint64)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        padded = np.zeros((len(rows), 64 * ((length + 8) // 64 + 1)), np.uint8)
+        group = b"".join([messages[i] for i in rows.tolist()])
+        padded[:, :length] = np.frombuffer(group, np.uint8).reshape(len(rows), length)
+        padded[:, length] = 0x80
+        padded[:, -8:] = np.frombuffer((8 * length).to_bytes(8, "big"), np.uint8)
+        words = padded.view(">u4").T.astype(np.uint32)  # row t: word t of every message
+        del padded
+        state = [np.full(len(rows), h, np.uint32) for h in _SHA1_H]
+        for block in range(0, len(words), 16):
+            w = list(words[block : block + 16])
+            a, b, c, d, e = state
+            for t in range(80):
+                if t >= 16:
+                    w[t % 16] = rotl(w[(t - 3) % 16] ^ w[(t - 8) % 16] ^ w[(t - 14) % 16] ^ w[t % 16], 1)
+                if t < 20:
+                    f = d ^ (b & (c ^ d))
+                elif 40 <= t < 60:
+                    f = (b & c) | (d & (b | c))
+                else:
+                    f = b ^ c ^ d
+                a, b, c, d, e = rotl(a, 5) + f + e + np.uint32(_SHA1_K[t // 20]) + w[t % 16], a, rotl(b, 30), c, d
+            state = [x + y for x, y in zip(state, (a, b, c, d, e))]
+        leading[rows] = (state[0].astype(np.uint64) << np.uint64(32)) | state[1]
+    return leading
 
 
 def _ctr_xcrypt(key: bytes, counter_block: bytes, data: bytes) -> bytes:

@@ -26,7 +26,8 @@ from hoot.analysis import (
     save_corpus,
 )
 from hoot.collider import SearchMode, SearchSpec, find_tag
-from hoot.tagcrypt import FAST_KDF, PlainTag, derive_tag_material
+from hoot.tagcrypt import FAST_KDF, SHORT_TAG_STEP, KdfConfig, PlainTag, derive_tag_material
+from hoot.wire import encode_short_tag
 
 
 def test_entropy_dictionary_plus_digits():
@@ -188,6 +189,31 @@ def test_anonymity_report_members_recompute():
     for bucket in report.buckets:
         for name, _ in bucket.members:
             assert derive_tag_material(PlainTag(name), FAST_KDF, 10).short_tag == bucket.short_tag
+
+
+def test_anonymity_report_over_a_full_step_equals_per_tag_bucketing():
+    # more tags than one step, so the report's short tags come from the vectorised SHA-1
+    corpus = generate_powerlaw_corpus(12_000, 1.0, 10**6, seed=3)
+    assert len(corpus.entries) > SHORT_TAG_STEP
+    grouped = {}
+    for name, count in corpus.entries:
+        grouped.setdefault(derive_tag_material(PlainTag(name), FAST_KDF, 16).short_tag, []).append((name, count))
+    expected = sorted(
+        (
+            (tag, tuple(sorted(members, key=lambda m: (-m[1], m[0]))), sum(c for _, c in members))
+            for tag, members in grouped.items()
+        ),
+        key=lambda bucket: (-bucket[2], encode_short_tag(bucket[0])),
+    )
+    report = anonymity_report(corpus, 16)
+    assert [(b.short_tag, b.members, b.volume) for b in report.buckets] == expected
+    assert any(len(b.members) > 1 for b in report.buckets)
+
+
+def test_anonymity_report_refuses_a_kdf_too_narrow_for_k():
+    corpus = Corpus((("one", 5), ("two", 2)))
+    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
+        anonymity_report(corpus, 64, KdfConfig(output_bits=160))
 
 
 def test_report_render_and_csv():

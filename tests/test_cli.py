@@ -134,6 +134,17 @@ def test_collide_short_tag_target_and_shortfall(capsys):
     assert "of 5 requested" in err
 
 
+def test_collide_rejects_a_space_of_invalid_plain_tags(capsys):
+    code, out, err = run(
+        capsys,
+        "collide", "--prefix", "a b", "--target", "cli-target", "--suffix-len", "1",
+        "--k", "24", "--kdf", "fast",
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "whitespace" in err
+
+
 def test_simulate_text_and_json(capsys, tmp_path):
     script = {
         "seed": 3,

@@ -20,13 +20,13 @@ from hoot.collider import (
     partition,
     resolve_target,
     _permutation,
-    _sha1_leading64,
 )
 from hoot.tagcrypt import (
     KdfConfig,
     KdfMode,
     PlainTag,
     ShortTag,
+    _sha1_leading64,
     derive_tag_material,
 )
 
@@ -288,6 +288,38 @@ def test_spec_validation():
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=1, alphabet="aa", k=4)
     with pytest.raises(ValueError):
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=2, alphabet="ab", k=4, start=3, stop=9)
+    # a space with any candidate that is not a valid plain tag is refused before it is searched
+    for prefix, alphabet, length, reason in [
+        ("a b", "ab", 2, "whitespace"),
+        ("p", "a\tb", 1, "whitespace"),
+        ("#p", "ab", 2, "leading '#'"),
+        ("", "a#", 2, "leading '#'"),
+        ("", "a b", 1, "whitespace"),
+        ("", "ab", 0, "non-empty"),
+        ("x" * 250, "aé", 4, "256 UTF-8 bytes"),  # 250 + 4 * 2 bytes
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            SearchSpec(prefix=prefix, target=ShortTag(0, 4), suffix_length=length, alphabet=alphabet, k=4)
+    # the limits themselves are fine: a longest candidate of exactly 256 bytes, a '#' after the first glyph
+    SearchSpec(prefix="x" * 248, target=ShortTag(0, 4), suffix_length=4, alphabet="aé", k=4)
+    SearchSpec(prefix="", target=ShortTag(0, 4), suffix_length=2, alphabet="ab", k=4)
+    SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=2, alphabet="a#", k=4)
+    SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=0, alphabet="a b", k=4)
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("target", [ShortTag(0, 64), PlainTag("popular-topic")], ids=["short", "plain"])
+def test_kdf_too_narrow_for_k_is_refused(mode, target):
+    # a 160-bit long tag cannot hold a 64-bit short tag and a 128-bit tag key, so no
+    # candidate of this space has tag material and the search must not report one
+    spec = SearchSpec(
+        prefix="p-", target=target, suffix_length=2, alphabet="ab", k=64, mode=mode,
+        kdf=KdfConfig(output_bits=160),
+    )
+    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
+        find_tag(spec)
+    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
+        find_tag_sharded(spec, 2)
 
 
 def test_estimate_runtime():

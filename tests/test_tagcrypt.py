@@ -2,15 +2,18 @@
 
 import copy
 import hashlib
+import os
 import pickle
 import random
+import re
+import subprocess
 import sys
 import threading
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoot import tagcrypt
@@ -18,6 +21,7 @@ from hoot.errors import ConfigError
 from hoot.tagcrypt import (
     FAST_KDF,
     MEMORY_HARD_KDF,
+    SHORT_TAG_STEP,
     Hoot,
     KdfConfig,
     KdfMode,
@@ -31,6 +35,7 @@ from hoot.tagcrypt import (
     open_hoot,
     open_with_material,
     seal,
+    short_tags,
     split_tag,
 )
 
@@ -232,6 +237,58 @@ def test_derive_tag_material_convenience():
     material = derive_tag_material(PlainTag("abc"), FAST_KDF, 12)
     digest = hashlib.sha1(b"abc").digest()
     assert material.short_tag.value == int.from_bytes(digest[:2], "big") >> 4
+
+
+# valid plain tags of mixed length, multi-byte text included, at most 256 UTF-8 bytes
+_plain_texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=256).map(
+    lambda text: "".join(c for c in text if not c.isspace()).lstrip("#").encode()[:256].decode("utf-8", "ignore") or "x"
+)
+_TINY_SCRYPT = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_plain_texts, min_size=1, max_size=12),
+    st.integers(1, 64),
+    st.sampled_from([KdfConfig(output_bits=160), KdfConfig(output_bits=256)]),
+)
+@example(["a", "ä€𝄞", "é" * 128, "x" * 256], 64, KdfConfig(output_bits=256))
+@example(["grp", "ä€𝄞"], 24, _TINY_SCRYPT)
+@example(["grp", "z" * 200], 33, KdfConfig(mode=KdfMode.MEMORY_HARD, work=4, memory=512, output_bits=170))
+def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
+    tags = [text.encode("utf-8") for text in texts]
+    try:
+        expected = [derive_tag_material(PlainTag(text), cfg, k).short_tag.value for text in texts]
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            short_tags(tags, cfg, k)
+        return
+    assert short_tags(tags, cfg, k) == expected
+    # one full step takes the vectorised SHA-1, the remainder hashlib
+    size = SHORT_TAG_STEP + len(tags)
+    repeats = size // len(tags) + 1
+    assert short_tags((tags * repeats)[:size], cfg, k) == (expected * repeats)[:size]
+
+
+def test_short_tags_check_k_before_hashing():
+    for cfg, k, message in [
+        (KdfConfig(output_bits=160), 64, "long tag has 160 bits; k=64 needs 192"),
+        (_TINY_SCRYPT, 33, "long tag has 160 bits; k=33 needs 161"),
+        (FAST_KDF, 0, "k=0 outside supported range 1..64"),
+        (KdfConfig(output_bits=256), 65, "k=65 outside supported range 1..64"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            short_tags([], cfg, k)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_tag(derive_long_tag(PlainTag("t"), cfg), k)
+
+
+def test_importing_hoot_leaves_numpy_unloaded():
+    # numpy is imported on the first vectorised SHA-1, so that importing hoot stays cheap
+    code = "import sys, hoot, hoot.collider, hoot.tagcrypt; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tagcrypt.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 @pytest.fixture
