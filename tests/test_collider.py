@@ -199,6 +199,51 @@ def test_permutation_is_a_bijection():
         assert sorted(permute(i) for i in range(size)) == list(range(size))
 
 
+def first_visits(size: int, seed: int) -> list[int]:
+    """Candidate indices of visit positions 0..15 in the seeded first-n order."""
+    permute = _permutation(size, seed)
+    return [permute(position) for position in range(16)]
+
+
+@pytest.mark.parametrize(
+    "size,seed,expected",
+    [
+        (238_328, 1, [72911, 150799, 101470, 149500, 41669, 50160, 74150, 233106,
+                      149899, 62123, 81592, 108154, 204495, 159619, 215770, 25826]),
+        (37, 99, [5, 10, 35, 12, 15, 14, 27, 26, 23, 2, 0, 20, 7, 6, 36, 31]),
+        (2**40 + 3, 2**70, [871254798840, 95998073419, 63305250252, 197570510614, 977104714942,
+                            651996923777, 333336886487, 342834465178, 791809788649, 77083702620,
+                            416346821638, 160980080697, 245119581828, 168351129681, 433420698700,
+                            612079621631]),
+    ],
+    ids=["alphanumeric3", "37", "big-seed"],
+)
+def test_first_visits_are_pinned(size, seed, expected):
+    assert first_visits(size, seed) == expected
+
+
+@pytest.mark.parametrize(
+    "prefix,target,alphabet,length,k,count,seed,texts,tried",
+    [
+        ("fan-club-", PlainTag("popular-topic"), ALPHANUMERIC, 3, 16, 2, 1,
+         ["fan-club-uhd", "fan-club-bc0"], 31709),
+        ("fan-club-", PlainTag("popular-topic"), ALPHANUMERIC, 3, 16, 2, 2,
+         ["fan-club-98b", "fan-club-Q7T"], 40499),
+        ("probe-", ShortTag(0x5A, 8), "aäöüß€", 6, 8, 3, 11,
+         ["probe-öüü€ßß", "probe-üßaääß", "probe-ßääü€ä"], 1683),
+    ],
+    ids=["alphanumeric3-seed1", "alphanumeric3-seed2", "multibyte"],
+)
+def test_first_n_results_are_pinned(prefix, target, alphabet, length, k, count, seed, texts, tried):
+    spec = SearchSpec(
+        prefix=prefix, target=target, suffix_length=length, alphabet=alphabet, k=k,
+        mode=SearchMode.FIRST_N, count=count, seed=seed,
+    )
+    result = find_tag(spec)
+    assert [m[0].text for m in result.matches] == texts
+    assert result.candidates_tried == tried
+
+
 def test_first_n_always_finds_a_unique_match():
     # pick a target that occurs exactly once in the space, then demand
     # every visit order find it
