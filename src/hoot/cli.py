@@ -176,13 +176,17 @@ def cmd_collide(args) -> int:
     result = collider.find_tag(spec)
     for plain, short in result.matches:
         print(f"{plain.text}\t#{wire.encode_short_tag(short)}")
+    rate = result.candidates_tried / result.elapsed if result.elapsed else 0.0
     log.info(
         "tried %d candidates in %.3fs (%.0f/s), %d match(es)",
         result.candidates_tried,
         result.elapsed,
-        result.candidates_tried / result.elapsed if result.elapsed else 0.0,
+        rate,
         len(result.matches),
     )
+    if rate:
+        tries, seconds = collider.expected_tries(spec), collider.estimate_runtime(spec, rate)
+        log.info("estimate at %.0f/s: %d candidates in %.3fs", rate, tries, seconds)
     if spec.mode is collider.SearchMode.FIRST_N and len(result.matches) < spec.count:
         print(
             f"hoot collide: found {len(result.matches)} of {spec.count} requested matches",

@@ -9,7 +9,10 @@ found suffix gives an observer no information about where the search
 started. A search splits into shards by visit position; the shards run
 in position order in one process, so a sharded search returns exactly
 the serial result. Candidates are hashed a step at a time with
-``tagcrypt.short_tags``.
+``tagcrypt.short_tags``. First-n steps are vectorised: a uint64 Feistel
+permutation of the step's positions, then one byte buffer of their
+tags; numpy loads on the first such step, so importing hoot stays
+cheap. Positions are uint64, so a space holds at most 2^64 candidates.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ log = logging.getLogger(__name__)
 ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 _MASK64 = (1 << 64) - 1
+FIRST_N_STEP = 1 << 12  # positions per vectorised first-n step
 
 
 class SearchMode(Enum):
@@ -77,6 +81,8 @@ class SearchSpec:
         if self.mode is SearchMode.FIRST_N and self.count < 1:
             raise ValueError("first-n mode needs count >= 1")
         size = self.space_size
+        if size > 1 << 64:  # positions and candidate indices are uint64
+            raise ValueError(f"a space of {size} candidates is more than 2^64")
         stop = size if self.stop is None else self.stop
         if not 0 <= self.start <= stop <= size:
             raise ValueError(f"position range [{self.start}, {stop}) outside space of {size}")
@@ -106,52 +112,70 @@ def resolve_target(spec: SearchSpec) -> ShortTag:
     return ShortTag(short_tags([spec.target.encoded()], spec.kdf, spec.k)[0], spec.k)
 
 
-def _mix64(x: int) -> int:
+def _mix64(x):
+    """SplitMix64's finaliser of a Python int, or of a uint64 array with wrapping multiplies."""
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)
 
 
 def _permutation(size: int, seed: int):
-    """Seeded bijection on [0, size) via a cycle-walked Feistel network."""
+    """Seeded bijection on [0, size <= 2^64) via a cycle-walked Feistel network, over uint64 arrays."""
     bits = max(2, (size - 1).bit_length())
     half = (bits + 1) // 2
     mask = (1 << half) - 1
     round_keys = [_mix64(seed * 0x9E3779B97F4A7C15 + r + 1) for r in range(4)]
 
-    def permute(i: int) -> int:
-        while True:
-            left, right = i >> half, i & mask
-            for key in round_keys:
-                left, right = right, left ^ (_mix64(right ^ key) & mask)
-            i = (left << half) | right
-            if i < size:
-                return i
+    def feistel(x):
+        left, right = x >> half, x & mask
+        for key in round_keys:
+            left, right = right, left ^ (_mix64(right ^ key) & mask)
+        return (left << half) | right
+
+    def permute(positions):
+        x = feistel(positions)
+        walking = (x >= size).nonzero()[0]
+        while walking.size:  # cycle walking: re-permute only what fell outside the space
+            x[walking] = feistel(x[walking])
+            walking = walking[x[walking] >= size]
+        return x
 
     return permute
 
 
-def _suffix_digits(index: int, alphabet_size: int, length: int) -> list[int]:
-    digits = [0] * length
-    for position in range(length - 1, -1, -1):
-        index, digits[position] = divmod(index, alphabet_size)
-    return digits
+def _first_n_steps(spec: SearchSpec, step: int):
+    """Plain tags of the spec's position range in the seeded visit order, ``step`` positions at a time."""
+    import numpy as np  # on first use, so that importing hoot stays cheap
 
-
-def _candidates(spec: SearchSpec):
-    """Suffix bytes of each candidate in the spec's position range, in visit order."""
     start, stop = spec.position_range
-    glyph_bytes = [g.encode("utf-8") for g in spec.alphabet]
-    if spec.mode is SearchMode.EXHAUSTIVE:
-        # product order is position order: the last suffix glyph varies fastest
-        suffixes = itertools.product(glyph_bytes, repeat=spec.suffix_length)
-        return map(b"".join, itertools.islice(suffixes, start, stop))
     permute = _permutation(spec.space_size, spec.seed)
-    alphabet_size = len(glyph_bytes)
-    return (
-        b"".join(glyph_bytes[d] for d in _suffix_digits(permute(position), alphabet_size, spec.suffix_length))
-        for position in range(start, stop)
-    )
+    glyphs = [glyph.encode("utf-8") for glyph in spec.alphabet]
+    widths = np.array([len(glyph) for glyph in glyphs])
+    table = np.array([list(glyph.ljust(widths.max(), b"\0")) for glyph in glyphs], np.uint8)  # zero-padded rows
+    real = np.arange(table.shape[1]) < widths[:, None]  # real[d, j]: byte j of glyph d is not padding
+    prefix = np.frombuffer(spec.prefix.encode("utf-8"), np.uint8)
+    for at in range(start, stop, step):
+        index = permute(np.arange(at, min(at + step, stop), dtype=np.uint64))
+        n = len(index)
+        digits = np.empty((n, spec.suffix_length), np.intp)
+        for column in reversed(range(spec.suffix_length)):  # the last suffix glyph is the lowest digit
+            index, digits[:, column] = np.divmod(index, len(glyphs))
+        tags = np.hstack([np.broadcast_to(prefix, (n, len(prefix))), table[digits].reshape(n, -1)])
+        keep = np.hstack([np.ones((n, len(prefix)), bool), real[digits].reshape(n, -1)])
+        buffer, ends = tags[keep].tobytes(), np.cumsum(keep.sum(axis=1)).tolist()
+        yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
+
+
+def _steps(spec: SearchSpec, step: int):
+    """Plain tags (UTF-8) of the spec's position range in visit order, in lists of ``step``."""
+    if spec.mode is SearchMode.FIRST_N:
+        return _first_n_steps(spec, step)
+    start, stop = spec.position_range
+    prefix = spec.prefix.encode("utf-8")
+    # product order is position order: the last suffix glyph varies fastest
+    suffixes = itertools.product([glyph.encode("utf-8") for glyph in spec.alphabet], repeat=spec.suffix_length)
+    tags = map(prefix.__add__, map(b"".join, itertools.islice(suffixes, start, stop)))
+    return iter(lambda: list(itertools.islice(tags, step)), [])
 
 
 def find_tag(spec: SearchSpec) -> SearchResult:
@@ -174,12 +198,11 @@ def find_tag(spec: SearchSpec) -> SearchResult:
             stop - start,
         )
 
-    prefix = spec.prefix.encode("utf-8")
-    tags = map(prefix.__add__, _candidates(spec))
     first_n = spec.mode is SearchMode.FIRST_N
-    # first-n steps stay short, and memory-hard ones single, so a first-n search pays little past its last match
-    size = (64 if first_n else SHORT_TAG_STEP) if fast else 1
-    for batch in iter(lambda: list(itertools.islice(tags, size)), []):
+    # first-n steps stay under SHORT_TAG_STEP, so hashlib hashes them and a first-n search
+    # pays little past its last match; memory-hard steps are single candidates
+    size = (FIRST_N_STEP if first_n else SHORT_TAG_STEP) if fast else 1
+    for batch in _steps(spec, size):
         hits = [i for i, value in enumerate(short_tags(batch, spec.kdf, spec.k)) if value == target.value]
         if first_n:
             hits = hits[: spec.count - len(result.matches)]
@@ -230,16 +253,16 @@ def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
     return merged
 
 
-def estimate_runtime(spec: SearchSpec, hash_rate: float, cores: int = 1) -> float:
-    """Predicted seconds for the search at the given derivation rate.
+def expected_tries(spec: SearchSpec) -> int:
+    """Candidates the search is expected to hash: its position range, or 2^k per first-n match."""
+    start, stop = spec.position_range
+    if spec.mode is SearchMode.EXHAUSTIVE:
+        return stop - start
+    return min(spec.count << spec.k, stop - start)
 
-    Exhaustive mode costs the full space; first-n mode is the expected
-    time to the n-th match, 2^k tries per match.
-    """
+
+def estimate_runtime(spec: SearchSpec, hash_rate: float, cores: int = 1) -> float:
+    """Predicted seconds for ``expected_tries(spec)`` at the given derivation rate."""
     if hash_rate <= 0 or cores < 1:
         raise ValueError("hash rate and cores must be positive")
-    if spec.mode is SearchMode.EXHAUSTIVE:
-        tries = spec.space_size
-    else:
-        tries = min(spec.count * (1 << spec.k), spec.space_size)
-    return tries / (hash_rate * cores)
+    return expected_tries(spec) / (hash_rate * cores)

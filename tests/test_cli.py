@@ -2,12 +2,14 @@
 
 import io
 import json
+import logging
 import random
+import re
 
 import pytest
 
-from hoot import wire
-from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_bench
+from hoot import collider, wire
+from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.tagcrypt import PlainTag, seal
 
 
@@ -143,6 +145,31 @@ def test_collide_rejects_a_space_of_invalid_plain_tags(capsys):
     assert code == EXIT_DATA
     assert out == ""
     assert "whitespace" in err
+
+
+def test_collide_refuses_a_space_beyond_2_to_the_64_before_searching(capsys, monkeypatch):
+    searched = []
+    monkeypatch.setattr(collider, "find_tag", searched.append)
+    code, out, err = run(
+        capsys, "collide", "--prefix", "cli-", "--target", "cli-target", "--suffix-len", "11", "--kdf", "fast",
+    )
+    assert code == EXIT_DATA
+    assert out == "" and not searched
+    assert f"space of {62**11} candidates is more than 2^64" in err
+
+
+def test_collide_logs_the_estimate_beside_the_measured_run(caplog):
+    argv = [
+        "collide", "--prefix", "cli-", "--target", "cli-target", "--suffix-len", "3",
+        "--k", "8", "--kdf", "fast", "--mode", "first-n", "--count", "2", "--seed", "4",
+    ]
+    args = build_parser().parse_args(argv)
+    with caplog.at_level(logging.INFO, logger="hoot"):
+        assert args.run(args) == EXIT_OK
+    tried, estimate = [r.getMessage() for r in caplog.records if r.name == "hoot"][-2:]
+    assert re.fullmatch(r"tried \d+ candidates in [0-9.]+s \(\d+/s\), 2 match\(es\)", tried)
+    # first-n expects 2^k tries per match: 2 * 2^8 candidates
+    assert re.fullmatch(r"estimate at \d+/s: 512 candidates in [0-9.]+s", estimate)
 
 
 def test_simulate_text_and_json(capsys, tmp_path):

@@ -6,6 +6,7 @@ import logging
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hoot.collider import (
     SearchMode,
     SearchSpec,
     estimate_runtime,
+    expected_tries,
     find_tag,
     find_tag_sharded,
     partition,
@@ -29,6 +31,37 @@ from hoot.tagcrypt import (
     _sha1_leading64,
     derive_tag_material,
 )
+
+
+def scalar_permutation(size: int, seed: int):
+    """The first-n visit order one position at a time: a cycle-walked Feistel network over Python ints."""
+    mask64 = (1 << 64) - 1
+
+    def mix64(x):
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask64
+        return x ^ (x >> 31)
+
+    bits = max(2, (size - 1).bit_length())
+    half = (bits + 1) // 2
+    mask = (1 << half) - 1
+    round_keys = [mix64(seed * 0x9E3779B97F4A7C15 + r + 1) for r in range(4)]
+
+    def permute(i: int) -> int:
+        while True:
+            left, right = i >> half, i & mask
+            for key in round_keys:
+                left, right = right, left ^ (mix64(right ^ key) & mask)
+            i = (left << half) | right
+            if i < size:
+                return i
+
+    return permute
+
+
+def visits(size: int, seed: int, start: int, stop: int) -> list[int]:
+    """Candidate indices of visit positions [start, stop) in the seeded first-n order."""
+    return _permutation(size, seed)(np.arange(start, stop, dtype=np.uint64)).tolist()
 
 
 def brute_force_oracle(prefix: str, alphabet: str, length: int, target: int, k: int) -> set[str]:
@@ -102,10 +135,9 @@ def test_full_batches_equal_oracle(alphabet, length):
     assert result.candidates_tried == spec.space_size
 
     first_n = replace(spec, mode=SearchMode.FIRST_N, count=100, seed=11)
-    permute = _permutation(spec.space_size, 11)
     walk = []
-    for position in range(spec.space_size):
-        index, digits = permute(position), []
+    for index in visits(spec.space_size, 11, 0, spec.space_size):
+        digits = []
         for _ in range(length):
             index, digit = divmod(index, len(alphabet))
             digits.append(alphabet[digit])
@@ -195,14 +227,28 @@ def test_partition_is_disjoint_and_covering():
 
 def test_permutation_is_a_bijection():
     for size in (1, 2, 37, 256, 1000):
-        permute = _permutation(size, seed=99)
-        assert sorted(permute(i) for i in range(size)) == list(range(size))
+        assert sorted(visits(size, 99, 0, size)) == list(range(size))
+
+
+sizes = st.one_of(
+    st.integers(1, 2**64),
+    st.just(2**64),
+    st.builds(lambda bits, above: min(2**bits + above, 2**64), st.integers(0, 63), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=sizes, seed=st.integers(-(2**80), 2**80), data=st.data())
+def test_permutation_equals_scalar_feistel(size, seed, data):
+    span = data.draw(st.integers(1, min(size, 64)))
+    start = data.draw(st.one_of(st.just(size - span), st.integers(0, size - span)))  # often the space's end
+    permute = scalar_permutation(size, seed)
+    assert visits(size, seed, start, start + span) == [permute(p) for p in range(start, start + span)]
 
 
 def first_visits(size: int, seed: int) -> list[int]:
     """Candidate indices of visit positions 0..15 in the seeded first-n order."""
-    permute = _permutation(size, seed)
-    return [permute(position) for position in range(16)]
+    return visits(size, seed, 0, 16)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +396,10 @@ def test_spec_validation():
     SearchSpec(prefix="", target=ShortTag(0, 4), suffix_length=2, alphabet="ab", k=4)
     SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=2, alphabet="a#", k=4)
     SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=0, alphabet="a b", k=4)
+    # positions and candidate indices are uint64: a space of 2^64 candidates is fine, 62^11 is refused
+    SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=64, alphabet="ab", k=4)
+    with pytest.raises(ValueError, match=f"space of {62**11} candidates is more than 2\\^64"):
+        SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=11, alphabet=ALPHANUMERIC, k=4)
 
 
 @pytest.mark.parametrize("mode", list(SearchMode))
@@ -382,6 +432,8 @@ def test_estimate_runtime():
         mode=SearchMode.FIRST_N, count=1,
     )
     assert estimate_runtime(expected_first, 1.9e6, 1) == pytest.approx(2**18 / 1.9e6)
+    # a shard is expected to cost its own position range
+    assert [expected_tries(piece) for piece in partition(spec, 3)] == [2**36 // 3, 2**36 // 3, 2**36 - 2 * (2**36 // 3)]
 
 
 def test_runtime_scales_with_alphabet_per_suffix_glyph():

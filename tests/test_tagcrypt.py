@@ -283,12 +283,25 @@ def test_short_tags_check_k_before_hashing():
             split_tag(derive_long_tag(PlainTag("t"), cfg), k)
 
 
-def test_importing_hoot_leaves_numpy_unloaded():
-    # numpy is imported on the first vectorised SHA-1, so that importing hoot stays cheap
-    code = "import sys, hoot, hoot.collider, hoot.tagcrypt; print('numpy' in sys.modules)"
+def numpy_loaded_after(code: str) -> bool:
+    code += "\nimport sys; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tagcrypt.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    return {"True": True, "False": False}[out.strip()]
+
+
+def test_importing_hoot_leaves_numpy_unloaded():
+    # numpy is imported on the first vectorised SHA-1, so that importing hoot stays cheap
+    assert not numpy_loaded_after("import hoot, hoot.collider, hoot.tagcrypt")
+
+
+def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
+    # numpy is imported on the first first-n step, not when a search is built and its target resolved
+    assert not numpy_loaded_after(
+        "from hoot import PlainTag\n"
+        "from hoot.collider import SearchMode, SearchSpec, resolve_target\n"
+        "resolve_target(SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=3, mode=SearchMode.FIRST_N, k=16))"
+    )
 
 
 @pytest.fixture
