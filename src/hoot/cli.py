@@ -17,10 +17,11 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 
 from . import analysis, collider, feed, wire
-from .errors import HootError
+from .errors import HootError, ParseError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
@@ -131,7 +132,8 @@ def cmd_open(args) -> int:
     params = _wire_params(args)
     material = derive_tag_material(tag, kdf, params.k)
     stream = sys.stdin if args.file == "-" else open(args.file, "r", encoding="utf-8")
-    matched = skipped = malformed = 0
+    matched = skipped = 0
+    malformed = Counter()
     try:
         for line in stream:
             line = line.strip()
@@ -139,8 +141,8 @@ def cmd_open(args) -> int:
                 continue
             try:
                 hoot = wire.parse(line, params)
-            except HootError:
-                malformed += 1
+            except ParseError as err:
+                malformed[err.kind] += 1
                 continue
             message = open_with_material(hoot, material)
             if message is None:
@@ -152,7 +154,9 @@ def cmd_open(args) -> int:
         if stream is not sys.stdin:
             stream.close()
     if args.stats:
-        print(f"matched={matched} skipped={skipped} malformed={malformed}", file=sys.stderr)
+        kinds = " ".join(f"{kind}={count}" for kind, count in sorted(malformed.items()))
+        counts = f"matched={matched} skipped={skipped} malformed={malformed.total()}"
+        print(f"{counts} ({kinds})" if kinds else counts, file=sys.stderr)
     return EXIT_OK
 
 

@@ -35,10 +35,13 @@ the counter only go from 0 to 1, so no carry reaches the nonce. Each
 TagMaterial builds its AES-ECB context once, on first use, and reuses
 it, under a lock, for every key block it wraps or unwraps.
 
-Memory-hard derivations are memoized per (plain tag, n, r, p, output
-length) in a bounded least-recently-used cache of the last 64, holding
-only the derived bytes; the fast hash is not cached. The cache lives in
-the process, so a fresh process pays the full scrypt cost again.
+Tag material is memoized per (plain tag, KDF config, k) in a bounded
+least-recently-used cache of the last 64, fast hash and memory-hard
+alike, so repeat callers share one TagMaterial and its AES context.
+Below it, memory-hard derivations are memoized per (plain tag, n, r, p,
+output length) in a second cache of 64 holding only the derived bytes,
+which ``short_tags`` reaches without building material. Both caches live
+in the process, so a fresh process pays the full scrypt cost again.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
 _ZERO_COUNTER = bytes(16)
 _FIRST_COUNTER = bytes(8)
 _SECOND_COUNTER = (1).to_bytes(8, "big")
-_SCRYPT_CACHE_SIZE = 64
+_CACHE_SIZE = 64  # entries in the tag-material cache and in the scrypt cache
 SHORT_TAG_STEP = 1 << 13  # plain tags per vectorised SHA-1 call; fewer take hashlib, as numpy costs ~2 ms a call
 _SHA1_H = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 _SHA1_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)
@@ -271,7 +274,7 @@ def _expand_digest(digest: bytes, nbytes: int) -> bytes:
     return bytes(out[:nbytes])
 
 
-@functools.lru_cache(maxsize=_SCRYPT_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _scrypt(secret: bytes, n: int, r: int, p: int, dklen: int) -> bytes:
     return hashlib.scrypt(
         secret,
@@ -322,6 +325,7 @@ def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
     return TagMaterial(short, key)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int = DEFAULT_K) -> TagMaterial:
     return split_tag(derive_long_tag(plain_tag, cfg), k)
 

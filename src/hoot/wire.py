@@ -43,6 +43,11 @@ from .tagcrypt import (
 
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 _BASE32_INDEX = {glyph: index for index, glyph in enumerate(BASE32_ALPHABET)}
+# a base32 glyph of either case to its int(·, 32) digit, and any other ASCII character to "!", which int() refuses
+_BASE32_DIGITS = str.maketrans(
+    {chr(c): "!" for c in range(128)}
+    | dict(zip(BASE32_ALPHABET + BASE32_ALPHABET.upper(), 2 * "0123456789abcdefghijklmnopqrstuv"))
+)
 _BASE64_GLYPHS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 
 DEFAULT_GLYPH_BUDGET = 140
@@ -82,17 +87,26 @@ def encode_short_tag(tag: ShortTag) -> str:
 
 
 def decode_short_tag(text: str, k: int) -> ShortTag:
-    """Inverse of encode_short_tag; case-insensitive on input."""
+    """Inverse of encode_short_tag; case-insensitive on input.
+
+    An ASCII token of the right length folds onto int()'s base-32 digits
+    and converts in one call; any other token takes the per-glyph loop,
+    which names what is wrong.
+    """
     glyphs = tag_glyphs(k)
-    folded = text.lower()
-    if len(folded) != glyphs:
-        raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
-    value = 0
-    for glyph in folded:
-        index = _BASE32_INDEX.get(glyph)
-        if index is None:
-            raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
-        value = (value << 5) | index
+    digits = text.translate(_BASE32_DIGITS) if text.isascii() and len(text) == glyphs else "!"
+    if "!" not in digits:
+        value = int(digits, 32)
+    else:
+        folded = text.lower()
+        if len(folded) != glyphs:
+            raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
+        value = 0
+        for glyph in folded:
+            index = _BASE32_INDEX.get(glyph)
+            if index is None:
+                raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
+            value = (value << 5) | index
     pad = glyphs * 5 - k
     if value & ((1 << pad) - 1):
         raise ParseError("short tag padding bits must be zero", kind="bad-tag")
@@ -155,6 +169,11 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     Raises ParseError with a ``kind`` of "too-long" (more glyphs than
     ``params.glyph_budget``, checked before any decoding), "no-tag",
     "bad-tag", "payload-length", or "bad-alphabet".
+
+    A valid line is checked by C-level decoders: one ``int(·, 32)`` per
+    tag token and one strict ``binascii.a2b_base64`` for the payload.
+    Only a stage whose decoder refuses its input runs the glyph-level
+    checks that classify the failure.
     """
     text = text.strip()
     if len(text) > params.glyph_budget:
@@ -172,16 +191,20 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     if len(tokens) - index > 1:
         raise ParseError("whitespace inside payload", kind="bad-alphabet")
     payload = tokens[index]
-    bad = set(payload) - _BASE64_GLYPHS
-    if bad:
-        raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
-    if len(payload) % 4 == 1:
+    padded = payload + "=" * (-len(payload) % 4)
+    body = None
+    if "=" not in payload:  # strict mode would take "AB=" as padded; the checks below call it bad-alphabet
+        try:
+            body = binascii.a2b_base64(padded, strict_mode=True)
+        except ValueError:  # binascii.Error, or a str that is not ASCII
+            pass
+    if body is None:
+        bad = set(payload) - _BASE64_GLYPHS
+        if bad:
+            raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
+        # with no "=" and every glyph base64, strict mode refuses only a length of 1 (mod 4)
         raise ParseError("payload length is not a valid unpadded base64 length", kind="payload-length")
-    try:
-        body = base64.b64decode(payload + "=" * (-len(payload) % 4))
-    except binascii.Error as exc:
-        raise ParseError(f"payload does not decode: {exc}", kind="payload-length") from exc
-    if base64.b64encode(body).rstrip(b"=").decode("ascii") != payload:
+    if binascii.b2a_base64(body, newline=False) != padded.encode():
         # non-zero trailing bits: a truncated or reframed payload
         raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
     fixed = len(tags) * KEY_BLOCK_BYTES + MAC_BYTES
@@ -190,8 +213,8 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
             f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {fixed}",
             kind="payload-length",
         )
-    blocks = tuple(body[i * KEY_BLOCK_BYTES : (i + 1) * KEY_BLOCK_BYTES] for i in range(len(tags)))
-    mac = body[len(tags) * KEY_BLOCK_BYTES : fixed]
+    blocks = tuple([body[at : at + KEY_BLOCK_BYTES] for at in range(0, fixed - MAC_BYTES, KEY_BLOCK_BYTES)])
+    mac = body[fixed - MAC_BYTES : fixed]
     ciphertext = body[fixed:]
     return Hoot(tuple(tags), blocks, mac, ciphertext)
 

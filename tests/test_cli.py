@@ -91,11 +91,22 @@ def test_open_filters_cover_traffic_preserving_order(capsys, monkeypatch):
             lines.append(wire.encode(seal(b"noise", [theirs], rng=rng)))
     tampered = lines[4][:-8] + "AAAAAAAA"
     lines[4] = tampered
+    token, payload = lines[0].split(" ")
+    lines += [
+        "A" * 141,  # too-long
+        "no hash tokens here",  # no-tag
+        "#toolongtoken " + payload,  # bad-tag
+        token + " AAAA",  # payload-length
+        lines[0] + "*",  # bad-alphabet
+    ]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code, out, err = run(capsys, "open", "-", "--tag", "ours-cli", "--kdf", "fast", "--stats")
     assert code == EXIT_OK
     assert out.splitlines() == mine
-    assert "matched=10" in err and "skipped=" in err
+    assert (
+        "matched=10 skipped=20 malformed=5 (bad-alphabet=1 bad-tag=1 no-tag=1 payload-length=1 too-long=1)"
+        in err.splitlines()
+    )
 
 
 def test_open_empty_stream(capsys, monkeypatch):

@@ -283,10 +283,14 @@ def test_short_tags_check_k_before_hashing():
             split_tag(derive_long_tag(PlainTag("t"), cfg), k)
 
 
-def numpy_loaded_after(code: str) -> bool:
-    code += "\nimport sys; print('numpy' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports hoot from this tree."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tagcrypt.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+
+
+def numpy_loaded_after(code: str) -> bool:
+    out = run_fresh(code + "\nimport sys; print('numpy' in sys.modules)")
     return {"True": True, "False": False}[out.strip()]
 
 
@@ -304,9 +308,24 @@ def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
     )
 
 
+@pytest.mark.parametrize("search", ["find_tag(spec)", "find_tag_sharded(spec, 2)"])
+def test_first_n_search_loads_numpy_before_its_clock_starts(search):
+    # so that elapsed, and the rate hoot collide logs from it, time the search and not numpy's first import
+    out = run_fresh(
+        "import sys, time\n"
+        "from hoot import PlainTag\n"
+        "from hoot.collider import SearchMode, SearchSpec, find_tag, find_tag_sharded\n"
+        "spec = SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=2, mode=SearchMode.FIRST_N, k=4)\n"
+        "clock = time.perf_counter\n"
+        "time.perf_counter = lambda: print('numpy' in sys.modules) or clock()\n"
+        f"{search}\n"
+    )
+    assert out.splitlines()[0] == "True"
+
+
 @pytest.fixture
 def scrypt_calls(monkeypatch):
-    """Count hashlib.scrypt calls, starting and ending with an empty cache."""
+    """Count hashlib.scrypt calls, starting and ending with empty scrypt and material caches."""
     calls = []
     real = hashlib.scrypt
 
@@ -316,8 +335,10 @@ def scrypt_calls(monkeypatch):
 
     monkeypatch.setattr(hashlib, "scrypt", counting)
     tagcrypt._scrypt.cache_clear()
+    derive_tag_material.cache_clear()
     yield calls
     tagcrypt._scrypt.cache_clear()
+    derive_tag_material.cache_clear()
 
 
 def test_memory_hard_derivation_is_cached(scrypt_calls):
@@ -347,6 +368,18 @@ def test_memory_hard_cache_is_bounded(scrypt_calls):
     assert len(scrypt_calls) == 65
     derive_long_tag(PlainTag("tag-0"), cfg)
     assert len(scrypt_calls) == 66
+
+
+def test_tag_material_is_cached_with_its_context(scrypt_calls):
+    first = derive_tag_material(PlainTag("abc"), FAST_KDF, 24)
+    assert derive_tag_material(PlainTag("abc"), FAST_KDF, 24) is first
+    seal(b"m", [PlainTag("abc")], rng=random.Random(1))
+    assert "_ecb" in vars(first)  # seal wrapped its key block with the cached material's context
+    assert derive_tag_material(PlainTag("abc"), FAST_KDF, 12) is not first
+    for i in range(64):
+        derive_tag_material(PlainTag(f"tag-{i}"), FAST_KDF, 24)
+    assert derive_tag_material(PlainTag("abc"), FAST_KDF, 24) is not first
+    assert scrypt_calls == []
 
 
 def test_fast_hash_is_not_cached(scrypt_calls):
@@ -392,8 +425,8 @@ def test_seal_open_round_trip_with_all_ones_nonce():
 
 
 def test_wrapping_context_joins_no_equality_hash_or_repr():
-    a = derive_tag_material(PlainTag("abc"))
-    b = derive_tag_material(PlainTag("abc"))
+    derived = derive_tag_material(PlainTag("abc"))
+    a, b = (TagMaterial(derived.short_tag, derived.tag_key) for _ in range(2))
     open_with_material(seal(b"m", [PlainTag("abc")], rng=random.Random(1)), a)
     assert "_ecb" in vars(a) and "_ecb" not in vars(b)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

@@ -1,11 +1,28 @@
 """Wire codec: rendering, parsing, and capacity arithmetic."""
 
+import base64
+import binascii
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoot.errors import CapacityError, ConfigError, ParseError
-from hoot.tagcrypt import FAST_KDF, PlainTag, ShortTag, open_hoot, seal
+from hoot.tagcrypt import (
+    FAST_KDF,
+    KEY_BLOCK_BYTES,
+    KEY_BLOCK_NONCE_BYTES,
+    MAC_BYTES,
+    SESSION_KEY_BYTES,
+    Hoot,
+    PlainTag,
+    ShortTag,
+    derive_tag_material,
+    open_hoot,
+    open_with_material,
+    seal,
+)
 from hoot.wire import (
     DEFAULT_PARAMS,
     WireParams,
@@ -15,8 +32,80 @@ from hoot.wire import (
     encode_short_tag,
     parse,
     seal_to_wire,
+    tag_glyphs,
     total_glyphs,
 )
+
+BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
+BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# characters that C-level decoders treat differently from the glyph-level checks: padding, int()'s
+# separators, signs and whitespace, ASCII digits outside base32, Unicode Nd digits, NUL, non-ASCII
+# letters, and letters whose lowercase is ASCII (KELVIN SIGN) or two characters long (I WITH DOT ABOVE)
+TRAPS = "=_+-\t\n 0189\u0663\uff10\x00\u00e9\u212a\u0130#"
+
+
+def per_glyph_short_tag(text: str, k: int) -> ShortTag:
+    """The short-tag decoder one glyph at a time, as it was before tokens went through int(·, 32)."""
+    glyphs = tag_glyphs(k)
+    folded = text.lower()
+    if len(folded) != glyphs:
+        raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
+    value = 0
+    for glyph in folded:
+        if glyph not in BASE32:
+            raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
+        value = (value << 5) | BASE32.index(glyph)
+    pad = glyphs * 5 - k
+    if value & ((1 << pad) - 1):
+        raise ParseError("short tag padding bits must be zero", kind="bad-tag")
+    return ShortTag(value >> pad, k)
+
+
+def classifying_parse(text: str, params: WireParams) -> Hoot:
+    """The parser with glyph-level checks at every stage, as it was before valid lines took C-level decoders."""
+    text = text.strip()
+    if len(text) > params.glyph_budget:
+        raise ParseError(f"{len(text)} glyphs exceed the budget of {params.glyph_budget}", kind="too-long")
+    tokens = text.split(" ")
+    tags = []
+    index = 0
+    while index < len(tokens) and tokens[index].startswith("#"):
+        tags.append(per_glyph_short_tag(tokens[index][1:], params.k))
+        index += 1
+    if not tags:
+        raise ParseError("no hashtag token found", kind="no-tag")
+    if index == len(tokens) or tokens[index] == "":
+        raise ParseError("missing payload after hashtag tokens", kind="payload-length")
+    if len(tokens) - index > 1:
+        raise ParseError("whitespace inside payload", kind="bad-alphabet")
+    payload = tokens[index]
+    bad = set(payload) - set(BASE64)
+    if bad:
+        raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
+    if len(payload) % 4 == 1:
+        raise ParseError("payload length is not a valid unpadded base64 length", kind="payload-length")
+    try:
+        body = base64.b64decode(payload + "=" * (-len(payload) % 4))
+    except binascii.Error as exc:
+        raise ParseError(f"payload does not decode: {exc}", kind="payload-length") from exc
+    if base64.b64encode(body).rstrip(b"=").decode("ascii") != payload:
+        raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
+    fixed = len(tags) * KEY_BLOCK_BYTES + MAC_BYTES
+    if len(body) < fixed:
+        raise ParseError(
+            f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {fixed}",
+            kind="payload-length",
+        )
+    blocks = tuple(body[i * KEY_BLOCK_BYTES : (i + 1) * KEY_BLOCK_BYTES] for i in range(len(tags)))
+    return Hoot(tuple(tags), blocks, body[len(tags) * KEY_BLOCK_BYTES : fixed], body[fixed:])
+
+
+def outcome(decode, *args):
+    """What a decoder gives: ("ok", result) or ("error", kind, message)."""
+    try:
+        return ("ok", decode(*args))
+    except ParseError as err:
+        return ("error", err.kind, str(err))
 
 
 def sealed(message=b"hello there", tags=("wire-group-a",), k=24, seed=0):
@@ -214,3 +303,125 @@ def test_readme_worked_example_is_bit_exact():
 @pytest.mark.parametrize("k,limit", [(12, 41), (18, 40), (24, 39), (32, 38)])
 def test_readme_capacity_table(k, limit):
     assert capacity(WireParams(k=k, glyph_budget=140), 1) == limit
+
+
+@st.composite
+def hoots(draw, k=st.integers(1, 64), n_tags=st.integers(1, 3), max_budget=400):
+    """A hoot with random tags, key blocks and MAC, and wire params whose budget fits it."""
+    k, n = draw(k), draw(n_tags)
+    params = WireParams(k=k, glyph_budget=draw(st.integers(total_glyphs(WireParams(k=k), n, 0), max_budget)))
+    tags = tuple(ShortTag(draw(st.integers(0, (1 << k) - 1)), k) for _ in range(n))
+    blocks = tuple(draw(st.binary(min_size=KEY_BLOCK_BYTES, max_size=KEY_BLOCK_BYTES)) for _ in range(n))
+    mac = draw(st.binary(min_size=MAC_BYTES, max_size=MAC_BYTES))
+    ciphertext = draw(st.binary(max_size=capacity(params, n)))
+    return Hoot(tags, blocks, mac, ciphertext), params
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid line with a few glyphs replaced, inserted or deleted, often by a trap character."""
+    hoot, params = draw(hoots(k=st.integers(1, 32), n_tags=st.integers(1, 2), max_budget=200))
+    line = list(encode(hoot, params))
+    glyph = st.one_of(st.sampled_from(TRAPS), st.sampled_from(BASE32 + BASE64), st.characters())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(line):
+            line.insert(at, draw(glyph))
+        elif edit == "replace":
+            line[at] = draw(glyph)
+        else:
+            del line[at]
+    return "".join(line), params
+
+
+def near_budget(length):
+    """Lines of exactly ``length`` glyphs: a valid k=24 line padded with payload or trap glyphs."""
+    return st.builds(
+        lambda filler: (encode(sealed(), WireParams(k=24)) + filler * length)[:length], st.sampled_from("A" + TRAPS)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.one_of(
+        mutated_lines(),
+        st.tuples(st.text(alphabet=st.sampled_from(TRAPS + BASE32 + BASE64), max_size=150), st.just(DEFAULT_PARAMS)),
+        st.tuples(st.text(max_size=150), st.just(DEFAULT_PARAMS)),
+        st.tuples(st.one_of(near_budget(140), near_budget(141)), st.just(WireParams(k=24, glyph_budget=140))),
+    )
+)
+@example(case=("#aaaaa AB=", DEFAULT_PARAMS))
+@example(case=("#aaaaa AB==", DEFAULT_PARAMS))
+@example(case=("#aaa_a " + "A" * 80, DEFAULT_PARAMS))
+@example(case=("#\u212aaaaa " + "A" * 80, DEFAULT_PARAMS))
+def test_parse_agrees_with_the_classifying_oracle(case):
+    text, params = case
+    assert outcome(parse, text, params) == outcome(classifying_parse, text, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hoots())
+def test_parse_inverts_encode(case):
+    hoot, params = case
+    line = encode(hoot, params)
+    assert len(line) <= params.glyph_budget
+    assert parse(line, params) == hoot
+
+
+# Payload glyphs 10-31 carry body bits 60-191, and bits 64-191 are the first key block's wrapped
+# k_enc. The MAC covers the ciphertext alone, so a glyph there that changes only k_enc bits still
+# passes the MAC and decrypts the ciphertext under a wrong key.
+WRAPPED_ENC_GLYPHS = range(KEY_BLOCK_NONCE_BYTES * 8 // 6, (KEY_BLOCK_NONCE_BYTES + SESSION_KEY_BYTES) * 8 // 6)
+
+
+def open_mutated(message, seed, at, glyph):
+    """Seal a line, replace its payload glyph ``at`` (a tag glyph for ``at`` < 0) with ``glyph``, parse and open it."""
+    tag = PlainTag("mutation-group")
+    line = seal_to_wire(message, [tag], rng=random.Random(seed))
+    at += line.index(" ") + 1
+    mutated = line[:at] + glyph + line[at + 1 :]
+    try:
+        hoot = parse(mutated)
+    except ParseError:
+        return None
+    return open_with_material(hoot, derive_tag_material(tag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=st.binary(max_size=capacity(DEFAULT_PARAMS, 1)), seed=st.integers(0, 2**32), data=st.data())
+def test_one_glyph_mutation_never_opens_to_wrong_plaintext(message, seed, data):
+    payload_glyphs = -(-8 * (KEY_BLOCK_BYTES + MAC_BYTES + len(message)) // 6)
+    at = data.draw(st.integers(-tag_glyphs(24) - 2, payload_glyphs - 1).filter(lambda at: at not in WRAPPED_ENC_GLYPHS))
+    glyph = data.draw(st.one_of(st.sampled_from(TRAPS + BASE32 + BASE64), st.characters()))
+    # a tag glyph changed only in case names the same group, so it may still open to the message
+    assert open_mutated(message, seed, at, glyph) in (None, message)
+
+
+@pytest.mark.xfail(strict=True, reason="the MAC does not cover the wrapped k_enc, so a changed one opens to garbage")
+def test_one_glyph_mutation_of_the_wrapped_enc_key_never_opens_to_wrong_plaintext():
+    message = b"meet at dawn"
+    wrong = [
+        (at, glyph)
+        for at in WRAPPED_ENC_GLYPHS
+        for glyph in "AB"
+        if open_mutated(message, 1, at, glyph) not in (None, message)
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decode_short_tag_equals_per_glyph_oracle(k, data):
+    glyphs = tag_glyphs(k)
+    valid = "".join(data.draw(st.lists(st.sampled_from(BASE32 + BASE32.upper()), min_size=glyphs, max_size=glyphs)))
+    text = data.draw(
+        st.one_of(
+            st.just(valid),
+            st.builds(lambda at, c: valid[:at] + c + valid[at + 1 :], st.integers(0, glyphs - 1), st.sampled_from(TRAPS)),
+            st.text(alphabet=st.sampled_from(TRAPS + BASE32 + BASE32.upper()), max_size=glyphs + 2),
+            st.text(max_size=glyphs + 2),
+        )
+    )
+    assert outcome(decode_short_tag, text, k) == outcome(per_glyph_short_tag, text, k)
