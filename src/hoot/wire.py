@@ -195,7 +195,7 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     body = None
     if "=" not in payload:  # strict mode would take "AB=" as padded; the checks below call it bad-alphabet
         try:
-            body = binascii.a2b_base64(padded, strict_mode=True)
+            body = binascii.a2b_base64(padded, strict_mode=True)  # strict_mode: Python 3.11+
         except ValueError:  # binascii.Error, or a str that is not ASCII
             pass
     if body is None:
