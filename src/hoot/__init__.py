@@ -18,7 +18,6 @@ from .tagcrypt import (
     KdfMode,
     LongTag,
     PlainTag,
-    SessionKeys,
     ShortTag,
     TagMaterial,
     derive_long_tag,
@@ -45,7 +44,6 @@ __all__ = [
     "MEMORY_HARD_KDF",
     "ParseError",
     "PlainTag",
-    "SessionKeys",
     "ShortTag",
     "TagMaterial",
     "WireParams",

@@ -55,7 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold `--config file.json` defaults in ahead of explicit flags."""
+    """Fold `--config file.json` (or `--config=file.json`) defaults in ahead of explicit flags."""
+    argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     index = argv.index("--config")

@@ -39,7 +39,6 @@ from .tagcrypt import (
     derive_tag_material,
     kdf_config,
     open_with_material,
-    seal,
 )
 from . import wire
 
@@ -381,7 +380,6 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
             events.append((clock, group.name, i, group))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
-    limit = wire.capacity(params, 1)
     tag_of = {
         g.name: derive_tag_material(g.plain_tag, script.kdf, script.k).short_tag for g in script.groups
     }
@@ -421,9 +419,7 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
 
     for _, name, i, group in events:
         body = f"{name} dispatch {i:04d}".encode("utf-8")
-        if len(body) > limit:
-            raise ValueError(f"scenario message for {name!r} exceeds the {limit}-byte capacity")
-        line = wire.encode(seal(body, [group.plain_tag], script.kdf, k=script.k, rng=rng), params)
+        line = wire.seal_to_wire(body, [group.plain_tag], script.kdf, params, rng=rng)
         sent_wires[name].append(line)
         submitted += 1
         account(group, feed.post(name, line))

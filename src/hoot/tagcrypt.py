@@ -35,12 +35,10 @@ the counter only go from 0 to 1, so no carry reaches the nonce. Each
 TagMaterial builds its AES-ECB context once, on first use, and reuses
 it, under a lock, for every key block it wraps or unwraps.
 
-Tag material is memoized per (plain tag, KDF config, k) in a bounded
+Tag material is memoized per (plain tag, KDF config, k) in one bounded
 least-recently-used cache of the last 64, fast hash and memory-hard
 alike, so repeat callers share one TagMaterial and its AES context.
-Below it, memory-hard derivations are memoized per (plain tag, n, r, p,
-output length) in a second cache of 64 holding only the derived bytes,
-which ``short_tags`` reaches without building material. Both caches live
+``short_tags`` derives memory-hard tags through the same cache. It lives
 in the process, so a fresh process pays the full scrypt cost again.
 """
 
@@ -71,7 +69,7 @@ KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
 _ZERO_COUNTER = bytes(16)
 _FIRST_COUNTER = bytes(8)
 _SECOND_COUNTER = (1).to_bytes(8, "big")
-_CACHE_SIZE = 64  # entries in the tag-material cache and in the scrypt cache
+_CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 SHORT_TAG_STEP = 1 << 13  # plain tags per vectorised SHA-1 call; fewer take hashlib, as numpy costs ~2 ms a call
 _SHA1_H = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 _SHA1_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)
@@ -232,18 +230,6 @@ class TagMaterial:
 
 
 @dataclass(frozen=True)
-class SessionKeys:
-    """Per-message random keys; never reused across messages."""
-
-    k_enc: bytes
-    k_mac: bytes
-
-    def __post_init__(self):
-        if len(self.k_enc) != SESSION_KEY_BYTES or len(self.k_mac) != SESSION_KEY_BYTES:
-            raise ValueError("session keys must be 128 bits each")
-
-
-@dataclass(frozen=True)
 class Hoot:
     """One sealed message: short tags, wrapped keys, MAC, ciphertext."""
 
@@ -274,19 +260,6 @@ def _expand_digest(digest: bytes, nbytes: int) -> bytes:
     return bytes(out[:nbytes])
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _scrypt(secret: bytes, n: int, r: int, p: int, dklen: int) -> bytes:
-    return hashlib.scrypt(
-        secret,
-        salt=_KDF_SALT,
-        n=n,
-        r=r,
-        p=p,
-        maxmem=256 * r * n * max(1, p) + (1 << 20),
-        dklen=dklen,
-    )
-
-
 def _long_tag_bits(cfg: KdfConfig) -> int:
     return max(160, cfg.output_bits) if cfg.mode is KdfMode.FAST_HASH else cfg.output_bits
 
@@ -307,10 +280,12 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     """
     secret = plain_tag.encoded()
     bits = _long_tag_bits(cfg)
+    nbytes = (bits + 7) // 8
     if cfg.mode is KdfMode.FAST_HASH:
-        data = _expand_digest(hashlib.sha1(secret).digest(), (bits + 7) // 8)
+        data = _expand_digest(hashlib.sha1(secret).digest(), nbytes)
     else:
-        data = _scrypt(secret, *cfg.scrypt_params(), (bits + 7) // 8)
+        n, r, p = cfg.scrypt_params()
+        data = hashlib.scrypt(secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=nbytes)
     pad = len(data) * 8 - bits
     if pad:
         data = data[:-1] + bytes([data[-1] & (0xFF << pad) & 0xFF])
@@ -337,7 +312,7 @@ def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """
     _check_k(_long_tag_bits(cfg), k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
-        return [derive_long_tag(PlainTag(tag.decode("utf-8")), cfg).bit_slice(0, k) for tag in plain_tags]
+        return [derive_tag_material(PlainTag(tag.decode("utf-8")), cfg, k).short_tag.value for tag in plain_tags]
     shift = 64 - k
     values = []
     for at in range(0, len(plain_tags) - SHORT_TAG_STEP + 1, SHORT_TAG_STEP):
@@ -396,10 +371,6 @@ def _random_bytes(rng, n: int) -> bytes:
     return rng.randbytes(n)
 
 
-def generate_session_keys(rng=None) -> SessionKeys:
-    return SessionKeys(_random_bytes(rng, SESSION_KEY_BYTES), _random_bytes(rng, SESSION_KEY_BYTES))
-
-
 def seal(
     message: bytes,
     plain_tags,
@@ -418,16 +389,16 @@ def seal(
     plain_tags = list(plain_tags)
     if not plain_tags:
         raise ValueError("seal needs at least one plain tag")
-    keys = generate_session_keys(rng)
-    ciphertext = _ctr_xcrypt(keys.k_enc, _ZERO_COUNTER, message)
-    mac = hmac.digest(keys.k_mac, ciphertext, "sha1")
+    keys = _random_bytes(rng, 2 * SESSION_KEY_BYTES)  # k_enc || k_mac
+    ciphertext = _ctr_xcrypt(keys[:SESSION_KEY_BYTES], _ZERO_COUNTER, message)
+    mac = hmac.digest(keys[SESSION_KEY_BYTES:], ciphertext, "sha1")
     short_tags = []
     key_blocks = []
     for tag in plain_tags:
         material = derive_tag_material(tag, cfg, k)
         nonce = _random_bytes(rng, KEY_BLOCK_NONCE_BYTES)
         short_tags.append(material.short_tag)
-        key_blocks.append(nonce + material.wrap(nonce, keys.k_enc + keys.k_mac))
+        key_blocks.append(nonce + material.wrap(nonce, keys))
     return Hoot(tuple(short_tags), tuple(key_blocks), mac, ciphertext)
 
 

@@ -42,11 +42,11 @@ from .tagcrypt import (
 )
 
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
-_BASE32_INDEX = {glyph: index for index, glyph in enumerate(BASE32_ALPHABET)}
+_BASE32_GLYPHS = BASE32_ALPHABET + BASE32_ALPHABET.upper()
 # a base32 glyph of either case to its int(·, 32) digit, and any other ASCII character to "!", which int() refuses
 _BASE32_DIGITS = str.maketrans(
     {chr(c): "!" for c in range(128)}
-    | dict(zip(BASE32_ALPHABET + BASE32_ALPHABET.upper(), 2 * "0123456789abcdefghijklmnopqrstuv"))
+    | dict(zip(_BASE32_GLYPHS, 2 * "0123456789abcdefghijklmnopqrstuv"))
 )
 _BASE64_GLYPHS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 
@@ -89,24 +89,20 @@ def encode_short_tag(tag: ShortTag) -> str:
 def decode_short_tag(text: str, k: int) -> ShortTag:
     """Inverse of encode_short_tag; case-insensitive on input.
 
-    An ASCII token of the right length folds onto int()'s base-32 digits
-    and converts in one call; any other token takes the per-glyph loop,
-    which names what is wrong.
+    A token is ceil(k/5) ASCII base32 glyphs of either case. It folds
+    onto int()'s base-32 digits and converts in one call. A token that
+    call cannot take is "bad-tag", named by its length if that is wrong,
+    else by its first glyph outside ASCII base32, so any token holding a
+    non-ASCII character is refused.
     """
     glyphs = tag_glyphs(k)
-    digits = text.translate(_BASE32_DIGITS) if text.isascii() and len(text) == glyphs else "!"
-    if "!" not in digits:
-        value = int(digits, 32)
-    else:
-        folded = text.lower()
-        if len(folded) != glyphs:
-            raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
-        value = 0
-        for glyph in folded:
-            index = _BASE32_INDEX.get(glyph)
-            if index is None:
-                raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
-            value = (value << 5) | index
+    if len(text) != glyphs:
+        raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(text)}", kind="bad-tag")
+    digits = text.translate(_BASE32_DIGITS)
+    if not text.isascii() or "!" in digits:
+        glyph = next(glyph for glyph in text if glyph not in _BASE32_GLYPHS)
+        raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
+    value = int(digits, 32)
     pad = glyphs * 5 - k
     if value & ((1 << pad) - 1):
         raise ParseError("short tag padding bits must be zero", kind="bad-tag")

@@ -204,6 +204,17 @@ def test_simulate_text_and_json(capsys, tmp_path):
     assert stats["target_blocked"] == 4
 
 
+def test_simulate_over_capacity_names_the_limit(capsys, tmp_path):
+    # "<name> dispatch 0000" is 44 bytes, over the 39-byte capacity of one k=24 tag in 140 glyphs
+    script = {"groups": [{"name": "g" * 30, "plain_tag": "long-name-group", "messages": 1}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "message of 44 bytes" in err and "capacity 39" in err
+
+
 def test_analyze_entropy_and_brute_force(capsys):
     code, out, _ = run(
         capsys, "analyze", "entropy", "--component", "dict:40000", "--component", "digits:7",
@@ -269,9 +280,10 @@ def test_run_bench_counts_mix():
 def test_config_file_defaults_can_be_overridden(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 12, "kdf": "fast", "seed": 11}))
-    _, from_config, _ = run(capsys, "seal", "m", "--tag", "t", "--config", str(config))
     expected = wire.encode(seal(b"m", [PlainTag("t")], k=12, rng=random.Random(11)), wire.WireParams(k=12))
-    assert from_config.strip() == expected
+    for spelling in (["--config", str(config)], [f"--config={config}"]):
+        _, from_config, _ = run(capsys, "seal", "m", "--tag", "t", *spelling)
+        assert from_config.strip() == expected, spelling
     # an explicit flag beats the config file
     _, overridden, _ = run(capsys, "seal", "m", "--tag", "t", "--config", str(config), "--k", "24")
     assert overridden != from_config

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoot import tagcrypt
+from hoot.collider import SearchSpec, find_tag_sharded
 from hoot.errors import ConfigError
 from hoot.tagcrypt import (
     FAST_KDF,
@@ -27,7 +28,6 @@ from hoot.tagcrypt import (
     KdfMode,
     LongTag,
     PlainTag,
-    SessionKeys,
     ShortTag,
     TagMaterial,
     derive_long_tag,
@@ -63,9 +63,7 @@ def test_derivation_is_deterministic():
 
 def test_memory_hard_deterministic_and_distinct_from_fast():
     cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**14)
-    tagcrypt._scrypt.cache_clear()
     a = derive_long_tag(PlainTag("abc"), cfg)
-    tagcrypt._scrypt.cache_clear()  # so b comes from scrypt again, not from the cache
     b = derive_long_tag(PlainTag("abc"), cfg)
     assert a == b
     assert a.bits == 160
@@ -222,8 +220,6 @@ def test_plain_tag_validation():
 
 
 def test_session_keys_and_hoot_validation():
-    with pytest.raises(ValueError):
-        SessionKeys(b"short", bytes(16))
     good = seal(b"m", [PlainTag("t")], rng=random.Random(0))
     with pytest.raises(ValueError):
         Hoot((), (), good.mac, b"")
@@ -325,7 +321,7 @@ def test_first_n_search_loads_numpy_before_its_clock_starts(search):
 
 @pytest.fixture
 def scrypt_calls(monkeypatch):
-    """Count hashlib.scrypt calls, starting and ending with empty scrypt and material caches."""
+    """Count hashlib.scrypt calls, starting and ending with an empty tag-material cache."""
     calls = []
     real = hashlib.scrypt
 
@@ -334,10 +330,8 @@ def scrypt_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hashlib, "scrypt", counting)
-    tagcrypt._scrypt.cache_clear()
     derive_tag_material.cache_clear()
     yield calls
-    tagcrypt._scrypt.cache_clear()
     derive_tag_material.cache_clear()
 
 
@@ -346,28 +340,38 @@ def test_memory_hard_derivation_is_cached(scrypt_calls):
     first = derive_tag_material(PlainTag("cached-tag"), cfg)
     assert derive_tag_material(PlainTag("cached-tag"), cfg) == first
     assert len(scrypt_calls) == 1
-    derive_long_tag(PlainTag("cached-tag"), MEMORY_HARD_KDF)
-    derive_long_tag(PlainTag("cached-tag"), MEMORY_HARD_KDF)
+    derive_tag_material(PlainTag("cached-tag"), MEMORY_HARD_KDF)
+    derive_tag_material(PlainTag("cached-tag"), MEMORY_HARD_KDF)
     assert len(scrypt_calls) == 2
 
 
 def test_memory_hard_cache_misses_on_any_input_change(scrypt_calls):
     cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
-    derive_long_tag(PlainTag("cached-tag"), cfg)
-    derive_long_tag(PlainTag("other-tag"), cfg)
-    derive_long_tag(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**5))
-    wide = derive_long_tag(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4, output_bits=192))
-    assert len(scrypt_calls) == 4
-    assert wide.bits == 192
+    derive_tag_material(PlainTag("cached-tag"), cfg)
+    derive_tag_material(PlainTag("other-tag"), cfg)
+    derive_tag_material(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**5))
+    # k=64 needs a 192-bit long tag, so this derivation cannot come from the 160-bit ones
+    derive_tag_material(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4, output_bits=192), 64)
+    derive_tag_material(PlainTag("cached-tag"), cfg, 12)
+    assert len(scrypt_calls) == 5
 
 
 def test_memory_hard_cache_is_bounded(scrypt_calls):
     cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
     for i in range(65):
-        derive_long_tag(PlainTag(f"tag-{i}"), cfg)
+        derive_tag_material(PlainTag(f"tag-{i}"), cfg)
     assert len(scrypt_calls) == 65
-    derive_long_tag(PlainTag("tag-0"), cfg)
+    derive_tag_material(PlainTag("tag-0"), cfg)
     assert len(scrypt_calls) == 66
+
+
+def test_sharded_memory_hard_search_resolves_its_target_from_the_cache(scrypt_calls):
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4)
+    spec = SearchSpec(prefix="mh-", target=PlainTag("target-tag"), suffix_length=2, alphabet="abcd", k=8, kdf=cfg)
+    result = find_tag_sharded(spec, 3)
+    # one scrypt per candidate and one for the target, which the second and third shards take from the cache
+    assert result.candidates_tried == 16
+    assert len(scrypt_calls) == result.candidates_tried + 1
 
 
 def test_tag_material_is_cached_with_its_context(scrypt_calls):
@@ -385,7 +389,6 @@ def test_tag_material_is_cached_with_its_context(scrypt_calls):
 def test_fast_hash_is_not_cached(scrypt_calls):
     derive_long_tag(PlainTag("abc"), FAST_KDF)
     assert scrypt_calls == []
-    assert tagcrypt._scrypt.cache_info().currsize == 0
 
 
 def _reference_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:

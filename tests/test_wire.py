@@ -45,16 +45,16 @@ TRAPS = "=_+-\t\n 0189\u0663\uff10\x00\u00e9\u212a\u0130#"
 
 
 def per_glyph_short_tag(text: str, k: int) -> ShortTag:
-    """The short-tag decoder one glyph at a time, as it was before tokens went through int(·, 32)."""
+    """The short-tag decoder one glyph at a time, as it was before tokens went through int(·, 32),
+    except that a non-ASCII glyph is refused instead of case-folded."""
     glyphs = tag_glyphs(k)
-    folded = text.lower()
-    if len(folded) != glyphs:
-        raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(folded)}", kind="bad-tag")
+    if len(text) != glyphs:
+        raise ParseError(f"short tag token needs {glyphs} glyphs for k={k}, got {len(text)}", kind="bad-tag")
     value = 0
-    for glyph in folded:
-        if glyph not in BASE32:
+    for glyph in text:
+        if not glyph.isascii() or glyph.lower() not in BASE32:
             raise ParseError(f"glyph {glyph!r} is not base32", kind="bad-tag")
-        value = (value << 5) | BASE32.index(glyph)
+        value = (value << 5) | BASE32.index(glyph.lower())
     pad = glyphs * 5 - k
     if value & ((1 << pad) - 1):
         raise ParseError("short tag padding bits must be zero", kind="bad-tag")
