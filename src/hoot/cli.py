@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import replace
 
 from . import analysis, collider, feed, wire
-from .errors import HootError, ParseError
+from .errors import ConfigError, HootError, ParseError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
@@ -64,8 +64,13 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         path = argv[index + 1]
     except IndexError:
         parser.error("--config needs a file path")
-    with open(path, "r", encoding="utf-8") as handle:
-        defaults = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            defaults = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"config file {path} holds a JSON {type(defaults).__name__}, not an object")
     injected = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
@@ -426,11 +431,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="hoot: %(message)s", force=True)
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(parser, argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except ConfigError as exc:  # an unreadable or malformed config file
+        print(f"hoot: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     try:
         return args.run(args)
     except UsageError as exc:

@@ -9,10 +9,11 @@ found suffix gives an observer no information about where the search
 started. A search splits into shards by visit position; the shards run
 in position order in one process, so a sharded search returns exactly
 the serial result. Candidates are hashed a step at a time with
-``tagcrypt.short_tags``. First-n steps are vectorised: a uint64 Feistel
-permutation of the step's positions, then one byte buffer of their
-tags; numpy loads on the first such step, so importing hoot stays
-cheap. Positions are uint64, so a space holds at most 2^64 candidates.
+``tagcrypt.short_tags``, which hashes with hashlib. Only first-n steps
+use numpy: a uint64 Feistel permutation of the step's positions, then
+one byte buffer of their tags. numpy loads when a first-n search
+starts, so importing hoot or running an exhaustive search never loads
+it. Positions are uint64, so a space holds at most 2^64 candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from enum import Enum
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
-    SHORT_TAG_STEP,
     KdfConfig,
     KdfMode,
     PlainTag,
@@ -40,7 +40,7 @@ log = logging.getLogger(__name__)
 ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 _MASK64 = (1 << 64) - 1
-FIRST_N_STEP = 1 << 12  # positions per vectorised first-n step
+FAST_HASH_STEP = 1 << 12  # candidates per fast-hash step, few enough that first-n hashes little past its last match
 
 
 class SearchMode(Enum):
@@ -206,10 +206,7 @@ def find_tag(spec: SearchSpec) -> SearchResult:
         )
 
     first_n = spec.mode is SearchMode.FIRST_N
-    # first-n steps stay under SHORT_TAG_STEP, so hashlib hashes them and a first-n search
-    # pays little past its last match; memory-hard steps are single candidates
-    size = (FIRST_N_STEP if first_n else SHORT_TAG_STEP) if fast else 1
-    for batch in _steps(spec, size):
+    for batch in _steps(spec, FAST_HASH_STEP if fast else 1):  # memory-hard steps are single candidates
         hits = [i for i, value in enumerate(short_tags(batch, spec.kdf, spec.k)) if value == target.value]
         if first_n:
             hits = hits[: spec.count - len(result.matches)]
@@ -245,6 +242,7 @@ def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
     missing and stops once ``spec.count`` are in, so the result is
     ``find_tag(spec)``'s in both modes.
     """
+    spec = replace(spec, target=resolve_target(spec))  # once, so that no shard derives it again
     merged = SearchResult()
     _import_numpy_for(spec)
     began = time.perf_counter()

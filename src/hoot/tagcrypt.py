@@ -5,7 +5,8 @@ string. A key derivation function stretches the plain tag into a long
 tag; the first k bits become the short tag (the public, searchable group
 identifier, deliberately collision-prone) and the next 128 bits become
 the tag key. A fast-hash short tag is the leading k bits of SHA-1 at any
-output_bits; ``short_tags`` is the batched form. Each sealed message
+output_bits; ``short_tags`` is the batched form, one hashlib call per
+tag and one unpack of the joined digests. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
 addressed group, a MAC over the ciphertext, and the ciphertext itself:
 
@@ -49,6 +50,7 @@ import functools
 import hashlib
 import hmac
 import secrets
+import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -70,9 +72,7 @@ _ZERO_COUNTER = bytes(16)
 _FIRST_COUNTER = bytes(8)
 _SECOND_COUNTER = (1).to_bytes(8, "big")
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
-SHORT_TAG_STEP = 1 << 13  # plain tags per vectorised SHA-1 call; fewer take hashlib, as numpy costs ~2 ms a call
-_SHA1_H = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-_SHA1_K = (0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6)
+_LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -146,7 +146,7 @@ class PlainTag:
     def __post_init__(self):
         if not self.text:
             raise ValueError("plain tag must be non-empty")
-        if any(c.isspace() for c in self.text):
+        if self.text.split() != [self.text]:
             raise ValueError("plain tag must not contain whitespace")
         if self.text.startswith("#"):
             raise ValueError("plain tag is written without the leading '#'")
@@ -308,56 +308,15 @@ def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int =
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
 
-    k is checked first. A vectorised SHA-1 takes full steps of SHORT_TAG_STEP fast-hash tags, hashlib the rest.
+    k is checked first. Fast-hash tags are hashed with hashlib and their
+    leading bits read from the joined digests in one unpack.
     """
     _check_k(_long_tag_bits(cfg), k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
         return [derive_tag_material(PlainTag(tag.decode("utf-8")), cfg, k).short_tag.value for tag in plain_tags]
-    shift = 64 - k
-    values = []
-    for at in range(0, len(plain_tags) - SHORT_TAG_STEP + 1, SHORT_TAG_STEP):
-        values += (_sha1_leading64(plain_tags[at : at + SHORT_TAG_STEP]) >> shift).tolist()
-    return values + [int.from_bytes(hashlib.sha1(tag).digest()[:8], "big") >> shift for tag in plain_tags[len(values) :]]
-
-
-def _sha1_leading64(messages: list[bytes]):
-    """Leading 64 bits of each message's SHA-1 digest (FIPS 180-4), as a numpy uint64 array.
-
-    Each 64-byte block is 80 rounds of uint32 array operations over every message of one length.
-    """
-    import numpy as np  # on first use, so that importing hoot stays cheap
-
-    def rotl(x, n):
-        return (x << np.uint32(n)) | (x >> np.uint32(32 - n))
-
-    lengths = np.fromiter(map(len, messages), np.int64, len(messages))
-    leading = np.empty(len(messages), np.uint64)
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        padded = np.zeros((len(rows), 64 * ((length + 8) // 64 + 1)), np.uint8)
-        group = b"".join([messages[i] for i in rows.tolist()])
-        padded[:, :length] = np.frombuffer(group, np.uint8).reshape(len(rows), length)
-        padded[:, length] = 0x80
-        padded[:, -8:] = np.frombuffer((8 * length).to_bytes(8, "big"), np.uint8)
-        words = padded.view(">u4").T.astype(np.uint32)  # row t: word t of every message
-        del padded
-        state = [np.full(len(rows), h, np.uint32) for h in _SHA1_H]
-        for block in range(0, len(words), 16):
-            w = list(words[block : block + 16])
-            a, b, c, d, e = state
-            for t in range(80):
-                if t >= 16:
-                    w[t % 16] = rotl(w[(t - 3) % 16] ^ w[(t - 8) % 16] ^ w[(t - 14) % 16] ^ w[t % 16], 1)
-                if t < 20:
-                    f = d ^ (b & (c ^ d))
-                elif 40 <= t < 60:
-                    f = (b & c) | (d & (b | c))
-                else:
-                    f = b ^ c ^ d
-                a, b, c, d, e = rotl(a, 5) + f + e + np.uint32(_SHA1_K[t // 20]) + w[t % 16], a, rotl(b, 30), c, d
-            state = [x + y for x, y in zip(state, (a, b, c, d, e))]
-        leading[rows] = (state[0].astype(np.uint64) << np.uint64(32)) | state[1]
-    return leading
+    sha1, shift = hashlib.sha1, 64 - k
+    digests = b"".join([sha1(tag).digest() for tag in plain_tags])
+    return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]
 
 
 def _ctr_xcrypt(key: bytes, counter_block: bytes, data: bytes) -> bytes:

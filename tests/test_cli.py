@@ -326,6 +326,16 @@ def test_data_errors_exit_two(capsys, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_config_file_errors_exit_two(capsys, tmp_path):
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for name in ("missing.json", "bad.json", "list.json"):
+        code, out, err = run(capsys, "seal", "m", "--tag", "abc", f"--config={tmp_path / name}")
+        assert code == EXIT_DATA, name
+        assert out == "" and err.startswith(f"hoot: error: config file {tmp_path / name}"), name
+        assert len(err.splitlines()) == 1, name
+
+
 def test_effective_config_is_logged(capsys):
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
     assert "config:" in err and "k=24" in err

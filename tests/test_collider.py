@@ -28,7 +28,6 @@ from hoot.tagcrypt import (
     KdfMode,
     PlainTag,
     ShortTag,
-    _sha1_leading64,
     derive_tag_material,
 )
 
@@ -115,19 +114,12 @@ def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
     assert not caplog.records
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.binary(max_size=200), min_size=1, max_size=40))
-def test_vectorised_sha1_equals_hashlib(messages):
-    expected = [int.from_bytes(hashlib.sha1(m).digest()[:8], "big") for m in messages]
-    assert _sha1_leading64(messages).tolist() == expected
-
-
 @pytest.mark.parametrize(
     "alphabet,length", [("abcdefghijklmnop", 4), ("aäöüß€", 6)], ids=["one-byte", "multibyte"]
 )
 def test_full_batches_equal_oracle(alphabet, length):
-    # 65,536 and 46,656 candidates: exhaustive mode hashes full batches
-    # with the vectorised SHA-1; first-n counts its tries across many steps
+    # 65,536 and 46,656 candidates: both modes hash many full steps, and
+    # first-n counts its tries across them
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=length, alphabet=alphabet, k=8)
     oracle = brute_force_oracle("probe-", alphabet, length, 0x5A, 8)
     result = find_tag(spec)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -22,7 +23,6 @@ from hoot.errors import ConfigError
 from hoot.tagcrypt import (
     FAST_KDF,
     MEMORY_HARD_KDF,
-    SHORT_TAG_STEP,
     Hoot,
     KdfConfig,
     KdfMode,
@@ -219,6 +219,26 @@ def test_plain_tag_validation():
     assert PlainTag("ok-tag_123").encoded() == b"ok-tag_123"
 
 
+# ASCII, Unicode spaces and separators, and U+180E and U+200B, which str.isspace does not count
+_WHITESPACE_TRAPS = "".join(map(chr, range(128))) + "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+_WHITESPACE_TRAPS += "\u2028\u3000\u180e\u200b"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_WHITESPACE_TRAPS), max_size=12))
+@example("a\x1fb")
+@example("\u180e\u200b")
+@example("#\u3000")
+def test_plain_tag_refuses_exactly_the_text_holding_whitespace(text):
+    try:
+        PlainTag(text)
+    except ValueError as refusal:
+        refused = str(refusal) == "plain tag must not contain whitespace"
+    else:
+        refused = False
+    assert refused == any(c.isspace() for c in text)
+
+
 def test_session_keys_and_hoot_validation():
     good = seal(b"m", [PlainTag("t")], rng=random.Random(0))
     with pytest.raises(ValueError):
@@ -260,10 +280,6 @@ def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
             short_tags(tags, cfg, k)
         return
     assert short_tags(tags, cfg, k) == expected
-    # one full step takes the vectorised SHA-1, the remainder hashlib
-    size = SHORT_TAG_STEP + len(tags)
-    repeats = size // len(tags) + 1
-    assert short_tags((tags * repeats)[:size], cfg, k) == (expected * repeats)[:size]
 
 
 def test_short_tags_check_k_before_hashing():
@@ -291,8 +307,18 @@ def numpy_loaded_after(code: str) -> bool:
 
 
 def test_importing_hoot_leaves_numpy_unloaded():
-    # numpy is imported on the first vectorised SHA-1, so that importing hoot stays cheap
+    # numpy is imported when a first-n search starts, so that importing hoot stays cheap
     assert not numpy_loaded_after("import hoot, hoot.collider, hoot.tagcrypt")
+
+
+def test_exhaustive_search_leaves_numpy_unloaded():
+    # 4**7 = 16,384 candidates: many fast-hash steps, all hashed with hashlib
+    assert not numpy_loaded_after(
+        "from hoot import PlainTag\n"
+        "from hoot.collider import SearchSpec, find_tag\n"
+        "result = find_tag(SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=7, alphabet='abcd', k=8))\n"
+        "assert result.candidates_tried == 16384"
+    )
 
 
 def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
@@ -371,6 +397,11 @@ def test_sharded_memory_hard_search_resolves_its_target_from_the_cache(scrypt_ca
     result = find_tag_sharded(spec, 3)
     # one scrypt per candidate and one for the target, which the second and third shards take from the cache
     assert result.candidates_tried == 16
+    assert len(scrypt_calls) == result.candidates_tried + 1
+    # shards of 85 candidates evict the target from the 64-entry material cache, so no shard may derive it again
+    scrypt_calls.clear()
+    result = find_tag_sharded(replace(spec, alphabet="abcdefghijklmnop", kdf=_TINY_SCRYPT), 3)
+    assert result.candidates_tried == 256
     assert len(scrypt_calls) == result.candidates_tried + 1
 
 
