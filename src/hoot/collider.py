@@ -6,20 +6,22 @@ those whose derived short tag equals the target's. Exhaustive mode
 scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
-started. A search splits into shards by visit position; the shards run
-in position order in one process, so a sharded search returns exactly
-the serial result. Candidates are hashed a step at a time with
-``tagcrypt.short_tags``, which hashes with hashlib. Only first-n steps
-use numpy: a uint64 Feistel permutation of the step's positions, then
-one byte buffer of their tags. numpy loads when a first-n search
-starts, so importing hoot or running an exhaustive search never loads
-it. Positions are uint64, so a space holds at most 2^64 candidates.
+started. Sharded searches return exactly the serial result; a large
+exhaustive one runs its shards in a lasting process pool. Candidates
+are hashed a step at a time with ``tagcrypt.short_tags``, which hashes
+with hashlib. Only first-n steps use numpy: a uint64 Feistel
+permutation of the step's positions, then one byte buffer of their
+tags. numpy loads when a first-n search starts, so importing hoot or
+running an exhaustive search never loads it. Positions are uint64, so
+a space holds at most 2^64 candidates.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import logging
+import os
 import string
 import time
 from dataclasses import dataclass, field, replace
@@ -41,6 +43,7 @@ ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 _MASK64 = (1 << 64) - 1
 FAST_HASH_STEP = 1 << 12  # candidates per fast-hash step, few enough that first-n hashes little past its last match
+_workers = None  # the shard pool, started on the first fan-out and kept for the life of the process
 
 
 class SearchMode(Enum):
@@ -234,29 +237,51 @@ def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:
     return [replace(spec, start=bounds[i], stop=bounds[i + 1]) for i in range(shards)]
 
 
+def _search(piece: SearchSpec) -> SearchResult:
+    """The pool's task: ``find_tag`` under a name that still pickles when a wrapper replaces ``find_tag``."""
+    return find_tag(piece)
+
+
 def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
     """Run a search as ``partition(spec, shards)`` and merge the results.
 
-    The shards run one after another in position order in the calling
-    thread. First-n mode asks each shard only for the matches still
-    missing and stops once ``spec.count`` are in, so the result is
-    ``find_tag(spec)``'s in both modes.
+    An exhaustive search with more than one shard, more than one core and
+    ``FAST_HASH_STEP`` or more candidates per shard runs its shards in a
+    pool of forked workers, one per core. Any other runs them in position
+    order in this thread, first-n asking each shard only for the matches
+    still missing. Either way the result is ``find_tag(spec)``'s. A lock
+    another thread held at the fork stays held in a worker, but a worker
+    takes none: it searches for a resolved ``ShortTag`` through
+    ``short_tags``, never the material cache or a ``TagMaterial``'s lock.
     """
+    global _workers
     spec = replace(spec, target=resolve_target(spec))  # once, so that no shard derives it again
-    merged = SearchResult()
+    pieces, cores = partition(spec, shards), len(os.sched_getaffinity(0))
+    outcomes: list[SearchResult] = []
     _import_numpy_for(spec)
     began = time.perf_counter()
-    for piece in partition(spec, shards):
-        if spec.mode is SearchMode.FIRST_N:
-            missing = spec.count - len(merged.matches)
-            if missing == 0:
-                break
-            piece = replace(piece, count=missing)
-        outcome = find_tag(piece)
-        merged.matches.extend(outcome.matches)
-        merged.candidates_tried += outcome.candidates_tried
-    merged.elapsed = time.perf_counter() - began
-    return merged
+    if spec.mode is SearchMode.EXHAUSTIVE and min(shards, cores) > 1 and expected_tries(spec) // shards >= FAST_HASH_STEP:
+        import multiprocessing  # on first fan-out, so that importing hoot stays cheap
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        if _workers is None:
+            _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
+            atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
+        try:
+            outcomes = list(_workers.map(_search, pieces))
+        except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
+            _workers = None
+            raise
+    else:
+        for piece in pieces:
+            if spec.mode is SearchMode.FIRST_N:
+                missing = spec.count - sum(len(outcome.matches) for outcome in outcomes)
+                if missing == 0:
+                    break
+                piece = replace(piece, count=missing)
+            outcomes.append(find_tag(piece))
+    matches = [match for outcome in outcomes for match in outcome.matches]
+    return SearchResult(matches, sum(outcome.candidates_tried for outcome in outcomes), time.perf_counter() - began)
 
 
 def expected_tries(spec: SearchSpec) -> int:

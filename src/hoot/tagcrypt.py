@@ -39,8 +39,8 @@ it, under a lock, for every key block it wraps or unwraps.
 Tag material is memoized per (plain tag, KDF config, k) in one bounded
 least-recently-used cache of the last 64, fast hash and memory-hard
 alike, so repeat callers share one TagMaterial and its AES context.
-``short_tags`` derives memory-hard tags through the same cache. It lives
-in the process, so a fresh process pays the full scrypt cost again.
+The cache lives in the process, so a fresh process pays scrypt again.
+``short_tags`` bypasses it, so a search evicts no subscriber's material.
 """
 
 from __future__ import annotations
@@ -308,12 +308,12 @@ def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int =
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
 
-    k is checked first. Fast-hash tags are hashed with hashlib and their
-    leading bits read from the joined digests in one unpack.
+    k is checked first. Memory-hard tags bypass the material cache; fast-hash
+    tags are hashed with hashlib and read from the joined digests at once.
     """
     _check_k(_long_tag_bits(cfg), k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
-        return [derive_tag_material(PlainTag(tag.decode("utf-8")), cfg, k).short_tag.value for tag in plain_tags]
+        return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
     sha1, shift = hashlib.sha1, 64 - k
     digests = b"".join([sha1(tag).digest() for tag in plain_tags])
     return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]

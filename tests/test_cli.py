@@ -137,6 +137,18 @@ def test_collide_shards_and_first_n(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_collide_fans_out_and_prints_the_serial_matches(capsys):
+    # 62^3 = 238,328 candidates, enough that the search runs in the shard pool on a multi-core machine
+    code, out, _ = run(
+        capsys,
+        "collide", "--prefix", "cli-", "--target", "cli-target", "--suffix-len", "3", "--k", "8", "--kdf", "fast",
+    )
+    assert code == EXIT_OK
+    serial = collider.find_tag(collider.SearchSpec(prefix="cli-", target=PlainTag("cli-target"), suffix_length=3, k=8))
+    assert out.splitlines() == [f"{plain.text}\t#{wire.encode_short_tag(short)}" for plain, short in serial.matches]
+    assert len(serial.matches) > 100
+
+
 def test_collide_short_tag_target_and_shortfall(capsys):
     code, out, err = run(
         capsys,

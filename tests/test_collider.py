@@ -3,7 +3,11 @@
 import contextlib
 import hashlib
 import logging
+import multiprocessing
+import os
+import signal
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from hoot.collider import (
     ALPHANUMERIC,
+    FAST_HASH_STEP,
     SearchMode,
     SearchSpec,
     estimate_runtime,
@@ -201,6 +206,40 @@ def test_sharded_first_n_does_not_depend_on_scheduling():
     with fast_thread_switching():
         runs = [find_tag_sharded(spec, 4).matches for _ in range(20)]
     assert all(run == serial for run in runs)
+
+
+# 238,328 candidates: every shard of up to 58 holds at least FAST_HASH_STEP, so the search fans out
+POOLED = SearchSpec(prefix="pool-", target=PlainTag("pool-target"), suffix_length=3, alphabet=ALPHANUMERIC, k=8)
+CORES = len(os.sched_getaffinity(0))
+needs_cores = pytest.mark.skipif(CORES < 2, reason="a search fans out only on more than one core")
+
+
+@pytest.mark.parametrize("shards", [2, 3, CORES + 1])
+def test_pooled_shards_equal_serial(shards):
+    assert POOLED.space_size // shards >= FAST_HASH_STEP
+    serial = find_tag(POOLED)
+    sharded = find_tag_sharded(POOLED, shards)
+    assert sharded.matches == serial.matches and len(serial.matches) > 100
+    assert sharded.candidates_tried == serial.candidates_tried == POOLED.space_size
+
+
+@needs_cores
+def test_the_shard_pool_outlives_the_call():
+    find_tag_sharded(POOLED, 2)
+    workers = sorted(child.pid for child in multiprocessing.active_children())
+    assert len(workers) == CORES
+    find_tag_sharded(POOLED, 2)
+    assert sorted(child.pid for child in multiprocessing.active_children()) == workers
+
+
+@needs_cores
+def test_a_killed_worker_fails_one_call_and_the_next_starts_a_new_pool():
+    serial = find_tag(POOLED)
+    find_tag_sharded(POOLED, 2)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        find_tag_sharded(POOLED, 2)
+    assert find_tag_sharded(POOLED, 2).matches == serial.matches
 
 
 def test_partition_is_disjoint_and_covering():

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoot import tagcrypt
-from hoot.collider import SearchSpec, find_tag_sharded
+from hoot.collider import SearchSpec, find_tag, find_tag_sharded
 from hoot.errors import ConfigError
 from hoot.tagcrypt import (
     FAST_KDF,
@@ -330,6 +330,18 @@ def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
     )
 
 
+def test_a_search_below_the_fan_out_size_leaves_the_process_pool_unloaded():
+    # 4^6 = 4,096 candidates make shards of 2,048, too few to fan out; the pool's imports wait until one does
+    out = run_fresh(
+        "import sys\n"
+        "import hoot\n"
+        "from hoot.collider import SearchSpec, find_tag_sharded\n"
+        "find_tag_sharded(SearchSpec(prefix='p-', target=hoot.PlainTag('t'), suffix_length=6, alphabet='abcd', k=8), 2)\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
+    assert out.split() == ["False", "False"]
+
+
 @pytest.mark.parametrize("search", ["find_tag(spec)", "find_tag_sharded(spec, 2)"])
 def test_first_n_search_loads_numpy_before_its_clock_starts(search):
     # so that elapsed, and the rate hoot collide logs from it, time the search and not numpy's first import
@@ -403,6 +415,16 @@ def test_sharded_memory_hard_search_resolves_its_target_from_the_cache(scrypt_ca
     result = find_tag_sharded(replace(spec, alphabet="abcdefghijklmnop", kdf=_TINY_SCRYPT), 3)
     assert result.candidates_tried == 256
     assert len(scrypt_calls) == result.candidates_tried + 1
+
+
+def test_a_memory_hard_search_keeps_the_material_cache(scrypt_calls):
+    ours = derive_tag_material(PlainTag("our-group"), _TINY_SCRYPT)
+    spec = SearchSpec(prefix="mh-", target=PlainTag("target-tag"), suffix_length=2, alphabet="abcdefghij", k=8, kdf=_TINY_SCRYPT)
+    assert find_tag(spec).candidates_tried == 100
+    # the search derives its target and 100 candidates without evicting our material
+    assert derive_tag_material(PlainTag("our-group"), _TINY_SCRYPT) is ours
+    assert len(scrypt_calls) == 102
+    assert derive_tag_material.cache_info().hits == 1
 
 
 def test_tag_material_is_cached_with_its_context(scrypt_calls):
