@@ -41,6 +41,18 @@ least-recently-used cache of the last 64, fast hash and memory-hard
 alike, so repeat callers share one TagMaterial and its AES context.
 The cache lives in the process, so a fresh process pays scrypt again.
 ``short_tags`` bypasses it, so a search evicts no subscriber's material.
+
+scrypt releases the interpreter lock, so a batch of memory-hard tags is
+derived in lanes, one per core and at most one per distinct tag: the
+calling thread is the first lane, and each other lane is a thread
+started for the call and joined before it returns, so no thread
+outlives a call and a fork after it copies no lane. The results, and
+the error raised when a derivation fails (the earliest failing tag's),
+are the serial loop's. ``derive_tag_materials`` fills the material
+cache in lanes, as ``hoot simulate`` does for a scenario's tags before
+its first post, and ``short_tags`` hashes a memory-hard batch, such as a
+memory-hard corpus report, in lanes. Fast-hash tags never use lanes:
+a SHA-1 holds the lock and takes microseconds.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ import enum
 import functools
 import hashlib
 import hmac
+import os
 import secrets
 import struct
 import threading
@@ -300,20 +313,65 @@ def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
     return TagMaterial(short, key)
 
 
+def _in_lanes(derive, items: list) -> list:
+    """``[derive(item) for item in items]``, each distinct item derived once, in one lane per core.
+
+    Lane i derives every lanes-th distinct item from the i-th on; the
+    calling thread is lane 0. A lane stops at its first failure, and the
+    failure of the item earliest in ``items`` is raised, as the serial
+    loop would raise it.
+    """
+    distinct = list(dict.fromkeys(items))
+    lanes = max(1, min(len(distinct), len(os.sched_getaffinity(0))))
+    done, failed = {}, {}
+
+    def lane(mine):
+        for item in mine:
+            try:
+                done[item] = derive(item)
+            except Exception as exc:  # re-raised in the calling thread below
+                failed[item] = exc
+                return
+
+    others = [threading.Thread(target=lane, args=(distinct[i::lanes],), name=f"hoot-lane-{i}") for i in range(1, lanes)]
+    for thread in others:
+        thread.start()
+    try:
+        lane(distinct[0::lanes])
+    finally:
+        for thread in others:
+            thread.join()
+    if failed:
+        raise failed[next(item for item in items if item in failed)]
+    return [done[item] for item in items]
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int = DEFAULT_K) -> TagMaterial:
     return split_tag(derive_long_tag(plain_tag, cfg), k)
 
 
+def derive_tag_materials(plain_tags: list[PlainTag], cfg: KdfConfig, k: int) -> list[TagMaterial]:
+    """``derive_tag_material(t, cfg, k)`` for each plain tag t, memory-hard tags in lanes.
+
+    Every result goes through the material cache, so later calls for
+    these tags are cache hits while they stay among its last 64.
+    """
+    if cfg.mode is KdfMode.MEMORY_HARD:
+        return _in_lanes(lambda tag: derive_tag_material(tag, cfg, k), plain_tags)
+    return [derive_tag_material(tag, cfg, k) for tag in plain_tags]
+
+
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
 
-    k is checked first. Memory-hard tags bypass the material cache; fast-hash
-    tags are hashed with hashlib and read from the joined digests at once.
+    k is checked first. Memory-hard tags bypass the material cache and are
+    derived in lanes; fast-hash tags are hashed with hashlib and read from
+    the joined digests at once.
     """
     _check_k(_long_tag_bits(cfg), k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
-        return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
+        return _in_lanes(lambda tag: derive_long_tag(PlainTag(tag.decode("utf-8")), cfg).bit_slice(0, k), plain_tags)
     sha1, shift = hashlib.sha1, 64 - k
     digests = b"".join([sha1(tag).digest() for tag in plain_tags])
     return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]

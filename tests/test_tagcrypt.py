@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hoot import tagcrypt
 from hoot.collider import SearchSpec, find_tag, find_tag_sharded
 from hoot.errors import ConfigError
+from hoot.feed import load_scenario, run_scenario
 from hoot.tagcrypt import (
     FAST_KDF,
     MEMORY_HARD_KDF,
@@ -32,6 +33,7 @@ from hoot.tagcrypt import (
     TagMaterial,
     derive_long_tag,
     derive_tag_material,
+    derive_tag_materials,
     open_hoot,
     open_with_material,
     seal,
@@ -342,6 +344,24 @@ def test_a_search_below_the_fan_out_size_leaves_the_process_pool_unloaded():
     assert out.split() == ["False", "False"]
 
 
+def test_a_fast_hash_scenario_starts_no_thread_and_leaves_concurrent_futures_unloaded():
+    # fast-hash tags never take lanes, so a fast-hash run starts no thread and imports no executor
+    out = run_fresh(
+        "import sys, threading\n"
+        "import hoot\n"
+        "from hoot.feed import load_scenario, run_scenario\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
+        "script = load_scenario({'k': 12, 'groups': [{'name': 'a', 'plain_tag': 'light-a', 'messages': 3},"
+        " {'name': 'b', 'plain_tag': 'light-b', 'messages': 3}], 'policy': [{'type': 'whitelist-short-tag',"
+        " 'plain_tag': 'light-a', 'known_plain_tags': ['light-b', 'light-c']}]})\n"
+        "assert run_scenario(script).submitted == 6\n"
+        "print(threading.active_count(), len(started), 'concurrent.futures' in sys.modules)"
+    )
+    assert out.split() == ["1", "0", "False"]
+
+
 @pytest.mark.parametrize("search", ["find_tag(spec)", "find_tag_sharded(spec, 2)"])
 def test_first_n_search_loads_numpy_before_its_clock_starts(search):
     # so that elapsed, and the rate hoot collide logs from it, time the search and not numpy's first import
@@ -425,6 +445,129 @@ def test_a_memory_hard_search_keeps_the_material_cache(scrypt_calls):
     assert derive_tag_material(PlainTag("our-group"), _TINY_SCRYPT) is ours
     assert len(scrypt_calls) == 102
     assert derive_tag_material.cache_info().hits == 1
+
+
+def with_cores(monkeypatch, count: int) -> None:
+    """Make ``os.sched_getaffinity``, and so the number of lanes, report ``count`` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def scrypt_lanes(monkeypatch) -> set[str]:
+    """The names of the threads that call ``hashlib.scrypt`` from now on."""
+    names, real = set(), hashlib.scrypt
+
+    def naming_its_thread(*args, **params):
+        names.add(threading.current_thread().name)
+        return real(*args, **params)
+
+    monkeypatch.setattr(hashlib, "scrypt", naming_its_thread)
+    return names
+
+
+def lane_script(k: int = 16) -> dict:
+    """A memory-hard scenario on four distinct plain tags: echo shares org's, and a known tag is fans'."""
+    return {
+        "seed": 7,
+        "k": k,
+        "kdf": {"mode": "memory-hard", "work": 2, "memory": 256},
+        "target_group": "org",
+        "groups": [
+            {"name": "org", "plain_tag": "lane-org", "messages": 6, "replays": 2},
+            {"name": "fans", "plain_tag": "lane-fans", "messages": 6, "replays": 1},
+            {"name": "echo", "plain_tag": "lane-org", "messages": 3},
+            {"name": "crowd", "plain_tag": "lane-crowd", "messages": 4},
+        ],
+        "policy": [
+            {"type": "whitelist-short-tag", "short_tag": "a" * -(-k // 5), "known_plain_tags": ["lane-known"]},
+            {"type": "whitelist-short-tag", "plain_tag": "lane-org", "known_plain_tags": ["lane-fans", "lane-known"]},
+        ],
+    }
+
+
+LANE_TAGS = sorted(text.encode() for text in ("lane-org", "lane-fans", "lane-crowd", "lane-known"))
+
+
+def test_a_memory_hard_scenario_runs_alike_in_one_lane_and_in_many(scrypt_calls, monkeypatch):
+    script = load_scenario(lane_script())
+    runs = []
+    for count in (1, len(os.sched_getaffinity(0)), 4):
+        with_cores(monkeypatch, count)
+        derive_tag_material.cache_clear()
+        scrypt_calls.clear()
+        lanes = scrypt_lanes(monkeypatch)
+        threads = threading.active_count()
+        stats = run_scenario(script)
+        assert threading.active_count() == threads
+        # once per distinct plain tag: echo's duplicate and the known tag equal to fans' add none
+        assert sorted(scrypt_calls) == LANE_TAGS
+        assert len(lanes) == min(count, len(LANE_TAGS))
+        runs.append((stats.to_dict(), stats.render()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0]["rejected_censored"] == 11 and runs[0][0]["rejected_replay"] == 1
+
+
+def test_a_failing_lane_raises_what_the_serial_loop_raises(scrypt_calls, monkeypatch):
+    # a 160-bit long tag cannot hold k=40 plus a 128-bit tag key, so every derivation fails after its scrypt
+    raw = lane_script(k=40)
+    del raw["policy"][1]  # its plain tag would fail to derive as the script loads
+    script = load_scenario(raw)
+    for count in (1, 4):
+        with_cores(monkeypatch, count)
+        with pytest.raises(ValueError, match=re.escape("long tag has 160 bits; k=40 needs 168")):
+            run_scenario(script)
+
+    counting = hashlib.scrypt
+
+    def refusing(secret, **params):
+        if secret.startswith(b"bad"):
+            raise ValueError(f"refused {secret.decode()}")
+        return counting(secret, **params)
+
+    monkeypatch.setattr(hashlib, "scrypt", refusing)
+    tags = [PlainTag(text) for text in ("ok-0", "ok-1", "bad-2", "bad-3", "ok-4", "bad-5")]
+    # with three lanes the calling thread's lane fails first in its own order, on bad-3
+    for count in (1, 2, 3, 6):
+        with_cores(monkeypatch, count)
+        derive_tag_material.cache_clear()
+        with pytest.raises(ValueError, match="^refused bad-2$"):
+            derive_tag_materials(tags, _TINY_SCRYPT, 16)
+
+
+def test_lanes_under_fast_thread_switching_derive_each_tag_once(scrypt_calls, monkeypatch):
+    tags = [PlainTag(f"switch-{i % 40}") for i in range(100)]
+    serial = [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
+    scrypt_calls.clear()
+    lanes = scrypt_lanes(monkeypatch)
+    with_cores(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        materials = derive_tag_materials(tags, _TINY_SCRYPT, 16)
+        assert sorted(scrypt_calls) == sorted({tag.encoded() for tag in tags})
+        scrypt_calls.clear()
+        # short_tags bypasses the material cache, so only the lanes can spare a repeated tag its scrypt
+        values = short_tags([tag.encoded() for tag in tags], _TINY_SCRYPT, 16)
+        assert sorted(scrypt_calls) == sorted({tag.encoded() for tag in tags})
+    finally:
+        sys.setswitchinterval(interval)
+    assert materials == serial
+    assert values == [material.short_tag.value for material in serial]
+    assert materials[0] is materials[40] is derive_tag_material(tags[0], _TINY_SCRYPT, 16)
+    assert len(lanes) == 8 and threading.current_thread().name in lanes
+
+
+def test_a_pooled_search_after_a_memory_hard_scenario_equals_the_serial_search():
+    # the shard pool forks on its first fan-out; here that fork follows the scenario's lanes
+    out = run_fresh(
+        "from hoot import PlainTag\n"
+        "from hoot.collider import ALPHANUMERIC, SearchSpec, find_tag, find_tag_sharded\n"
+        "from hoot.feed import load_scenario, run_scenario\n"
+        f"run_scenario(load_scenario({lane_script()!r}))\n"
+        "spec = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
+        "pooled, serial = find_tag_sharded(spec, 2), find_tag(spec)\n"
+        "print(pooled.matches == serial.matches, pooled.candidates_tried == serial.candidates_tried, len(serial.matches) > 100)"
+    )
+    assert out.split() == ["True", "True", "True"]
 
 
 def test_tag_material_is_cached_with_its_context(scrypt_calls):

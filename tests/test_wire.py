@@ -2,7 +2,10 @@
 
 import base64
 import binascii
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +38,9 @@ from hoot.wire import (
     tag_glyphs,
     total_glyphs,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402  the benchmark's sealer, written from the README's wire format alone
 
 BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
 BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -298,6 +304,29 @@ def test_readme_worked_example_is_bit_exact():
     assert line == README_WIRE
     assert len(line) == 103
     assert open_hoot(parse(line), tag, FAST_KDF) == b"meet at dawn"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 32),
+    seed=st.integers(0, 2**64),
+    names=st.lists(st.text(st.sampled_from("abc-19"), min_size=1, max_size=12), min_size=1, max_size=2),
+)
+def test_seal_to_wire_equals_the_reference_sealer(data, k, seed, names):
+    # the fast-hash long tag is SHA-1: bits [0, k) are the short tag and [k, k+128) the tag key
+    groups = []
+    for name in names:
+        digest = int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big")
+        groups.append((digest >> (160 - k), ((digest >> (32 - k)) & ((1 << 128) - 1)).to_bytes(16, "big")))
+    budget = 140 * len(names)  # two tags fit no line of 140 glyphs
+    params = WireParams(k=k, glyph_budget=budget)
+    length = data.draw(st.integers(0, reference.capacity(len(names), k, budget)), label="length")
+    message = data.draw(st.binary(min_size=length, max_size=length), label="message")
+    tags = [PlainTag(name) for name in names]
+    line = seal_to_wire(message, tags, FAST_KDF, params, rng=random.Random(seed))
+    assert line == reference.seal_line(message, groups, k, random.Random(seed))
+    assert all(open_hoot(parse(line, params), tag, FAST_KDF, k=k) == message for tag in tags)
 
 
 @pytest.mark.parametrize("k,limit", [(12, 41), (18, 40), (24, 39), (32, 38)])
