@@ -381,10 +381,9 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
             events.append((clock, group.name, i, group))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
-    # One batch derives every tag the run will use, memory-hard ones in lanes; sealing
-    # and the whitelist's opens then take the materials from the cache.
-    known = [tag for rule in script.policy.rules if isinstance(rule, WhitelistShortTag) for tag in rule.known_plain_tags]
-    materials = derive_tag_materials([g.plain_tag for g in script.groups] + known, script.kdf, script.k)
+    # One batch derives every group's tag, memory-hard ones in lanes, so sealing takes the
+    # materials from the cache; a whitelist derives its known tags only when a post needs them.
+    materials = derive_tag_materials([g.plain_tag for g in script.groups], script.kdf, script.k)
     tag_of = {g.name: material.short_tag for g, material in zip(script.groups, materials)}
     token_of = {name: wire.encode_short_tag(tag) for name, tag in tag_of.items()}
 

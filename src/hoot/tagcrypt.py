@@ -42,17 +42,17 @@ alike, so repeat callers share one TagMaterial and its AES context.
 The cache lives in the process, so a fresh process pays scrypt again.
 ``short_tags`` bypasses it, so a search evicts no subscriber's material.
 
-scrypt releases the interpreter lock, so a batch of memory-hard tags is
-derived in lanes, one per core and at most one per distinct tag: the
+scrypt releases the interpreter lock, so ``derive_tag_materials``
+derives a batch of memory-hard tags in lanes, as ``hoot simulate`` does
+for a scenario's group tags before its first post. There is one lane
+per core, at most one per distinct tag and at most two in all, so a
+batch holds at most two scrypt buffers at once on any host. The
 calling thread is the first lane, and each other lane is a thread
 started for the call and joined before it returns, so no thread
 outlives a call and a fork after it copies no lane. The results, and
 the error raised when a derivation fails (the earliest failing tag's),
-are the serial loop's. ``derive_tag_materials`` fills the material
-cache in lanes, as ``hoot simulate`` does for a scenario's tags before
-its first post, and ``short_tags`` hashes a memory-hard batch, such as a
-memory-hard corpus report, in lanes. Fast-hash tags never use lanes:
-a SHA-1 holds the lock and takes microseconds.
+are the serial loop's. ``short_tags`` stays serial, and fast-hash tags
+never use lanes: a SHA-1 holds the lock and takes microseconds.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ _ZERO_COUNTER = bytes(16)
 _FIRST_COUNTER = bytes(8)
 _SECOND_COUNTER = (1).to_bytes(8, "big")
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
+_MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
 
 # Fixed derivation salt: every subscriber must reach the same long tag
@@ -316,13 +317,14 @@ def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
 def _in_lanes(derive, items: list) -> list:
     """``[derive(item) for item in items]``, each distinct item derived once, in one lane per core.
 
+    There are at most ``_MAX_LANES`` lanes, whatever the core count.
     Lane i derives every lanes-th distinct item from the i-th on; the
     calling thread is lane 0. A lane stops at its first failure, and the
     failure of the item earliest in ``items`` is raised, as the serial
     loop would raise it.
     """
     distinct = list(dict.fromkeys(items))
-    lanes = max(1, min(len(distinct), len(os.sched_getaffinity(0))))
+    lanes = max(1, min(len(distinct), len(os.sched_getaffinity(0)), _MAX_LANES))
     done, failed = {}, {}
 
     def lane(mine):
@@ -365,13 +367,12 @@ def derive_tag_materials(plain_tags: list[PlainTag], cfg: KdfConfig, k: int) -> 
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
 
-    k is checked first. Memory-hard tags bypass the material cache and are
-    derived in lanes; fast-hash tags are hashed with hashlib and read from
-    the joined digests at once.
+    k is checked first. Memory-hard tags bypass the material cache; fast-hash
+    tags are hashed with hashlib and read from the joined digests at once.
     """
     _check_k(_long_tag_bits(cfg), k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
-        return _in_lanes(lambda tag: derive_long_tag(PlainTag(tag.decode("utf-8")), cfg).bit_slice(0, k), plain_tags)
+        return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
     sha1, shift = hashlib.sha1, 64 - k
     digests = b"".join([sha1(tag).digest() for tag in plain_tags])
     return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]

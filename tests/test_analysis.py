@@ -1,7 +1,6 @@
 """Entropy, brute-force, collision, bandwidth, and corpus arithmetic."""
 
 import math
-import os
 import random
 
 import numpy as np
@@ -27,7 +26,7 @@ from hoot.analysis import (
     save_corpus,
 )
 from hoot.collider import SearchMode, SearchSpec, find_tag
-from hoot.tagcrypt import FAST_KDF, KdfConfig, KdfMode, PlainTag, derive_tag_material
+from hoot.tagcrypt import FAST_KDF, KdfConfig, PlainTag, derive_tag_material
 from hoot.wire import encode_short_tag
 
 
@@ -208,20 +207,6 @@ def test_anonymity_report_over_a_full_step_equals_per_tag_bucketing():
     report = anonymity_report(corpus, 16)
     assert [(b.short_tag, b.members, b.volume) for b in report.buckets] == expected
     assert any(len(b.members) > 1 for b in report.buckets)
-
-
-def test_a_memory_hard_report_equals_the_one_lane_report(monkeypatch):
-    corpus = generate_powerlaw_corpus(40, 1.0, 600, seed=5)
-    tiny = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)
-    reports = []
-    for cores in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
-        reports.append(anonymity_report(corpus, 5, tiny))
-    assert reports[0] == reports[1]
-    assert any(len(b.members) > 1 for b in reports[0].buckets)
-    for bucket in reports[0].buckets:
-        for name, _ in bucket.members:
-            assert derive_tag_material(PlainTag(name), tiny, 5).short_tag == bucket.short_tag
 
 
 def test_anonymity_report_refuses_a_kdf_too_narrow_for_k():
