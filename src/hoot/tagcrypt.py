@@ -17,10 +17,15 @@ addressed group, a MAC over the ciphertext, and the ciphertext itself:
     ciphertext   = AES-CTR(k_enc, counter=0, message)
     key_block    = nonce || AES-CTR(tag_key, counter=nonce||0, k_enc||k_mac)
     mac          = HMAC-SHA1(k_mac, ciphertext)
+                 = SHA-1((k_mac^opad) || SHA-1((k_mac^ipad) || ciphertext))
 
 Opening a candidate message checks the MAC before touching the message
 ciphertext; a MAC mismatch is the normal signal that the message
-belongs to a different group colliding on the same short tag.
+belongs to a different group colliding on the same short tag. The MAC
+is RFC 2104's HMAC, with k_mac zero-padded to SHA-1's 64-byte block
+and ipad and opad the bytes 0x36 and 0x5c repeated over it, computed as
+those two ``hashlib`` SHA-1 calls, which for a 16-byte key and a
+short ciphertext cost less than OpenSSL's one-shot HMAC.
 
 The 64-bit random nonce on each key block keeps the tag key's CTR
 keystream from repeating across messages of the same group; it travels
@@ -44,15 +49,16 @@ The cache lives in the process, so a fresh process pays scrypt again.
 
 scrypt releases the interpreter lock, so ``derive_tag_materials``
 derives a batch of memory-hard tags in lanes, as ``hoot simulate`` does
-for a scenario's group tags before its first post. There is one lane
-per core, at most one per distinct tag and at most two in all, so a
-batch holds at most two scrypt buffers at once on any host. The
-calling thread is the first lane, and each other lane is a thread
-started for the call and joined before it returns, so no thread
-outlives a call and a fork after it copies no lane. The results, and
-the error raised when a derivation fails (the earliest failing tag's),
-are the serial loop's. ``short_tags`` stays serial, and fast-hash tags
-never use lanes: a SHA-1 holds the lock and takes microseconds.
+for a scenario's group tags before its first post and ``seal`` does for
+the tags of one hoot. There is one lane per core, at most one per
+distinct tag and at most two in all, so a batch holds at most two
+scrypt buffers at once on any host. The calling thread is the first
+lane, and each other lane is a thread started for the call and joined
+before it returns, so no thread outlives a call and a fork after it
+copies no lane. The results, and the error raised when a derivation
+fails (the earliest failing tag's), are the serial loop's.
+``short_tags`` stays serial, and fast-hash tags never use lanes: a
+SHA-1 holds the lock and takes microseconds.
 """
 
 from __future__ import annotations
@@ -87,6 +93,9 @@ _SECOND_COUNTER = (1).to_bytes(8, "big")
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
+_SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
+_IPAD = int.from_bytes(b"\x36" * _SHA1_BLOCK, "big")
+_OPAD = int.from_bytes(b"\x5c" * _SHA1_BLOCK, "big")
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -383,6 +392,15 @@ def _ctr_xcrypt(key: bytes, counter_block: bytes, data: bytes) -> bytes:
     return enc.update(data) + enc.finalize()
 
 
+def _mac(key: bytes, data: bytes) -> bytes:
+    """HMAC-SHA1(key, data) per RFC 2104, as two SHA-1 calls."""
+    if len(key) > _SHA1_BLOCK:
+        key = hashlib.sha1(key).digest()
+    block = int.from_bytes(key.ljust(_SHA1_BLOCK, b"\0"), "big")
+    inner = hashlib.sha1((block ^ _IPAD).to_bytes(_SHA1_BLOCK, "big") + data).digest()
+    return hashlib.sha1((block ^ _OPAD).to_bytes(_SHA1_BLOCK, "big") + inner).digest()
+
+
 def _random_bytes(rng, n: int) -> bytes:
     if rng is None:
         return secrets.token_bytes(n)
@@ -402,18 +420,20 @@ def seal(
     Fresh session keys are drawn per call (from ``rng`` if given, else
     the OS entropy pool), so sealing the same message twice yields
     unrelated ciphertexts. Multiple plain tags share one ciphertext and
-    one MAC; each gets its own short tag and wrapped key block.
+    one MAC; each gets its own short tag and wrapped key block. The
+    tags' materials come from one ``derive_tag_materials`` batch, so
+    new memory-hard tags are derived in lanes.
     """
     plain_tags = list(plain_tags)
     if not plain_tags:
         raise ValueError("seal needs at least one plain tag")
+    materials = derive_tag_materials(plain_tags, cfg, k)
     keys = _random_bytes(rng, 2 * SESSION_KEY_BYTES)  # k_enc || k_mac
     ciphertext = _ctr_xcrypt(keys[:SESSION_KEY_BYTES], _ZERO_COUNTER, message)
-    mac = hmac.digest(keys[SESSION_KEY_BYTES:], ciphertext, "sha1")
+    mac = _mac(keys[SESSION_KEY_BYTES:], ciphertext)
     short_tags = []
     key_blocks = []
-    for tag in plain_tags:
-        material = derive_tag_material(tag, cfg, k)
+    for material in materials:
         nonce = _random_bytes(rng, KEY_BLOCK_NONCE_BYTES)
         short_tags.append(material.short_tag)
         key_blocks.append(nonce + material.wrap(nonce, keys))
@@ -433,7 +453,7 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
         block = hoot.key_blocks[position]
         keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])
         k_enc, k_mac = keys[:SESSION_KEY_BYTES], keys[SESSION_KEY_BYTES:]
-        if hmac.compare_digest(hmac.digest(k_mac, hoot.ciphertext, "sha1"), hoot.mac):
+        if hmac.compare_digest(_mac(k_mac, hoot.ciphertext), hoot.mac):
             return _ctr_xcrypt(k_enc, _ZERO_COUNTER, hoot.ciphertext)
     return None
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ParseError
@@ -48,7 +49,11 @@ _BASE32_DIGITS = str.maketrans(
     {chr(c): "!" for c in range(128)}
     | dict(zip(_BASE32_GLYPHS, 2 * "0123456789abcdefghijklmnopqrstuv"))
 )
-_BASE64_GLYPHS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
+_BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_GLYPHS = frozenset(_BASE64_ALPHABET)
+# by payload length mod 4, the final glyphs whose unused low bits are zero: 4 bits at 2, 2 bits at 3
+_CANONICAL_FINAL = {2: frozenset(_BASE64_ALPHABET[::16]), 3: frozenset(_BASE64_ALPHABET[::4])}
+_TOKEN_CACHE_SIZE = 256  # (token, k) pairs decode_short_tag remembers
 
 DEFAULT_GLYPH_BUDGET = 140
 
@@ -86,6 +91,7 @@ def encode_short_tag(tag: ShortTag) -> str:
     return "".join(BASE32_ALPHABET[(padded >> (5 * i)) & 0x1F] for i in range(glyphs - 1, -1, -1))
 
 
+@functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def decode_short_tag(text: str, k: int) -> ShortTag:
     """Inverse of encode_short_tag; case-insensitive on input.
 
@@ -94,6 +100,9 @@ def decode_short_tag(text: str, k: int) -> ShortTag:
     call cannot take is "bad-tag", named by its length if that is wrong,
     else by its first glyph outside ASCII base32, so any token holding a
     non-ASCII character is refused.
+
+    The last 256 results are remembered, so a repeated token is decoded
+    once; a failure is not remembered and raises again on every call.
     """
     glyphs = tag_glyphs(k)
     if len(text) != glyphs:
@@ -167,9 +176,12 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     "bad-tag", "payload-length", or "bad-alphabet".
 
     A valid line is checked by C-level decoders: one ``int(·, 32)`` per
-    tag token and one strict ``binascii.a2b_base64`` for the payload.
-    Only a stage whose decoder refuses its input runs the glyph-level
-    checks that classify the failure.
+    tag token not among ``decode_short_tag``'s remembered ones, and one
+    strict ``binascii.a2b_base64`` for the payload. Only a stage whose
+    decoder refuses its input runs the glyph-level checks that classify
+    the failure. A decoded payload is canonical when its final glyph's
+    unused low bits (4 when its length is 2 mod 4, 2 when it is 3) are
+    zero, which is when re-encoding the bytes gives the payload back.
     """
     text = text.strip()
     if len(text) > params.glyph_budget:
@@ -200,7 +212,8 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
             raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
         # with no "=" and every glyph base64, strict mode refuses only a length of 1 (mod 4)
         raise ParseError("payload length is not a valid unpadded base64 length", kind="payload-length")
-    if binascii.b2a_base64(body, newline=False) != padded.encode():
+    final = _CANONICAL_FINAL.get(len(payload) % 4)
+    if final is not None and payload[-1] not in final:
         # non-zero trailing bits: a truncated or reframed payload
         raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
     fixed = len(tags) * KEY_BLOCK_BYTES + MAC_BYTES

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import hmac
 import os
 import pickle
 import random
@@ -40,6 +41,7 @@ from hoot.tagcrypt import (
     short_tags,
     split_tag,
 )
+from hoot.wire import WireParams, seal_to_wire
 
 # Published SHA-1 test vectors.
 SHA1_VECTORS = {
@@ -569,6 +571,33 @@ def test_a_pooled_search_after_a_memory_hard_scenario_equals_the_serial_search()
         "print(pooled.matches == serial.matches, pooled.candidates_tried == serial.candidates_tried, len(serial.matches) > 100)"
     )
     assert out.split() == ["True", "True", "True"]
+
+
+def test_seal_derives_a_hoots_new_memory_hard_tags_in_lanes(scrypt_calls, monkeypatch):
+    tags = [PlainTag("seal-lane-a"), PlainTag("seal-lane-b")]
+    lines = []
+    for count in (1, 2):
+        with_cores(monkeypatch, count)
+        derive_tag_material.cache_clear()
+        scrypt_calls.clear()
+        lanes = scrypt_lanes(monkeypatch)
+        lines.append(seal_to_wire(b"two groups", tags, _TINY_SCRYPT, WireParams(k=12, glyph_budget=280), rng=random.Random(5)))
+        assert sorted(scrypt_calls) == [tag.encoded() for tag in tags]
+        assert len(lanes) == count
+    assert lines[0] == lines[1]  # one core is the serial loop
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
+    derive_tag_material.cache_clear()
+    seal(b"one group", [PlainTag("seal-lane-c")], _TINY_SCRYPT, k=12, rng=random.Random(5))
+    assert started == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.binary(max_size=64) | st.binary(min_size=65, max_size=130), data=st.binary(max_size=300))
+@example(key=b"\x0b" * 20, data=b"Hi There")  # RFC 2202, HMAC-SHA1 test case 1
+@example(key=bytes(65), data=b"")  # longer than a block, so HMAC hashes it first
+def test_mac_is_hmac_sha1(key, data):
+    assert tagcrypt._mac(key, data) == hmac.digest(key, data, "sha1")
 
 
 def test_tag_material_is_cached_with_its_context(scrypt_calls):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoot import wire
 from hoot.errors import CapacityError, ConfigError, ParseError
 from hoot.tagcrypt import (
     FAST_KDF,
@@ -274,6 +275,21 @@ def test_parse_rejects_noncanonical_trailing_bits():
     assert err.value.kind == "payload-length"
 
 
+@pytest.mark.parametrize("length", [82, 83, 84])
+@pytest.mark.parametrize("final", BASE64)
+def test_parse_reads_canonical_trailing_bits_from_the_final_glyph(length, final):
+    # 82 and 83 glyphs leave 4 and 2 unused low bits in the final glyph, 84 none; all hold a 60-byte header
+    payload = "A" * (length - 1) + final
+    padded = payload + "=" * (-length % 4)
+    canonical = binascii.b2a_base64(binascii.a2b_base64(padded), newline=False) == padded.encode()
+    got = outcome(parse, "#aaaaa " + payload, DEFAULT_PARAMS)
+    if canonical:
+        assert got[0] == "ok" and encode(got[1]) == "#aaaaa " + payload
+    else:
+        assert got[:2] == ("error", "payload-length")
+    assert canonical == (length == 84 or BASE64.index(final) % (16 if length % 4 == 2 else 4) == 0)
+
+
 def test_parse_payload_shorter_than_header():
     params = WireParams(k=24)
     token = "#" + encode_short_tag(ShortTag(5, 24))
@@ -437,6 +453,31 @@ def test_one_glyph_mutation_of_the_wrapped_enc_key_never_opens_to_wrong_plaintex
         if open_mutated(message, 1, at, glyph) not in (None, message)
     ]
     assert wrong == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet=st.sampled_from(BASE32 + BASE32.upper() + TRAPS), max_size=14), st.text(max_size=14)
+    ),
+    k=st.integers(1, 64),
+)
+def test_remembered_tokens_decode_as_they_did_first(text, k):
+    first = outcome(decode_short_tag, text, k)
+    assert outcome(decode_short_tag, text, k) == first
+    if first[0] == "ok":
+        assert outcome(decode_short_tag, text.upper(), k) == first == outcome(decode_short_tag, text.lower(), k)
+
+
+def test_the_token_memo_is_bounded():
+    assert decode_short_tag.cache_info().maxsize == wire._TOKEN_CACHE_SIZE
+    for value in range(10_000):
+        decode_short_tag(encode_short_tag(ShortTag(value, 24)), 24)
+    assert decode_short_tag.cache_info().currsize <= decode_short_tag.cache_info().maxsize
+    # a malformed token is never remembered, so it raises on every call
+    for _ in range(2):
+        with pytest.raises(ParseError, match="short tag padding bits must be zero"):
+            decode_short_tag("aaaab", 24)
 
 
 @pytest.mark.parametrize("k", range(1, 65))
