@@ -256,6 +256,13 @@ def test_partition_is_disjoint_and_covering():
     assert sum(spans) == 2 and all(s >= 0 for s in spans)
 
 
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_a_sharded_search_refuses_fewer_than_one_shard(mode):
+    spec = SearchSpec(prefix="x-", target=ShortTag(0, 8), suffix_length=3, alphabet="abc", k=8, mode=mode)
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        find_tag_sharded(spec, 0)
+
+
 def test_permutation_is_a_bijection():
     for size in (1, 2, 37, 256, 1000):
         assert sorted(visits(size, 99, 0, size)) == list(range(size))

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoot import wire
 from hoot.collider import SearchMode, SearchSpec, find_tag
@@ -245,3 +247,108 @@ def test_rule_tag_from_token():
     )
     stats = run_scenario(script)
     assert stats.rejected_censored == 3
+
+
+# Fixed fast-hash scripts, one per rule type; "meet-base" and "fans-AN5" share a 12-bit short tag
+PINNED_SCRIPTS = {
+    "block-short-tag": {
+        "seed": 3, "k": K, "target_group": "org",
+        "groups": [
+            {"name": "org", "plain_tag": "meet-base", "messages": 3},
+            {"name": "fans", "plain_tag": "fans-AN5", "messages": 4, "replays": 2},
+            {"name": "news", "plain_tag": "other-news", "messages": 3, "replays": 1},
+        ],
+        "policy": [{"type": "block-short-tag", "plain_tag": "meet-base"}],
+    },
+    "block-sender, a replaying target group": {
+        "seed": 4, "k": K, "target_group": "org",
+        "groups": [
+            {"name": "org", "plain_tag": "meet-base", "messages": 4, "replays": 2},
+            {"name": "fans", "plain_tag": "fans-AN5", "messages": 3, "replays": 1},
+        ],
+        "policy": [{"type": "block-sender", "sender": "fans"}],
+    },
+    "whitelist-short-tag, no target group": {
+        "seed": 5, "k": K,
+        "groups": [
+            {"name": "org", "plain_tag": "meet-base", "messages": 3, "replays": 1},
+            {"name": "fans", "plain_tag": "fans-AN5", "messages": 3, "replays": 1},
+            {"name": "quiet", "plain_tag": "quiet-tag", "messages": 0},
+        ],
+        "policy": [{"type": "whitelist-short-tag", "plain_tag": "meet-base", "known_plain_tags": ["fans-AN5"]}],
+    },
+}
+
+PINNED_STATS = {
+    "block-short-tag": {
+        "submitted": 13, "accepted": 3, "rejected_replay": 1, "rejected_censored": 9, "rejected_malformed": 0,
+        "target_posts": 3, "target_blocked": 3, "target_block_rate": 1.0,
+        "collateral_posts": 10, "collateral_blocked": 6, "collateral_block_rate": 0.6,
+        "per_tag": {
+            "47y": {"total": 4, "blocked": 0, "groups": ["news"], "cover_ratio": None},
+            "ukq": {"total": 9, "blocked": 9, "groups": ["fans", "org"], "cover_ratio": 2.0},
+        },
+    },
+    "block-sender, a replaying target group": {
+        "submitted": 10, "accepted": 4, "rejected_replay": 2, "rejected_censored": 4, "rejected_malformed": 0,
+        "target_posts": 6, "target_blocked": 0, "target_block_rate": 0.0,
+        "collateral_posts": 4, "collateral_blocked": 4, "collateral_block_rate": 1.0,
+        "per_tag": {
+            "ukq": {"total": 10, "blocked": 4, "groups": ["fans", "org"], "cover_ratio": 4 / 6},
+        },
+    },
+    "whitelist-short-tag, no target group": {
+        "submitted": 8, "accepted": 3, "rejected_replay": 1, "rejected_censored": 4, "rejected_malformed": 0,
+        "target_posts": 0, "target_blocked": 0, "target_block_rate": 0.0,
+        "collateral_posts": 8, "collateral_blocked": 4, "collateral_block_rate": 0.5,
+        "per_tag": {
+            "ukq": {"total": 8, "blocked": 4, "groups": ["fans", "org"], "cover_ratio": None},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SCRIPTS))
+def test_scenario_statistics_are_pinned(name):
+    stats = run_scenario(load_scenario(PINNED_SCRIPTS[name]))
+    assert stats.to_dict() == PINNED_STATS[name]
+
+
+@st.composite
+def small_scripts(draw):
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True))
+    groups = [
+        {"name": name, "plain_tag": f"grp-{name}", "messages": draw(st.integers(0, 5)), "replays": draw(st.integers(0, 3))}
+        for name in names
+    ]
+    rule = st.one_of(
+        st.builds(lambda n: {"type": "block-short-tag", "plain_tag": f"grp-{n}"}, st.sampled_from(names)),
+        st.builds(lambda n: {"type": "block-sender", "sender": n}, st.sampled_from(names)),
+        st.builds(
+            lambda n, known: {
+                "type": "whitelist-short-tag", "plain_tag": f"grp-{n}", "known_plain_tags": [f"grp-{m}" for m in known],
+            },
+            st.sampled_from(names),
+            st.lists(st.sampled_from(names), max_size=2, unique=True),
+        ),
+    )
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "k": 3,  # 8 short tags, so groups often collide
+        "target_group": draw(st.none() | st.sampled_from(names)),
+        "groups": groups,
+        "policy": draw(st.lists(rule, max_size=3)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=small_scripts())
+def test_scenario_counters_sum_to_the_submissions(raw):
+    stats = run_scenario(load_scenario(raw))
+    submissions = sum(g["messages"] + min(g["replays"], g["messages"]) for g in raw["groups"])
+    rejected = stats.rejected_replay + stats.rejected_censored + stats.rejected_malformed
+    assert stats.accepted + rejected == stats.submitted == submissions
+    assert stats.target_posts + stats.collateral_posts == stats.submitted
+    assert stats.target_blocked + stats.collateral_blocked == stats.rejected_censored
+    assert sum(t.total for t in stats.per_tag.values()) == stats.submitted
+    assert sum(t.blocked for t in stats.per_tag.values()) == stats.rejected_censored
