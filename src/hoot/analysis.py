@@ -18,9 +18,8 @@ rigorous tail estimator.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from .tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, short_tags
 from .wire import encode_short_tag
@@ -183,6 +182,8 @@ def generate_powerlaw_corpus(n_tags: int, exponent: float, total: int, seed: int
     """
     if n_tags < 1 or exponent <= 0 or total < 1:
         raise ValueError("need n_tags >= 1, exponent > 0, total >= 1")
+    import numpy as np  # here only, so that importing hoot.analysis or hoot.cli never loads numpy
+
     ranks = np.arange(1, n_tags + 1, dtype=np.float64)
     weights = ranks**-exponent
     probabilities = weights / weights.sum()
@@ -208,9 +209,9 @@ def powerlaw_slope(pairs, max_rank: int = 1000) -> float | None:
     top = pairs[:max_rank]
     if len(top) < 2:
         return None
-    ranks = np.log([rank for rank, _ in top])
-    counts = np.log([count for _, count in top])
-    return float(np.polyfit(ranks, counts, 1)[0])
+    ranks = [math.log(rank) for rank, _ in top]
+    counts = [math.log(count) for _, count in top]
+    return statistics.linear_regression(ranks, counts).slope
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,8 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
     """
     if not corpus.entries:
         raise ValueError("corpus is empty")
+    if top_buckets is not None and top_buckets < 0:
+        raise ValueError(f"top_buckets must be >= 0, not {top_buckets}")
     entries = sorted(corpus.entries, key=lambda m: (-m[1], m[0]))  # each bucket lists its largest first
     values = short_tags([PlainTag(name).encoded() for name, _ in entries], kdf, k)  # PlainTag checks outside names
     grouped: dict[int, list[tuple[str, int]]] = {}

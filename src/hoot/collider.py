@@ -6,8 +6,9 @@ those whose derived short tag equals the target's. Exhaustive mode
 scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
-started. Sharded searches return exactly the serial result; a large
-exhaustive one runs its shards in a lasting process pool. Candidates
+started. A sharded search returns exactly the serial result: a large
+exhaustive one runs its shards in a lasting process pool, and any other
+is the serial search. Candidates
 are hashed a step at a time with ``tagcrypt.short_tags``, which hashes
 with hashlib. Only first-n steps use numpy: a uint64 Feistel
 permutation of the step's positions, then one byte buffer of their
@@ -181,12 +182,6 @@ def _steps(spec: SearchSpec, step: int):
     return iter(lambda: list(itertools.islice(tags, step)), [])
 
 
-def _import_numpy_for(spec: SearchSpec) -> None:
-    """Load numpy before a first-n search starts its clock, so that ``elapsed`` times the search alone."""
-    if spec.mode is SearchMode.FIRST_N:
-        import numpy  # noqa: F401
-
-
 def find_tag(spec: SearchSpec) -> SearchResult:
     """Run one search shard to completion.
 
@@ -198,7 +193,8 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     target = resolve_target(spec)
     start, stop = spec.position_range
     result = SearchResult()
-    _import_numpy_for(spec)
+    if spec.mode is SearchMode.FIRST_N:  # load numpy before the clock starts, so that elapsed times the search alone
+        import numpy  # noqa: F401
     began = time.perf_counter()
 
     fast = spec.kdf.mode is KdfMode.FAST_HASH
@@ -247,39 +243,30 @@ def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
 
     An exhaustive search with more than one shard, more than one core and
     ``FAST_HASH_STEP`` or more candidates per shard runs its shards in a
-    pool of forked workers, one per core. Any other runs them in position
-    order in this thread, first-n asking each shard only for the matches
-    still missing. Either way the result is ``find_tag(spec)``'s. A lock
-    another thread held at the fork stays held in a worker, but a worker
-    takes none: it searches for a resolved ``ShortTag`` through
-    ``short_tags``, never the material cache or a ``TagMaterial``'s lock.
+    pool of forked workers, one per core, and merges them in position
+    order. Any other search is ``find_tag(spec)``, so the result is
+    ``find_tag(spec)``'s either way. A lock another thread held at the
+    fork stays held in a worker, but a worker takes none: it searches for
+    a resolved ``ShortTag`` through ``short_tags``, never the material
+    cache or a ``TagMaterial``'s lock.
     """
     global _workers
     spec = replace(spec, target=resolve_target(spec))  # once, so that no shard derives it again
     pieces, cores = partition(spec, shards), len(os.sched_getaffinity(0))
-    outcomes: list[SearchResult] = []
-    _import_numpy_for(spec)
+    if spec.mode is SearchMode.FIRST_N or min(shards, cores) < 2 or expected_tries(spec) // shards < FAST_HASH_STEP:
+        return find_tag(spec)
     began = time.perf_counter()
-    if spec.mode is SearchMode.EXHAUSTIVE and min(shards, cores) > 1 and expected_tries(spec) // shards >= FAST_HASH_STEP:
-        import multiprocessing  # on first fan-out, so that importing hoot stays cheap
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    import multiprocessing  # on first fan-out, so that importing hoot stays cheap
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        if _workers is None:
-            _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
-            atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
-        try:
-            outcomes = list(_workers.map(_search, pieces))
-        except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
-            _workers = None
-            raise
-    else:
-        for piece in pieces:
-            if spec.mode is SearchMode.FIRST_N:
-                missing = spec.count - sum(len(outcome.matches) for outcome in outcomes)
-                if missing == 0:
-                    break
-                piece = replace(piece, count=missing)
-            outcomes.append(find_tag(piece))
+    if _workers is None:
+        _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
+        atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
+    try:
+        outcomes = list(_workers.map(_search, pieces))
+    except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
+        _workers = None
+        raise
     matches = [match for outcome in outcomes for match in outcome.matches]
     return SearchResult(matches, sum(outcome.candidates_tried for outcome in outcomes), time.perf_counter() - began)
 

@@ -27,7 +27,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from .errors import ParseError
 from .tagcrypt import (
@@ -249,43 +249,46 @@ def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
 
 
 def load_scenario(source: str | dict) -> ScenarioScript:
-    """Build a script from a JSON string or an already-decoded dict."""
+    """Build a script from a JSON string or an already-decoded dict; a missing field is a ValueError."""
     raw = json.loads(source) if isinstance(source, str) else source
-    given = raw.get("kdf", {})
-    kdf = kdf_config(given.get("mode", "fast-hash"), given.get("work"), given.get("memory"),
-                     given.get("parallelism"), given.get("output_bits"))
-    k = int(raw.get("k", 24))
-    groups = tuple(
-        GroupSpec(
-            name=g["name"],
-            plain_tag=PlainTag(g["plain_tag"]),
-            messages=int(g["messages"]),
-            rate=float(g.get("rate", 1.0)),
-            replays=int(g.get("replays", 0)),
+    try:
+        given = raw.get("kdf", {})
+        kdf = kdf_config(given.get("mode", "fast-hash"), given.get("work"), given.get("memory"),
+                         given.get("parallelism"), given.get("output_bits"))
+        k = int(raw.get("k", 24))
+        groups = tuple(
+            GroupSpec(
+                name=g["name"],
+                plain_tag=PlainTag(g["plain_tag"]),
+                messages=int(g["messages"]),
+                rate=float(g.get("rate", 1.0)),
+                replays=int(g.get("replays", 0)),
+            )
+            for g in raw["groups"]
         )
-        for g in raw["groups"]
-    )
-    rules: list[Rule] = []
-    for entry in raw.get("policy", []):
-        kind = entry["type"]
-        if kind == "block-short-tag":
-            rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
-        elif kind == "block-sender":
-            rules.append(BlockSender(entry["sender"]))
-        elif kind == "whitelist-short-tag":
-            known = tuple(PlainTag(t) for t in entry.get("known_plain_tags", []))
-            rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
-        else:
-            raise ValueError(f"unknown rule type {kind!r}")
-    return ScenarioScript(
-        groups=groups,
-        policy=CensorPolicy(tuple(rules)),
-        seed=int(raw.get("seed", 0)),
-        k=k,
-        kdf=kdf,
-        glyph_budget=int(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET)),
-        target_group=raw.get("target_group"),
-    )
+        rules: list[Rule] = []
+        for entry in raw.get("policy", []):
+            kind = entry["type"]
+            if kind == "block-short-tag":
+                rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
+            elif kind == "block-sender":
+                rules.append(BlockSender(entry["sender"]))
+            elif kind == "whitelist-short-tag":
+                known = tuple(PlainTag(t) for t in entry.get("known_plain_tags", []))
+                rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
+            else:
+                raise ValueError(f"unknown rule type {kind!r}")
+        return ScenarioScript(
+            groups=groups,
+            policy=CensorPolicy(tuple(rules)),
+            seed=int(raw.get("seed", 0)),
+            k=k,
+            kdf=kdf,
+            glyph_budget=int(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET)),
+            target_group=raw.get("target_group"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"scenario script lacks the field {exc}") from exc
 
 
 @dataclass
@@ -384,65 +387,40 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
     # One batch derives every group's tag, memory-hard ones in lanes, so sealing takes the
     # materials from the cache; a whitelist derives its known tags only when a post needs them.
     materials = derive_tag_materials([g.plain_tag for g in script.groups], script.kdf, script.k)
-    tag_of = {g.name: material.short_tag for g, material in zip(script.groups, materials)}
-    token_of = {name: wire.encode_short_tag(tag) for name, tag in tag_of.items()}
+    token_of = {g.name: wire.encode_short_tag(material.short_tag) for g, material in zip(script.groups, materials)}
 
-    per_tag: dict[str, TagTraffic] = {}
-    submitted = accepted = replays = censored = malformed = 0
-    target_posts = target_blocked = collateral_blocked = collateral_posts = 0
+    outcomes = {g.name: Counter() for g in script.groups}  # each group's submissions by PostOutcome.reason
     sent_wires: dict[str, list[str]] = {g.name: [] for g in script.groups}
-
-    def account(group: GroupSpec, outcome: PostOutcome):
-        nonlocal accepted, replays, censored, malformed
-        nonlocal target_posts, target_blocked, collateral_blocked, collateral_posts
-        traffic = per_tag.setdefault(token_of[group.name], TagTraffic())
-        traffic.total += 1
-        traffic.groups.add(group.name)
-        is_target = group.name == script.target_group
-        if is_target:
-            traffic.target_posts += 1
-            target_posts += 1
-        else:
-            collateral_posts += 1
-        if outcome.accepted:
-            accepted += 1
-            return
-        if outcome.reason is RejectReason.CENSORED:
-            censored += 1
-            traffic.blocked += 1
-            if is_target:
-                target_blocked += 1
-            else:
-                collateral_blocked += 1
-        elif outcome.reason is RejectReason.REPLAY:
-            replays += 1
-        else:
-            malformed += 1
-
     for _, name, i, group in events:
         body = f"{name} dispatch {i:04d}".encode("utf-8")
         line = wire.seal_to_wire(body, [group.plain_tag], script.kdf, params, rng=rng)
         sent_wires[name].append(line)
-        submitted += 1
-        account(group, feed.post(name, line))
+        outcomes[name][feed.post(name, line).reason] += 1
 
     for group in script.groups:
         for line in sent_wires[group.name][: group.replays]:
-            submitted += 1
-            account(group, feed.post(group.name, line))
+            outcomes[group.name][feed.post(group.name, line).reason] += 1
 
-    stats = FeedStats(
+    per_tag: dict[str, TagTraffic] = {}
+    for name, counts in outcomes.items():
+        if counts:
+            traffic = per_tag.setdefault(token_of[name], TagTraffic())
+            traffic.total += counts.total()
+            traffic.blocked += counts[RejectReason.CENSORED]
+            traffic.groups.add(name)
+            if name == script.target_group:
+                traffic.target_posts += counts.total()
+    overall = sum(outcomes.values(), Counter())
+    target = outcomes.get(script.target_group, Counter())
+    return FeedStats(
         per_tag=per_tag,
-        submitted=submitted,
-        accepted=accepted,
-        rejected_replay=replays,
-        rejected_censored=censored,
-        rejected_malformed=malformed,
-        target_posts=target_posts,
-        target_blocked=target_blocked,
-        collateral_blocked=collateral_blocked,
-        collateral_posts=collateral_posts,
+        submitted=overall.total(),
+        accepted=overall[None],
+        rejected_replay=overall[RejectReason.REPLAY],
+        rejected_censored=overall[RejectReason.CENSORED],
+        rejected_malformed=overall[RejectReason.MALFORMED],
+        target_posts=target.total(),
+        target_blocked=target[RejectReason.CENSORED],
+        collateral_blocked=overall[RejectReason.CENSORED] - target[RejectReason.CENSORED],
+        collateral_posts=overall.total() - target.total(),
     )
-    for traffic in per_tag.values():
-        assert traffic.blocked <= traffic.total
-    return stats

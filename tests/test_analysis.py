@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoot.analysis import (
     BandwidthBudget,
@@ -163,6 +165,16 @@ def test_powerlaw_slope_recovery():
     assert -1.2 <= slope <= -0.8
 
 
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 10**9), min_size=2, max_size=1200))
+def test_powerlaw_slope_equals_numpy_polyfit(counts):
+    pairs = list(enumerate(sorted(counts, reverse=True), 1))
+    top = pairs[:1000]
+    expected = np.polyfit(np.log([rank for rank, _ in top]), np.log([count for _, count in top]), 1)[0]
+    # float64 sums of at most 1,000 logs under 21 each, accumulated in different orders
+    assert powerlaw_slope(pairs) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
 def test_anonymity_report_buckets_and_cover():
     # engineer a collision, then weight the two groups 100:1
     anchor = PlainTag("superstar-movie")
@@ -228,3 +240,10 @@ def test_report_render_and_csv():
 def test_report_requires_entries():
     with pytest.raises(ValueError):
         anonymity_report(Corpus(()), 12)
+
+
+def test_report_refuses_a_negative_top_bucket_count():
+    corpus = Corpus(tuple((f"tag{i}", i) for i in range(1, 6)))
+    with pytest.raises(ValueError, match="top_buckets must be >= 0, not -1"):
+        anonymity_report(corpus, 8, top_buckets=-1)
+    assert len(anonymity_report(corpus, 8, top_buckets=0).buckets) == 0

@@ -227,6 +227,27 @@ def test_simulate_over_capacity_names_the_limit(capsys, tmp_path):
     assert "message of 44 bytes" in err and "capacity 39" in err
 
 
+@pytest.mark.parametrize(
+    "script, field",
+    [
+        ({"seed": 1, "k": 12}, "groups"),
+        ({"k": 12, "groups": [{"plain_tag": "no-name", "messages": 2}]}, "name"),
+        (
+            {"k": 12, "groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2}], "policy": [{"sender": "g"}]},
+            "type",
+        ),
+    ],
+    ids=["groups", "name", "type"],
+)
+def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, script, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == f"hoot simulate: error: scenario script lacks the field '{field}'\n"
+
+
 def test_analyze_entropy_and_brute_force(capsys):
     code, out, _ = run(
         capsys, "analyze", "entropy", "--component", "dict:40000", "--component", "digits:7",
@@ -266,6 +287,15 @@ def test_analyze_corpus_pipeline(capsys, tmp_path):
     assert code == EXIT_OK
     assert "total_volume = 20000" in out
     assert rank_path.read_text().startswith("rank,count\n")
+
+
+def test_analyze_report_refuses_a_negative_top(capsys, tmp_path):
+    corpus_path = tmp_path / "tags.csv"
+    corpus_path.write_text("hashtag,count\n" + "".join(f"tag{i},{i}\n" for i in range(1, 6)))
+    code, out, err = run(capsys, "analyze", "report", "--corpus", str(corpus_path), "--k", "8", "--top", "-1")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.splitlines()[-1] == "hoot analyze: error: top_buckets must be >= 0, not -1"
 
 
 def test_analyze_missing_flags_is_usage(capsys):

@@ -318,8 +318,8 @@ def test_scenario_statistics_are_pinned(name):
 def small_scripts(draw):
     names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True))
     groups = [
-        {"name": name, "plain_tag": f"grp-{name}", "messages": draw(st.integers(0, 5)), "replays": draw(st.integers(0, 3))}
-        for name in names
+        {"name": n, "plain_tag": f"grp-{n}", "messages": draw(st.integers(0, 5)), "replays": draw(st.integers(0, 3))}
+        for n in names
     ]
     rule = st.one_of(
         st.builds(lambda n: {"type": "block-short-tag", "plain_tag": f"grp-{n}"}, st.sampled_from(names)),

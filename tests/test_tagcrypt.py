@@ -315,6 +315,21 @@ def test_importing_hoot_leaves_numpy_unloaded():
     assert not numpy_loaded_after("import hoot, hoot.collider, hoot.tagcrypt")
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import hoot.cli",
+        "from hoot.analysis import Corpus, anonymity_report\n"
+        "report = anonymity_report(Corpus((('one', 5), ('two', 2), ('three', 1))), 8)\n"
+        "assert report.total_volume == 8 and report.slope is not None",
+    ],
+    ids=["cli", "anonymity-report"],
+)
+def test_the_command_line_and_a_corpus_report_leave_numpy_unloaded(code):
+    # only a first-n search and generate_powerlaw_corpus import numpy
+    assert not numpy_loaded_after(code)
+
+
 def test_exhaustive_search_leaves_numpy_unloaded():
     # 4**7 = 16,384 candidates: many fast-hash steps, all hashed with hashlib
     assert not numpy_loaded_after(
