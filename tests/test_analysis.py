@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoot.analysis import (
+    AnonymityReport,
     BandwidthBudget,
     Corpus,
     DecimalDigits,
@@ -16,6 +17,7 @@ from hoot.analysis import (
     GlyphString,
     NamespaceSpec,
     SECONDS_PER_YEAR,
+    TagBucket,
     anonymity_report,
     bandwidth_budget,
     brute_force_time,
@@ -28,7 +30,7 @@ from hoot.analysis import (
     save_corpus,
 )
 from hoot.collider import SearchMode, SearchSpec, find_tag
-from hoot.tagcrypt import FAST_KDF, KdfConfig, PlainTag, derive_tag_material
+from hoot.tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, derive_tag_material
 from hoot.wire import encode_short_tag
 
 
@@ -247,3 +249,120 @@ def test_report_refuses_a_negative_top_bucket_count():
     with pytest.raises(ValueError, match="top_buckets must be >= 0, not -1"):
         anonymity_report(corpus, 8, top_buckets=-1)
     assert len(anonymity_report(corpus, 8, top_buckets=0).buckets) == 0
+
+
+# Known answers. "pin24-417" and "pin24-30062" share a 24-bit short tag, and so also their 12- and
+# 8-bit ones; "pin12-129", "pin12-228", "pin12-378" share a 12-bit tag, as do "pin12-10" and
+# "pin12-22". Volumes tie between buckets and between members of one bucket.
+PIN_CORPUS = Corpus((
+    ("solo", 10), ("pin24-417", 5), ("pin24-30062", 5), ("pin12-10", 4), ("pin12-22", 6),
+    ("pin12-129", 3), ("pin12-228", 7), ("pin12-378", 3), ("café-ñ", 2), ("東京", 1),
+    ("x", 1), ("y", 1), ("z", 2),
+))
+PIN_RANK_FREQUENCY = ((1, 10), (2, 7), (3, 6), (4, 5), (5, 5), (6, 4), (7, 3), (8, 3), (9, 2), (10, 2), (11, 1), (12, 1), (13, 1))
+PIN_SLOPE = -0.9273754487346704
+TRIPLE = (("pin12-228", 7), ("pin12-129", 3), ("pin12-378", 3))
+PIN_BUCKETS = {  # k: (short tag value, token, members, volume) per bucket, in report order
+    8: (
+        (158, "ty", TRIPLE, 13),
+        (7, "a4", (("pin24-30062", 5), ("pin24-417", 5)), 10),
+        (73, "je", (("solo", 10),), 10),
+        (75, "jm", (("pin12-22", 6), ("pin12-10", 4)), 10),
+        (57, "he", (("z", 2),), 2),
+        (83, "km", (("café-ñ", 2),), 2),
+        (17, "ce", (("x", 1),), 1),
+        (104, "na", (("東京", 1),), 1),
+        (149, "su", (("y", 1),), 1),
+    ),
+    12: (
+        (2541, "t3i", TRIPLE, 13),
+        (117, "a5i", (("pin24-30062", 5), ("pin24-417", 5)), 10),
+        (1183, "jhy", (("solo", 10),), 10),
+        (1201, "jmi", (("pin12-22", 6), ("pin12-10", 4)), 10),
+        (917, "hfi", (("z", 2),), 2),
+        (1329, "kmi", (("café-ñ", 2),), 2),
+        (287, "chy", (("x", 1),), 1),
+        (1665, "nai", (("東京", 1),), 1),
+        (2396, "sxa", (("y", 1),), 1),
+    ),
+    24: (
+        (481813, "a5nbk", (("pin24-30062", 5), ("pin24-417", 5)), 10),
+        (4846167, "jhzfo", (("solo", 10),), 10),
+        (10408673, "t3joc", (("pin12-228", 7),), 7),
+        (4920319, "jmj76", (("pin12-22", 6),), 6),
+        (4922531, "jmokg", (("pin12-10", 4),), 4),
+        (10408993, "t3kcc", (("pin12-129", 3),), 3),
+        (10411473, "t3o5c", (("pin12-378", 3),), 3),
+        (3759608, "hfo7q", (("z", 2),), 2),
+        (5447036, "kmoxy", (("café-ñ", 2),), 2),
+        (1177261, "ch3k2", (("x", 1),), 1),
+        (6823651, "napog", (("東京", 1),), 1),
+        (9816843, "sxfqw", (("y", 1),), 1),
+    ),
+}
+PIN_RENDER_24 = """\
+k = 24
+hashtags = 13
+buckets = 12
+total_volume = 50
+rank_frequency_slope = -0.9274
+tag #a5nbk: groups=2 volume=10 [pin24-30062:5, pin24-417:5]
+tag #jhzfo: groups=1 volume=10 [solo:10]
+tag #t3joc: groups=1 volume=7 [pin12-228:7]
+tag #jmj76: groups=1 volume=6 [pin12-22:6]
+tag #jmokg: groups=1 volume=4 [pin12-10:4]
+tag #t3kcc: groups=1 volume=3 [pin12-129:3]
+tag #t3o5c: groups=1 volume=3 [pin12-378:3]
+tag #hfo7q: groups=1 volume=2 [z:2]
+tag #kmoxy: groups=1 volume=2 [café-ñ:2]
+tag #ch3k2: groups=1 volume=1 [x:1]
+tag #napog: groups=1 volume=1 [東京:1]
+tag #sxfqw: groups=1 volume=1 [y:1]
+"""
+PIN_RENDER_12_HEADER = """\
+k = 12
+hashtags = 13
+buckets = 9
+total_volume = 50
+rank_frequency_slope = -0.9274
+"""
+PIN_RENDER_12_BUCKETS = """\
+tag #t3i: groups=3 volume=13 [pin12-228:7, pin12-129:3, pin12-378:3]
+tag #a5i: groups=2 volume=10 [pin24-30062:5, pin24-417:5]
+tag #jhy: groups=1 volume=10 [solo:10]
+tag #jmi: groups=2 volume=10 [pin12-22:6, pin12-10:4]
+tag #hfi: groups=1 volume=2 [z:2]
+tag #kmi: groups=1 volume=2 [café-ñ:2]
+tag #chy: groups=1 volume=1 [x:1]
+tag #nai: groups=1 volume=1 [東京:1]
+tag #sxa: groups=1 volume=1 [y:1]
+"""
+PIN_CSV = "rank,count\n" + "".join(f"{rank},{count}\n" for rank, count in PIN_RANK_FREQUENCY)
+
+
+def pinned_report(k: int, top: int | None) -> AnonymityReport:
+    rows = PIN_BUCKETS[k]
+    return AnonymityReport(
+        k=k,
+        buckets=tuple(TagBucket(ShortTag(value, k), token, members, volume) for value, token, members, volume in rows[:top]),
+        total_volume=50,
+        rank_frequency=PIN_RANK_FREQUENCY,
+        slope=PIN_SLOPE,
+    )
+
+
+@pytest.mark.parametrize("top", [None, 0, 1, 3])
+@pytest.mark.parametrize("k", [8, 12, 24])
+def test_anonymity_report_known_answers(k, top):
+    report = anonymity_report(PIN_CORPUS, k, top_buckets=top)
+    assert report == pinned_report(k, top)
+    assert report.rank_frequency_csv() == PIN_CSV
+
+
+def test_report_render_known_answers():
+    assert anonymity_report(PIN_CORPUS, 24).render() == PIN_RENDER_24
+    assert anonymity_report(PIN_CORPUS, 12).render() == PIN_RENDER_12_HEADER + PIN_RENDER_12_BUCKETS
+    # the order of entries in the corpus does not matter
+    shuffled = Corpus(tuple(random.Random(5).sample(PIN_CORPUS.entries, len(PIN_CORPUS.entries))))
+    assert anonymity_report(shuffled, 24).render() == PIN_RENDER_24
+

@@ -51,6 +51,13 @@ BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 TRAPS = "=_+-\t\n 0189\u0663\uff10\x00\u00e9\u212a\u0130#"
 
 
+def per_glyph_token(value: int, k: int) -> str:
+    """The short-tag encoder one glyph at a time, as it was before tokens were built in bulk."""
+    glyphs = tag_glyphs(k)
+    padded = value << (glyphs * 5 - k)
+    return "".join(BASE32[(padded >> (5 * i)) & 0x1F] for i in range(glyphs - 1, -1, -1))
+
+
 def per_glyph_short_tag(text: str, k: int) -> ShortTag:
     """The short-tag decoder one glyph at a time, as it was before tokens went through int(·, 32),
     except that a non-ASCII glyph is refused instead of case-folded."""
@@ -495,3 +502,13 @@ def test_decode_short_tag_equals_per_glyph_oracle(k, data):
         )
     )
     assert outcome(decode_short_tag, text, k) == outcome(per_glyph_short_tag, text, k)
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+@settings(max_examples=30, deadline=None)
+@given(value=st.integers(0, (1 << 64) - 1))
+def test_encode_short_tag_equals_per_glyph_oracle_and_decodes_back(k, value):
+    for tag in (ShortTag(0, k), ShortTag((1 << k) - 1, k), ShortTag(value >> (64 - k), k)):
+        token = encode_short_tag(tag)
+        assert token == per_glyph_token(tag.value, k)
+        assert decode_short_tag(token, k) == tag
