@@ -20,11 +20,16 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, short_tags
-from .wire import encode_short_tag
+from .errors import PlainTagError
+from .tagcrypt import FAST_KDF, KdfConfig, ShortTag, encode_plain_tags, short_tags
+from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
+
+_name = _volume = itemgetter(0)  # of a corpus entry; of a bucket row (volume, token, value, members)
+_count = _token = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,10 @@ def load_corpus(path) -> Corpus:
             name, _, count = line.rpartition(",")
             if not name:
                 raise ValueError(f"{path}:{lineno}: expected 'hashtag,count'")
-            entries.append((name, int(count)))
+            try:
+                entries.append((name, int(count)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return Corpus(tuple(entries))
 
 
@@ -229,8 +237,15 @@ class TagBucket:
 
 @dataclass(frozen=True)
 class AnonymityReport:
+    """Buckets of a corpus, largest first, cut to ``top_buckets``.
+
+    ``bucket_count``, ``total_volume`` and ``rank_frequency`` (one pair
+    per hashtag) describe the whole corpus, whatever the cut.
+    """
+
     k: int
     buckets: tuple[TagBucket, ...]
+    bucket_count: int
     total_volume: int
     rank_frequency: tuple[tuple[int, int], ...]
     slope: float | None
@@ -238,8 +253,8 @@ class AnonymityReport:
     def render(self) -> str:
         lines = [
             f"k = {self.k}",
-            f"hashtags = {sum(len(b.members) for b in self.buckets)}",
-            f"buckets = {len(self.buckets)}",
+            f"hashtags = {len(self.rank_frequency)}",
+            f"buckets = {self.bucket_count}",
             f"total_volume = {self.total_volume}",
             f"rank_frequency_slope = {'n/a' if self.slope is None else f'{self.slope:.4f}'}",
         ]
@@ -257,30 +272,45 @@ class AnonymityReport:
 def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_buckets: int | None = None) -> AnonymityReport:
     """Group a corpus by derived short tag and measure the cover traffic.
 
-    Buckets come back sorted by volume (largest first), each listing
-    its colliding hashtags. ``top_buckets`` truncates the bucket list
-    in the report; volumes are conserved regardless.
+    Buckets come back sorted by volume (largest first, ties by token),
+    each listing its colliding hashtags by volume (ties by name).
+    ``top_buckets`` truncates the bucket list in the report; volumes are
+    conserved regardless.
+
+    The work is done over whole lists: the names are checked and
+    encoded in C-level calls, hashed by ``short_tags`` and their tokens
+    built by ``encode_short_tags``; entries and buckets are each put in
+    order by two key sorts. Only the buckets kept become objects.
     """
     if not corpus.entries:
         raise ValueError("corpus is empty")
     if top_buckets is not None and top_buckets < 0:
         raise ValueError(f"top_buckets must be >= 0, not {top_buckets}")
-    entries = sorted(corpus.entries, key=lambda m: (-m[1], m[0]))  # each bucket lists its largest first
-    values = short_tags([PlainTag(name).encoded() for name, _ in entries], kdf, k)  # PlainTag checks outside names
-    grouped: dict[int, list[tuple[str, int]]] = {}
+    entries = sorted(corpus.entries, key=_name)  # names are unique, so the stable sort
+    entries.sort(key=_count, reverse=True)  # by volume leaves each volume's names in order
+    try:
+        values = short_tags(encode_plain_tags(list(map(_name, entries))), kdf, k)
+    except PlainTagError as exc:
+        raise ValueError(f"corpus hashtag {exc.text!r}: {exc}") from None
+    grouped: dict[int, tuple[tuple[str, int], ...]] = {}
     for value, entry in zip(values, entries):
-        grouped.setdefault(value, []).append(entry)
-    buckets = []
-    for value, members in grouped.items():
-        tag = ShortTag(value, k)
-        buckets.append(TagBucket(tag, encode_short_tag(tag), tuple(members), sum(count for _, count in members)))
-    buckets.sort(key=lambda b: (-b.volume, b.token))
-    assert sum(b.volume for b in buckets) == corpus.total
-    pairs = tuple(rank_frequency(corpus))
+        grouped[value] = grouped.get(value, ()) + (entry,)
+    total = sum(map(_count, entries))
+    pairs = tuple(enumerate(map(_count, entries), 1))
+    del entries, values  # each list is freed once read, so the peak stays near the report's own size
+    volumes = [sum(map(_count, members)) for members in grouped.values()]
+    rows = sorted(zip(volumes, encode_short_tags(list(grouped), k), grouped, grouped.values()), key=_token)
+    del grouped, volumes
+    rows.sort(key=_volume, reverse=True)
+    assert sum(map(_volume, rows)) == total
     return AnonymityReport(
         k=k,
-        buckets=tuple(buckets[:top_buckets]),
-        total_volume=corpus.total,
+        buckets=tuple([
+            TagBucket(ShortTag(value, k), token, members, volume)
+            for volume, token, value, members in rows[:top_buckets]
+        ]),
+        bucket_count=len(rows),
+        total_volume=total,
         rank_frequency=pairs,
         slope=powerlaw_slope(pairs),
     )

@@ -9,6 +9,19 @@ class ConfigError(HootError, ValueError):
     """A configuration object violates its invariants."""
 
 
+class PlainTagError(HootError, ValueError):
+    """A text cannot be a plain tag.
+
+    ``text`` holds the refused text. The message leaves it out, because
+    a plain tag is a group's secret; a caller whose texts are public
+    may name it.
+    """
+
+    def __init__(self, message: str, *, text: str):
+        super().__init__(message)
+        self.text = text
+
+
 class CapacityError(HootError, ValueError):
     """Rendering a message would exceed the glyph budget.
 

@@ -248,11 +248,26 @@ def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     raise ValueError(f"rule {raw!r} names no tag (use 'short_tag' or 'plain_tag')")
 
 
+def _objects(raw: dict, name: str, default: list | None = None) -> list[dict]:
+    """Field ``name`` of a script object, a list of JSON objects; KeyError if missing without a default."""
+    items = raw[name] if default is None else raw.get(name, default)
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError(f"scenario script field {name!r} must be a list of objects")
+    return items
+
+
 def load_scenario(source: str | dict) -> ScenarioScript:
-    """Build a script from a JSON string or an already-decoded dict; a missing field is a ValueError."""
+    """Build a script from a JSON string or an already-decoded dict.
+
+    A missing field, or a field of the wrong JSON type, is a ValueError.
+    """
     raw = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(raw, dict):
+        raise ValueError("scenario script must be a JSON object")
+    given = raw.get("kdf", {})
+    if not isinstance(given, dict):
+        raise ValueError("scenario script field 'kdf' must be an object")
     try:
-        given = raw.get("kdf", {})
         kdf = kdf_config(given.get("mode", "fast-hash"), given.get("work"), given.get("memory"),
                          given.get("parallelism"), given.get("output_bits"))
         k = int(raw.get("k", 24))
@@ -264,10 +279,10 @@ def load_scenario(source: str | dict) -> ScenarioScript:
                 rate=float(g.get("rate", 1.0)),
                 replays=int(g.get("replays", 0)),
             )
-            for g in raw["groups"]
+            for g in _objects(raw, "groups")
         )
         rules: list[Rule] = []
-        for entry in raw.get("policy", []):
+        for entry in _objects(raw, "policy", []):
             kind = entry["type"]
             if kind == "block-short-tag":
                 rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
@@ -289,6 +304,8 @@ def load_scenario(source: str | dict) -> ScenarioScript:
         )
     except KeyError as exc:
         raise ValueError(f"scenario script lacks the field {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a scalar field of the wrong JSON type
+        raise ValueError(f"scenario script holds a value of the wrong JSON type: {exc}") from exc
 
 
 @dataclass

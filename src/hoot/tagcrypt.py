@@ -75,8 +75,9 @@ from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import ConfigError
+from .errors import ConfigError, PlainTagError
 
+MAX_PLAIN_TAG_BYTES = 256
 MIN_K = 1
 MAX_K = 64
 DEFAULT_K = 24
@@ -168,16 +169,37 @@ class PlainTag:
 
     def __post_init__(self):
         if not self.text:
-            raise ValueError("plain tag must be non-empty")
+            raise PlainTagError("plain tag must be non-empty", text=self.text)
         if self.text.split() != [self.text]:
-            raise ValueError("plain tag must not contain whitespace")
+            raise PlainTagError("plain tag must not contain whitespace", text=self.text)
         if self.text.startswith("#"):
-            raise ValueError("plain tag is written without the leading '#'")
-        if len(self.text.encode("utf-8")) > 256:
-            raise ValueError("plain tag exceeds 256 UTF-8 bytes")
+            raise PlainTagError("plain tag is written without the leading '#'", text=self.text)
+        if len(self.text.encode("utf-8")) > MAX_PLAIN_TAG_BYTES:
+            raise PlainTagError(f"plain tag exceeds {MAX_PLAIN_TAG_BYTES} UTF-8 bytes", text=self.text)
 
     def encoded(self) -> bytes:
         return self.text.encode("utf-8")
+
+
+def encode_plain_tags(texts: list[str]) -> list[bytes]:
+    """``PlainTag(t).encoded()`` for each text t, checked by C-level calls over the whole list.
+
+    The texts pass PlainTag's rules when joining them with spaces and
+    splitting on whitespace gives them back (so none is empty or holds
+    whitespace), none leads with '#', and no encoding exceeds 256 bytes.
+    Otherwise each goes through PlainTag in turn, and the first refused
+    raises PlainTag's own error.
+    """
+    encoded = list(map(str.encode, texts))
+    joined = " ".join(texts)
+    if (
+        joined.split() == texts
+        and not joined.startswith("#")
+        and " #" not in joined  # after the split check, a space only separates two texts
+        and max(map(len, encoded), default=0) <= MAX_PLAIN_TAG_BYTES
+    ):
+        return encoded
+    return [PlainTag(text).encoded() for text in texts]
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .tagcrypt import (
 
 BASE32_ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
 _BASE32_GLYPHS = BASE32_ALPHABET + BASE32_ALPHABET.upper()
+_BASE32_PAIRS = [high + low for high in BASE32_ALPHABET for low in BASE32_ALPHABET]  # 10 bits to two glyphs
 # a base32 glyph of either case to its int(·, 32) digit, and any other ASCII character to "!", which int() refuses
 _BASE32_DIGITS = str.maketrans(
     {chr(c): "!" for c in range(128)}
@@ -84,11 +85,33 @@ def tag_glyphs(k: int) -> int:
     return -(-k // 5)
 
 
+def encode_short_tags(values: list[int], k: int) -> list[str]:
+    """Render k-bit short-tag values as lowercase base32 tokens, without the '#'.
+
+    Each token is ceil(k/5) glyphs of the value shifted left over the
+    unused trailing bits. The tokens are built a column at a time: a
+    column of single glyphs when the glyph count is odd, then columns of
+    two glyphs from a 1,024-entry table, joined per token by one map.
+    """
+    if not MIN_K <= k <= MAX_K:
+        raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
+    if values and (min(values) < 0 or max(values) >> k):
+        raise ValueError(f"short tag values must fit in {k} bits")
+    shift = 5 * tag_glyphs(k)
+    padded = [value << (shift - k) for value in values]
+    columns = []
+    if shift % 10:
+        shift -= 5
+        columns.append([BASE32_ALPHABET[value >> shift] for value in padded])
+    while shift:
+        shift -= 10
+        columns.append([_BASE32_PAIRS[value >> shift & 0x3FF] for value in padded])
+    return list(map("".join, zip(*columns)))
+
+
 def encode_short_tag(tag: ShortTag) -> str:
     """Render a short tag as lowercase base32, without the '#'."""
-    glyphs = tag_glyphs(tag.k)
-    padded = tag.value << (glyphs * 5 - tag.k)
-    return "".join(BASE32_ALPHABET[(padded >> (5 * i)) & 0x1F] for i in range(glyphs - 1, -1, -1))
+    return encode_short_tags([tag.value], tag.k)[0]
 
 
 @functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)
@@ -162,7 +185,7 @@ def encode(hoot: Hoot, params: WireParams = DEFAULT_PARAMS) -> str:
         if tag.k != params.k:
             raise ConfigError(f"hoot carries k={tag.k} tags but params expect k={params.k}")
     _check_fits(params, len(hoot.short_tags), len(hoot.ciphertext))
-    tokens = " ".join("#" + encode_short_tag(tag) for tag in hoot.short_tags)
+    tokens = "#" + " #".join(encode_short_tags([tag.value for tag in hoot.short_tags], params.k))  # a hoot has a tag
     body = b"".join(hoot.key_blocks) + hoot.mac + hoot.ciphertext
     payload = base64.b64encode(body).rstrip(b"=").decode("ascii")
     return tokens + " " + payload

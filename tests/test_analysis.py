@@ -345,6 +345,7 @@ def pinned_report(k: int, top: int | None) -> AnonymityReport:
     return AnonymityReport(
         k=k,
         buckets=tuple(TagBucket(ShortTag(value, k), token, members, volume) for value, token, members, volume in rows[:top]),
+        bucket_count=len(rows),
         total_volume=50,
         rank_frequency=PIN_RANK_FREQUENCY,
         slope=PIN_SLOPE,
@@ -366,3 +367,29 @@ def test_report_render_known_answers():
     shuffled = Corpus(tuple(random.Random(5).sample(PIN_CORPUS.entries, len(PIN_CORPUS.entries))))
     assert anonymity_report(shuffled, 24).render() == PIN_RENDER_24
 
+
+
+def test_report_header_describes_the_whole_corpus_under_top():
+    lines = PIN_RENDER_12_BUCKETS.splitlines(keepends=True)
+    for top in range(len(lines) + 2):
+        assert anonymity_report(PIN_CORPUS, 12, top_buckets=top).render() == PIN_RENDER_12_HEADER + "".join(lines[:top])
+
+
+def test_report_refusal_names_the_bad_hashtag():
+    for name, message in [
+        ("fo o", "plain tag must not contain whitespace"),
+        ("#foo", "plain tag is written without the leading '#'"),
+        ("x" * 257, "plain tag exceeds 256 UTF-8 bytes"),
+    ]:
+        corpus = Corpus((("fine", 2), (name, 3)))
+        with pytest.raises(ValueError) as refusal:
+            anonymity_report(corpus, 8)
+        assert str(refusal.value) == f"corpus hashtag {name!r}: {message}"
+
+
+def test_load_corpus_locates_a_bad_count(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_text("hashtag,count\nfoo,3\nbar,x\n")
+    with pytest.raises(ValueError) as refusal:
+        load_corpus(path)
+    assert str(refusal.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"

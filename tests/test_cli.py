@@ -248,6 +248,33 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
     assert err == f"hoot simulate: error: scenario script lacks the field '{field}'\n"
 
 
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ({"groups": 5}, "scenario script field 'groups' must be a list of objects"),
+        (
+            {"k": 12, "groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2}], "policy": [1]},
+            "scenario script field 'policy' must be a list of objects",
+        ),
+        ({"groups": [], "kdf": "fast-hash"}, "scenario script field 'kdf' must be an object"),
+        ([1], "scenario script must be a JSON object"),
+        (
+            {"k": 12, "groups": [{"name": "g", "plain_tag": "g-tag", "messages": [2]}]},
+            "scenario script holds a value of the wrong JSON type: int() argument must be a string, "
+            "a bytes-like object or a real number, not 'list'",
+        ),
+    ],
+    ids=["groups", "policy", "kdf", "top-level", "scalar"],
+)
+def test_simulate_names_a_field_of_the_wrong_type_in_one_line(capsys, tmp_path, script, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == f"hoot simulate: error: {message}\n"
+
+
 def test_analyze_entropy_and_brute_force(capsys):
     code, out, _ = run(
         capsys, "analyze", "entropy", "--component", "dict:40000", "--component", "digits:7",
@@ -381,3 +408,28 @@ def test_config_file_errors_exit_two(capsys, tmp_path):
 def test_effective_config_is_logged(capsys):
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
     assert "config:" in err and "k=24" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("fo o,3", "corpus hashtag 'fo o': plain tag must not contain whitespace"),
+        ("bar,x", "{path}:3: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["hashtag", "count"],
+)
+def test_analyze_report_locates_a_bad_corpus_line(capsys, tmp_path, line, message):
+    corpus_path = tmp_path / "tags.csv"
+    corpus_path.write_text(f"hashtag,count\nfoo,3\n{line}\n")
+    code, out, err = run(capsys, "analyze", "report", "--corpus", str(corpus_path), "--k", "8")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.splitlines()[-1] == "hoot analyze: error: " + message.format(path=corpus_path)
+
+
+def test_analyze_report_header_counts_the_whole_corpus_under_top(capsys, tmp_path):
+    corpus_path = tmp_path / "tags.csv"
+    corpus_path.write_text("hashtag,count\nfoo,3\nbar,1\n")
+    code, out, _ = run(capsys, "analyze", "report", "--corpus", str(corpus_path), "--k", "24", "--top", "0")
+    assert code == EXIT_OK
+    assert out.splitlines()[:4] == ["k = 24", "hashtags = 2", "buckets = 2", "total_volume = 4"]

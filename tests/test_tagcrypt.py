@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hoot import tagcrypt
 from hoot.collider import SearchSpec, find_tag, find_tag_sharded
-from hoot.errors import ConfigError
+from hoot.errors import ConfigError, PlainTagError
 from hoot.feed import load_scenario, run_scenario
 from hoot.tagcrypt import (
     FAST_KDF,
@@ -35,6 +35,7 @@ from hoot.tagcrypt import (
     derive_long_tag,
     derive_tag_material,
     derive_tag_materials,
+    encode_plain_tags,
     open_hoot,
     open_with_material,
     seal,
@@ -733,3 +734,47 @@ def test_shared_material_opens_correctly_across_threads():
         sys.setswitchinterval(interval)
     assert done == [25 * 200] * len(work)
     assert wrong == [0] * len(work)
+
+
+def outcome_of_plain_tags(encode, texts):
+    try:
+        return "ok", encode(texts)
+    except ValueError as refusal:
+        return type(refusal), str(refusal)
+
+
+# whitespace traps, '#', and characters of 1 to 4 UTF-8 bytes, to reach the 256-byte limit from either side
+_NAME_GLYPHS = st.sampled_from(list("ab#") + [" ", "\x1c", "\u3000", "\xa0", "\u180e", "é", "€", "𝄞"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(_NAME_GLYPHS, max_size=6),
+    st.builds(lambda fill, glyph, tail: fill * 254 + glyph + tail, st.sampled_from("aé"), st.sampled_from("ab#é€"), st.text(_NAME_GLYPHS, max_size=2)),
+), max_size=6))
+@example([])
+@example(["", "a"])
+@example(["a", "b\u3000c"])
+@example(["a", "b\x1cc"])
+@example(["a", "#b"])
+@example(["a#", "b"])
+@example(["x" * 256, "é" * 128])
+@example(["x" * 257])
+@example(["é" * 128 + "a"])
+def test_encode_plain_tags_refuses_exactly_as_plain_tag(texts):
+    def one_at_a_time(texts):
+        return [PlainTag(text).encoded() for text in texts]
+
+    assert outcome_of_plain_tags(encode_plain_tags, texts) == outcome_of_plain_tags(one_at_a_time, texts)
+
+
+def test_a_refused_plain_tag_carries_its_text_outside_the_message():
+    for text, message in [
+        ("", "plain tag must be non-empty"),
+        ("fo o", "plain tag must not contain whitespace"),
+        ("#foo", "plain tag is written without the leading '#'"),
+        ("é" * 128 + "a", "plain tag exceeds 256 UTF-8 bytes"),
+    ]:
+        with pytest.raises(PlainTagError) as refusal:
+            encode_plain_tags(["ok", text])
+        assert (str(refusal.value), refusal.value.text) == (message, text)

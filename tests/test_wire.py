@@ -4,6 +4,7 @@ import base64
 import binascii
 import hashlib
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from hoot.wire import (
     decode_short_tag,
     encode,
     encode_short_tag,
+    encode_short_tags,
     parse,
     seal_to_wire,
     tag_glyphs,
@@ -512,3 +514,25 @@ def test_encode_short_tag_equals_per_glyph_oracle_and_decodes_back(k, value):
         token = encode_short_tag(tag)
         assert token == per_glyph_token(tag.value, k)
         assert decode_short_tag(token, k) == tag
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+@settings(max_examples=20, deadline=None)
+@given(values=st.lists(st.integers(0, (1 << 64) - 1), max_size=40))
+def test_encode_short_tags_equals_per_glyph_oracle_and_decodes_back(k, values):
+    values = [0, (1 << k) - 1] + [value >> (64 - k) for value in values]
+    tokens = encode_short_tags(values, k)
+    assert tokens == [per_glyph_token(value, k) for value in values]
+    assert [decode_short_tag(token, k) for token in tokens] == [ShortTag(value, k) for value in values]
+    assert encode_short_tags([], k) == []
+
+
+def test_encode_short_tags_refuses_what_no_short_tag_holds():
+    for values, k, message in [
+        ([1], 0, "k=0 outside supported range 1..64"),
+        ([1], 65, "k=65 outside supported range 1..64"),
+        ([0, 256], 8, "short tag values must fit in 8 bits"),
+        ([-1], 8, "short tag values must fit in 8 bits"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_short_tags(values, k)
