@@ -190,15 +190,16 @@ def encode_plain_tags(texts: list[str]) -> list[bytes]:
     Otherwise each goes through PlainTag in turn, and the first refused
     raises PlainTag's own error.
     """
-    encoded = list(map(str.encode, texts))
     joined = " ".join(texts)
-    if (
-        joined.split() == texts
-        and not joined.startswith("#")
-        and " #" not in joined  # after the split check, a space only separates two texts
-        and max(map(len, encoded), default=0) <= MAX_PLAIN_TAG_BYTES
-    ):
-        return encoded
+    # after the split check, a space only separates two texts
+    if joined.split() == texts and not joined.startswith("#") and " #" not in joined:
+        try:
+            encoded = list(map(str.encode, texts))
+        except UnicodeEncodeError:  # a lone surrogate, which PlainTag refuses at its byte-length check
+            pass
+        else:
+            if max(map(len, encoded), default=0) <= MAX_PLAIN_TAG_BYTES:
+                return encoded
     return [PlainTag(text).encoded() for text in texts]
 
 

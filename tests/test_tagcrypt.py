@@ -743,8 +743,9 @@ def outcome_of_plain_tags(encode, texts):
         return type(refusal), str(refusal)
 
 
-# whitespace traps, '#', and characters of 1 to 4 UTF-8 bytes, to reach the 256-byte limit from either side
-_NAME_GLYPHS = st.sampled_from(list("ab#") + [" ", "\x1c", "\u3000", "\xa0", "\u180e", "é", "€", "𝄞"])
+# whitespace traps, '#', a lone surrogate (no UTF-8 encoding), and characters of 1 to 4 UTF-8 bytes,
+# to reach the 256-byte limit from either side
+_NAME_GLYPHS = st.sampled_from(list("ab#") + [" ", "\x1c", "\u3000", "\xa0", "\u180e", "\ud800", "é", "€", "𝄞"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -761,6 +762,7 @@ _NAME_GLYPHS = st.sampled_from(list("ab#") + [" ", "\x1c", "\u3000", "\xa0", "\u
 @example(["x" * 256, "é" * 128])
 @example(["x" * 257])
 @example(["é" * 128 + "a"])
+@example(["\ud800", "a b"])
 def test_encode_plain_tags_refuses_exactly_as_plain_tag(texts):
     def one_at_a_time(texts):
         return [PlainTag(text).encoded() for text in texts]
