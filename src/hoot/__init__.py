@@ -8,7 +8,7 @@ the collision-search tool, a feed simulator with censor policies, and
 the sizing arithmetic behind the design.
 """
 
-from .errors import CapacityError, ConfigError, HootError, ParseError
+from .errors import CapacityError, ConfigError, HootError, ParseError, PlainTagError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
@@ -44,6 +44,7 @@ __all__ = [
     "MEMORY_HARD_KDF",
     "ParseError",
     "PlainTag",
+    "PlainTagError",
     "ShortTag",
     "TagMaterial",
     "WireParams",
