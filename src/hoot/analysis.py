@@ -28,9 +28,6 @@ from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
 
-_name = _volume = itemgetter(0)  # of a corpus entry; of a bucket row (volume, token, value, members)
-_count = _token = itemgetter(1)
-
 
 @dataclass(frozen=True)
 class DictionaryWords:
@@ -286,23 +283,24 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
         raise ValueError("corpus is empty")
     if top_buckets is not None and top_buckets < 0:
         raise ValueError(f"top_buckets must be >= 0, not {top_buckets}")
-    entries = sorted(corpus.entries, key=_name)  # names are unique, so the stable sort
-    entries.sort(key=_count, reverse=True)  # by volume leaves each volume's names in order
+    entries = sorted(corpus.entries, key=itemgetter(0))  # names are unique, so the stable sort
+    entries.sort(key=itemgetter(1), reverse=True)  # by count leaves each count's names in order
     try:
-        values = short_tags(encode_plain_tags(list(map(_name, entries))), kdf, k)
+        values = short_tags(encode_plain_tags(list(map(itemgetter(0), entries))), kdf, k)
     except PlainTagError as exc:
         raise ValueError(f"corpus hashtag {exc.text!r}: {exc}") from None
-    grouped: dict[int, tuple[tuple[str, int], ...]] = {}
+    grouped: dict[int, list[tuple[str, int]]] = {}
     for value, entry in zip(values, entries):
-        grouped[value] = grouped.get(value, ()) + (entry,)
-    total = sum(map(_count, entries))
-    pairs = tuple(enumerate(map(_count, entries), 1))
+        grouped.setdefault(value, []).append(entry)
+    total = sum(map(itemgetter(1), entries))
+    pairs = tuple(enumerate(map(itemgetter(1), entries), 1))
     del entries, values  # each list is freed once read, so the peak stays near the report's own size
-    volumes = [sum(map(_count, members)) for members in grouped.values()]
-    rows = sorted(zip(volumes, encode_short_tags(list(grouped), k), grouped, grouped.values()), key=_token)
+    volumes = [sum(map(itemgetter(1), members)) for members in grouped.values()]
+    rows = sorted(zip(volumes, encode_short_tags(list(grouped), k), grouped, map(tuple, grouped.values())),
+                  key=itemgetter(1))
     del grouped, volumes
-    rows.sort(key=_volume, reverse=True)
-    assert sum(map(_volume, rows)) == total
+    rows.sort(key=itemgetter(0), reverse=True)  # by volume, each volume's tokens left in order
+    assert sum(map(itemgetter(0), rows)) == total
     return AnonymityReport(
         k=k,
         buckets=tuple([

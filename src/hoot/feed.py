@@ -240,11 +240,19 @@ class ScenarioScript:
         return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
 
 
+def _typed(convert, value, name: str):
+    """``convert(value)``; a script value of the wrong JSON type for field ``name`` is a ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, AttributeError):
+        raise ValueError(f"scenario script field {name!r} has the wrong JSON type ({type(value).__name__})") from None
+
+
 def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     if "short_tag" in raw:
         return wire.decode_short_tag(str(raw["short_tag"]).lstrip("#"), k)
     if "plain_tag" in raw:
-        return derive_tag_material(PlainTag(raw["plain_tag"]), kdf, k).short_tag
+        return derive_tag_material(_typed(PlainTag, raw["plain_tag"], "plain_tag"), kdf, k).short_tag
     raise ValueError(f"rule {raw!r} names no tag (use 'short_tag' or 'plain_tag')")
 
 
@@ -268,16 +276,17 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
     try:
-        kdf = kdf_config(given.get("mode", "fast-hash"), given.get("work"), given.get("memory"),
-                         given.get("parallelism"), given.get("output_bits"))
-        k = int(raw.get("k", 24))
+        sizes = {key: _typed(int, given[key], key) for key in ("work", "memory", "parallelism", "output_bits")
+                 if given.get(key) is not None}
+        kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
+        k = _typed(int, raw.get("k", 24), "k")
         groups = tuple(
             GroupSpec(
                 name=g["name"],
-                plain_tag=PlainTag(g["plain_tag"]),
-                messages=int(g["messages"]),
-                rate=float(g.get("rate", 1.0)),
-                replays=int(g.get("replays", 0)),
+                plain_tag=_typed(PlainTag, g["plain_tag"], "plain_tag"),
+                messages=_typed(int, g["messages"], "messages"),
+                rate=_typed(float, g.get("rate", 1.0), "rate"),
+                replays=_typed(int, g.get("replays", 0), "replays"),
             )
             for g in _objects(raw, "groups")
         )
@@ -289,23 +298,22 @@ def load_scenario(source: str | dict) -> ScenarioScript:
             elif kind == "block-sender":
                 rules.append(BlockSender(entry["sender"]))
             elif kind == "whitelist-short-tag":
-                known = tuple(PlainTag(t) for t in entry.get("known_plain_tags", []))
+                known = _typed(lambda texts: tuple(map(PlainTag, texts)), entry.get("known_plain_tags", []),
+                               "known_plain_tags")
                 rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
             else:
                 raise ValueError(f"unknown rule type {kind!r}")
         return ScenarioScript(
             groups=groups,
             policy=CensorPolicy(tuple(rules)),
-            seed=int(raw.get("seed", 0)),
+            seed=_typed(int, raw.get("seed", 0), "seed"),
             k=k,
             kdf=kdf,
-            glyph_budget=int(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET)),
+            glyph_budget=_typed(int, raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET), "glyph_budget"),
             target_group=raw.get("target_group"),
         )
     except KeyError as exc:
         raise ValueError(f"scenario script lacks the field {exc}") from exc
-    except (TypeError, AttributeError) as exc:  # a scalar field of the wrong JSON type
-        raise ValueError(f"scenario script holds a value of the wrong JSON type: {exc}") from exc
 
 
 @dataclass

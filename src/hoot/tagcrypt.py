@@ -174,7 +174,11 @@ class PlainTag:
             raise PlainTagError("plain tag must not contain whitespace", text=self.text)
         if self.text.startswith("#"):
             raise PlainTagError("plain tag is written without the leading '#'", text=self.text)
-        if len(self.text.encode("utf-8")) > MAX_PLAIN_TAG_BYTES:
+        try:
+            size = len(self.text.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate
+            raise PlainTagError("plain tag is not valid UTF-8", text=self.text) from None
+        if size > MAX_PLAIN_TAG_BYTES:
             raise PlainTagError(f"plain tag exceeds {MAX_PLAIN_TAG_BYTES} UTF-8 bytes", text=self.text)
 
     def encoded(self) -> bytes:
@@ -186,7 +190,8 @@ def encode_plain_tags(texts: list[str]) -> list[bytes]:
 
     The texts pass PlainTag's rules when joining them with spaces and
     splitting on whitespace gives them back (so none is empty or holds
-    whitespace), none leads with '#', and no encoding exceeds 256 bytes.
+    whitespace), none leads with '#', and each has a UTF-8 encoding of at
+    most 256 bytes.
     Otherwise each goes through PlainTag in turn, and the first refused
     raises PlainTag's own error.
     """
@@ -195,7 +200,7 @@ def encode_plain_tags(texts: list[str]) -> list[bytes]:
     if joined.split() == texts and not joined.startswith("#") and " #" not in joined:
         try:
             encoded = list(map(str.encode, texts))
-        except UnicodeEncodeError:  # a lone surrogate, which PlainTag refuses at its byte-length check
+        except UnicodeEncodeError:  # a lone surrogate, which PlainTag refuses
             pass
         else:
             if max(map(len, encoded), default=0) <= MAX_PLAIN_TAG_BYTES:

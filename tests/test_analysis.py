@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -380,11 +381,27 @@ def test_report_refusal_names_the_bad_hashtag():
         ("fo o", "plain tag must not contain whitespace"),
         ("#foo", "plain tag is written without the leading '#'"),
         ("x" * 257, "plain tag exceeds 256 UTF-8 bytes"),
+        ("a\ud800", "plain tag is not valid UTF-8"),
     ]:
         corpus = Corpus((("fine", 2), (name, 3)))
         with pytest.raises(ValueError) as refusal:
             anonymity_report(corpus, 8)
         assert str(refusal.value) == f"corpus hashtag {name!r}: {message}"
+
+
+def test_report_groups_large_buckets_in_linear_time():
+    # at k=1 the 50k tags fall into two buckets of about 25k; grouping that copies a
+    # bucket per member added makes this report many times slower than at k=24,
+    # where nearly every bucket holds one tag and each becomes an object
+    corpus = Corpus(tuple((f"t{i}", 1 + i % 7) for i in range(50_000)))
+
+    def seconds(k):
+        began = time.perf_counter()
+        report = anonymity_report(corpus, k)
+        assert sum(bucket.volume for bucket in report.buckets) == report.total_volume
+        return time.perf_counter() - began
+
+    assert min(seconds(1), seconds(1)) < 2 * min(seconds(24), seconds(24))
 
 
 def test_load_corpus_locates_a_bad_count(tmp_path):

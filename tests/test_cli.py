@@ -260,11 +260,19 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
         ([1], "scenario script must be a JSON object"),
         (
             {"k": 12, "groups": [{"name": "g", "plain_tag": "g-tag", "messages": [2]}]},
-            "scenario script holds a value of the wrong JSON type: int() argument must be a string, "
-            "a bytes-like object or a real number, not 'list'",
+            "scenario script field 'messages' has the wrong JSON type (list)",
+        ),
+        (
+            {"groups": [{"name": "g", "plain_tag": 5, "messages": 2}]},
+            "scenario script field 'plain_tag' has the wrong JSON type (int)",
+        ),
+        ({"groups": [], "kdf": {"work": {}}}, "scenario script field 'work' has the wrong JSON type (dict)"),
+        (
+            {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": 3}]},
+            "scenario script field 'known_plain_tags' has the wrong JSON type (int)",
         ),
     ],
-    ids=["groups", "policy", "kdf", "top-level", "scalar"],
+    ids=["groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "known-tags"],
 )
 def test_simulate_names_a_field_of_the_wrong_type_in_one_line(capsys, tmp_path, script, message):
     path = tmp_path / "scenario.json"

@@ -352,3 +352,15 @@ def test_scenario_counters_sum_to_the_submissions(raw):
     assert stats.target_blocked + stats.collateral_blocked == stats.rejected_censored
     assert sum(t.total for t in stats.per_tag.values()) == stats.submitted
     assert sum(t.blocked for t in stats.per_tag.values()) == stats.rejected_censored
+
+
+def test_load_scenario_lets_a_fault_of_the_program_surface(monkeypatch):
+    # only a script value of the wrong type becomes a ValueError; a TypeError
+    # from the code that builds the script keeps its own type
+    def broken(*args):
+        raise TypeError("a fault in the derivation")
+
+    monkeypatch.setattr("hoot.feed.derive_tag_material", broken)
+    raw = {"groups": [], "policy": [{"type": "block-short-tag", "plain_tag": "some-tag"}]}
+    with pytest.raises(TypeError, match="a fault in the derivation"):
+        load_scenario(json.dumps(raw))

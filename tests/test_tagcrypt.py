@@ -776,6 +776,7 @@ def test_a_refused_plain_tag_carries_its_text_outside_the_message():
         ("fo o", "plain tag must not contain whitespace"),
         ("#foo", "plain tag is written without the leading '#'"),
         ("é" * 128 + "a", "plain tag exceeds 256 UTF-8 bytes"),
+        ("a\ud800", "plain tag is not valid UTF-8"),
     ]:
         with pytest.raises(PlainTagError) as refusal:
             encode_plain_tags(["ok", text])
