@@ -647,6 +647,19 @@ def test_wrap_equals_aes_ctr_from_nonce_counter(tag_key, nonce, data):
     assert material.wrap(nonce, material.wrap(nonce, data)) == data
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300), st.integers(min_value=0, max_value=2**32))
+@example(b"", 0)
+@example(bytes(300), 1)
+def test_seal_body_equals_aes_ctr_from_zero_counter(message, seed):
+    # bodies past one wire line, which seal_to_wire never carries, still get SP 800-38A CTR from 0
+    tag = PlainTag("body-keystream")
+    k_enc = random.Random(seed).randbytes(2 * tagcrypt.SESSION_KEY_BYTES)[: tagcrypt.SESSION_KEY_BYTES]
+    hoot = seal(message, [tag], rng=random.Random(seed))
+    assert hoot.ciphertext == _reference_ctr(k_enc, bytes(8), message)
+    assert open_with_material(hoot, derive_tag_material(tag)) == message
+
+
 def test_wrap_rejects_wrong_lengths():
     material = TagMaterial(ShortTag(0, 24), bytes(16))
     with pytest.raises(ValueError):
