@@ -31,15 +31,10 @@ The 64-bit random nonce on each key block keeps the tag key's CTR
 keystream from repeating across messages of the same group; it travels
 in the clear as the first 8 bytes of the 40-byte key block.
 
-Under NIST SP 800-38A the CTR keystream is the block cipher applied to
-the counter blocks, so a key block is computed as
-
-    key_block = nonce || (k_enc||k_mac) XOR AES-ECB(tag_key, nonce||0 || nonce||1)
-
-which is bit-identical to the AES-CTR formula above: the low 64 bits of
-the counter only go from 0 to 1, so no carry reaches the nonce. Each
-TagMaterial builds its AES-ECB context once, on first use, and reuses
-it, under a lock, for every key block it wraps or unwraps.
+Both keystreams are NIST SP 800-38A's: AES-ECB over the counter blocks
+c||0, c||1, ..., with c the nonce or eight zero bytes. Each TagMaterial
+builds its AES-ECB context once, on first use, and reuses it, under a
+lock, for every key block it wraps or unwraps.
 
 Tag material is memoized per (plain tag, KDF config, k) in one bounded
 least-recently-used cache of the last 64, fast hash and memory-hard
@@ -88,9 +83,7 @@ MAC_BYTES = 20
 KEY_BLOCK_NONCE_BYTES = 8
 KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
 
-_ZERO_COUNTER = bytes(16)
-_FIRST_COUNTER = bytes(8)
-_SECOND_COUNTER = (1).to_bytes(8, "big")
+_ECB = modes.ECB()
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
@@ -261,7 +254,7 @@ class TagMaterial:
     def _ecb(self):
         # cryptography's cipher contexts raise "Already borrowed" when two
         # threads call update at once, so each use holds the lock.
-        return Cipher(algorithms.AES(self.tag_key), modes.ECB()).encryptor(), threading.Lock()
+        return Cipher(algorithms.AES(self.tag_key), _ECB).encryptor(), threading.Lock()
 
     def __getstate__(self):
         # the cipher context and its lock cannot be pickled; a copy builds its own
@@ -276,8 +269,7 @@ class TagMaterial:
             raise ValueError(f"wrap takes a {KEY_BLOCK_NONCE_BYTES}-byte nonce and {2 * SESSION_KEY_BYTES} bytes")
         ecb, lock = self._ecb
         with lock:
-            stream = ecb.update(nonce + _FIRST_COUNTER + nonce + _SECOND_COUNTER)
-        return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+            return _keystream(ecb, nonce, data)
 
 
 @dataclass(frozen=True)
@@ -415,9 +407,15 @@ def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]
 
 
-def _ctr_xcrypt(key: bytes, counter_block: bytes, data: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.CTR(counter_block)).encryptor()
-    return enc.update(data) + enc.finalize()
+@functools.lru_cache(maxsize=8)  # holds every block count of a wire line's body and of a key block
+def _counter_suffixes(blocks: int) -> tuple[bytes, ...]:
+    return (b"", *(i.to_bytes(8, "big") for i in range(blocks)))
+
+
+def _keystream(ecb, prefix: bytes, data: bytes) -> bytes:
+    """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||0, prefix||1, ..."""
+    stream = ecb.update(prefix.join(_counter_suffixes(-(-len(data) // 16))))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream[: len(data)], "big")).to_bytes(len(data), "big")
 
 
 def _mac(key: bytes, data: bytes) -> bytes:
@@ -457,7 +455,7 @@ def seal(
         raise ValueError("seal needs at least one plain tag")
     materials = derive_tag_materials(plain_tags, cfg, k)
     keys = _random_bytes(rng, 2 * SESSION_KEY_BYTES)  # k_enc || k_mac
-    ciphertext = _ctr_xcrypt(keys[:SESSION_KEY_BYTES], _ZERO_COUNTER, message)
+    ciphertext = _keystream(Cipher(algorithms.AES(keys[:SESSION_KEY_BYTES]), _ECB).encryptor(), bytes(8), message)
     mac = _mac(keys[SESSION_KEY_BYTES:], ciphertext)
     short_tags = []
     key_blocks = []
@@ -482,7 +480,7 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
         keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])
         k_enc, k_mac = keys[:SESSION_KEY_BYTES], keys[SESSION_KEY_BYTES:]
         if hmac.compare_digest(_mac(k_mac, hoot.ciphertext), hoot.mac):
-            return _ctr_xcrypt(k_enc, _ZERO_COUNTER, hoot.ciphertext)
+            return _keystream(Cipher(algorithms.AES(k_enc), _ECB).encryptor(), bytes(8), hoot.ciphertext)
     return None
 
 
