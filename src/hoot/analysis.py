@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PlainTagError
-from .tagcrypt import FAST_KDF, KdfConfig, ShortTag, encode_plain_tags, short_tags
+from .tagcrypt import FAST_KDF, KdfConfig, MAX_K, MIN_K, ShortTag, encode_plain_tags, short_tags
 from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -90,11 +91,15 @@ def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceT
     """Seconds to sweep a namespace at ``rate`` tries/sec/core.
 
     ``full_seconds`` covers the whole space; the expected time to the
-    hit is half that.
+    hit is half that; a space too large for a float takes ``inf`` seconds.
     """
-    if entropy < 0 or rate <= 0 or cores < 1:
-        raise ValueError("entropy, rate, and cores must be positive")
-    full = 2.0**entropy / (rate * cores)
+    if not (entropy >= 0 and 0 < rate < math.inf) or cores < 1:  # a NaN fails both comparisons
+        raise ValueError("entropy, rate, and cores must be positive, and the rate finite")
+    try:
+        space = 2.0**entropy
+    except OverflowError:
+        space = math.inf
+    full = space / (rate * cores)
     return BruteForceTime(full, full / 2.0)
 
 
@@ -129,8 +134,10 @@ class BandwidthBudget:
 
 def bandwidth_budget(total_rate: float, k: int, link_bits_per_second: float, message_bits: float) -> BandwidthBudget:
     """Per-short-tag rate under a uniform split, and what a link carries."""
-    if total_rate < 0 or k < 1 or link_bits_per_second <= 0 or message_bits <= 0:
-        raise ValueError("rates, k, and sizes must be positive")
+    if not MIN_K <= k <= MAX_K:
+        raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
+    if total_rate < 0 or link_bits_per_second <= 0 or message_bits <= 0:
+        raise ValueError("rates and sizes must be positive")
     per_tag = total_rate / 2.0**k
     return BandwidthBudget(per_tag, per_tag * 60.0, link_bits_per_second / message_bits)
 
@@ -144,9 +151,11 @@ class Corpus:
     def __post_init__(self):
         names = [name for name, _ in self.entries]
         if len(set(names)) != len(names):
-            raise ValueError("corpus hashtags must be unique")
-        if any(count < 1 for _, count in self.entries):
-            raise ValueError("corpus counts must be >= 1")
+            seen = Counter(names)
+            raise ValueError(f"corpus hashtag {next(name for name in names if seen[name] > 1)!r} appears more than once")
+        for name, count in self.entries:
+            if count < 1:
+                raise ValueError(f"corpus hashtag {name!r}: count must be >= 1, not {count}")
 
     @property
     def total(self) -> int:

@@ -240,19 +240,21 @@ class ScenarioScript:
         return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
 
 
-def _typed(convert, value, name: str):
-    """``convert(value)``; a script value of the wrong JSON type for field ``name`` is a ValueError."""
-    try:
-        return convert(value)
-    except (TypeError, AttributeError):
-        raise ValueError(f"scenario script field {name!r} has the wrong JSON type ({type(value).__name__})") from None
+def _typed(value, name: str, *json_types: type):
+    """``value``, refused as a ValueError unless its type is exactly one of ``json_types``.
+
+    Exactly, so that a JSON true or false is not taken for a number.
+    """
+    if type(value) not in json_types:
+        raise ValueError(f"scenario script field {name!r} has the wrong JSON type ({type(value).__name__})")
+    return value
 
 
 def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     if "short_tag" in raw:
         return wire.decode_short_tag(str(raw["short_tag"]).lstrip("#"), k)
     if "plain_tag" in raw:
-        return derive_tag_material(_typed(PlainTag, raw["plain_tag"], "plain_tag"), kdf, k).short_tag
+        return derive_tag_material(PlainTag(_typed(raw["plain_tag"], "plain_tag", str)), kdf, k).short_tag
     raise ValueError(f"rule {raw!r} names no tag (use 'short_tag' or 'plain_tag')")
 
 
@@ -276,17 +278,17 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
     try:
-        sizes = {key: _typed(int, given[key], key) for key in ("work", "memory", "parallelism", "output_bits")
+        sizes = {key: _typed(given[key], key, int) for key in ("work", "memory", "parallelism", "output_bits")
                  if given.get(key) is not None}
         kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
-        k = _typed(int, raw.get("k", 24), "k")
+        k = _typed(raw.get("k", 24), "k", int)
         groups = tuple(
             GroupSpec(
                 name=g["name"],
-                plain_tag=_typed(PlainTag, g["plain_tag"], "plain_tag"),
-                messages=_typed(int, g["messages"], "messages"),
-                rate=_typed(float, g.get("rate", 1.0), "rate"),
-                replays=_typed(int, g.get("replays", 0), "replays"),
+                plain_tag=PlainTag(_typed(g["plain_tag"], "plain_tag", str)),
+                messages=_typed(g["messages"], "messages", int),
+                rate=float(_typed(g.get("rate", 1.0), "rate", int, float)),
+                replays=_typed(g.get("replays", 0), "replays", int),
             )
             for g in _objects(raw, "groups")
         )
@@ -298,18 +300,18 @@ def load_scenario(source: str | dict) -> ScenarioScript:
             elif kind == "block-sender":
                 rules.append(BlockSender(entry["sender"]))
             elif kind == "whitelist-short-tag":
-                known = _typed(lambda texts: tuple(map(PlainTag, texts)), entry.get("known_plain_tags", []),
-                               "known_plain_tags")
+                texts = _typed(entry.get("known_plain_tags", []), "known_plain_tags", list)
+                known = tuple(PlainTag(_typed(text, "known_plain_tags", str)) for text in texts)
                 rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
             else:
                 raise ValueError(f"unknown rule type {kind!r}")
         return ScenarioScript(
             groups=groups,
             policy=CensorPolicy(tuple(rules)),
-            seed=_typed(int, raw.get("seed", 0), "seed"),
+            seed=_typed(raw.get("seed", 0), "seed", int),
             k=k,
             kdf=kdf,
-            glyph_budget=_typed(int, raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET), "glyph_budget"),
+            glyph_budget=_typed(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET), "glyph_budget", int),
             target_group=raw.get("target_group"),
         )
     except KeyError as exc:

@@ -86,6 +86,10 @@ def test_brute_force_scaling_and_validation():
     assert two.full_seconds == pytest.approx(one.full_seconds / 2)
     with pytest.raises(ValueError):
         brute_force_time(30, 0, 1)
+    for entropy, rate in ((math.nan, 1e6), (30, math.nan), (30, math.inf)):
+        with pytest.raises(ValueError):
+            brute_force_time(entropy, rate, 1)
+    assert brute_force_time(2000, 1e6, 1).full_seconds == math.inf
 
 
 def test_collision_probability_single_trial():
@@ -132,15 +136,16 @@ def test_bandwidth_peak_rate_split():
 def test_bandwidth_zero_rate():
     budget = bandwidth_budget(0, 18, 128_000, 140 * 8)
     assert budget.per_tag_per_second == 0
-    with pytest.raises(ValueError):
-        bandwidth_budget(1, 0, 1, 1)
+    for k in (0, 65):
+        with pytest.raises(ValueError):
+            bandwidth_budget(1, k, 1, 1)
 
 
 def test_corpus_validation_and_io(tmp_path):
-    with pytest.raises(ValueError):
-        Corpus((("a", 1), ("a", 2)))
-    with pytest.raises(ValueError):
-        Corpus((("a", 0),))
+    with pytest.raises(ValueError, match="^corpus hashtag 'a' appears more than once$"):
+        Corpus((("b", 1), ("a", 1), ("c", 1), ("a", 2), ("c", 2)))
+    with pytest.raises(ValueError, match=r"^corpus hashtag 'b': count must be >= 1, not -1$"):
+        Corpus((("a", 1), ("b", -1), ("c", 0)))
     corpus = Corpus((("alpha", 3), ("beta,comma", 1)))
     path = tmp_path / "corpus.csv"
     save_corpus(corpus, path)

@@ -271,8 +271,33 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
             {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": 3}]},
             "scenario script field 'known_plain_tags' has the wrong JSON type (int)",
         ),
+        *(
+            (
+                {"k": 12, "groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2, **fields}]},
+                f"scenario script field {name!r} has the wrong JSON type ({kind})",
+            )
+            for fields, name, kind in [
+                ({"messages": 2.7}, "messages", "float"),
+                ({"messages": True}, "messages", "bool"),
+                ({"messages": "5"}, "messages", "str"),
+                ({"replays": 1.5}, "replays", "float"),
+                ({"rate": True}, "rate", "bool"),
+            ]
+        ),
+        ({"k": 12.9, "groups": []}, "scenario script field 'k' has the wrong JSON type (float)"),
+        *(
+            (
+                {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": known}]},
+                f"scenario script field 'known_plain_tags' has the wrong JSON type ({kind})",
+            )
+            for known, kind in [("popstar", "str"), ({"popstar": 1}, "dict"), (["popstar", 7], "int")]
+        ),
     ],
-    ids=["groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "known-tags"],
+    ids=[
+        "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "known-tags",
+        "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "k-float",
+        "known-tags-str", "known-tags-object", "known-tags-member",
+    ],
 )
 def test_simulate_names_a_field_of_the_wrong_type_in_one_line(capsys, tmp_path, script, message):
     path = tmp_path / "scenario.json"
@@ -293,6 +318,19 @@ def test_analyze_entropy_and_brute_force(capsys):
         capsys, "analyze", "brute-force", "--bits", "47", "--rate", str(2**18), "--cores", str(2**10),
     )
     assert "full_seconds=524288" in out
+    # a space too large for a float takes inf seconds, however its size is given
+    for argv in (
+        ["brute-force", "--bits", "2000", "--rate", "1"],
+        ["brute-force", "--bits", "1e400", "--rate", "1"],
+        ["entropy", "--component", "glyphs:62:1000", "--rate", "1", "--cores", "1"],
+    ):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == EXIT_OK and err == "", argv
+        assert "full_seconds=inf\nexpected_seconds=inf\nfull_years=inf\n" in out, argv
+    for argv in (["--bits", "nan", "--rate", "1"], ["--bits", "40", "--rate", "nan"], ["--bits", "40", "--rate", "inf"]):
+        code, out, err = run(capsys, "analyze", "brute-force", *argv)
+        assert code == EXIT_DATA and out == "", argv
+        assert err == "hoot analyze: error: entropy, rate, and cores must be positive, and the rate finite\n", argv
 
 
 def test_analyze_collision_and_bandwidth(capsys):
@@ -305,6 +343,12 @@ def test_analyze_collision_and_bandwidth(capsys):
     )
     assert "per_tag_per_minute=1.60217" in out
     assert "link_messages_per_second=114.286" in out
+    for k in ("0", "65", "5000"):
+        code, out, err = run(
+            capsys, "analyze", "bandwidth", "--total-rate", "7000", "--k", k, "--link-bps", "1",
+        )
+        assert code == EXIT_DATA and out == "", k
+        assert err == f"hoot analyze: error: k={k} outside supported range 1..64\n", k
 
 
 def test_analyze_corpus_pipeline(capsys, tmp_path):
@@ -423,8 +467,10 @@ def test_effective_config_is_logged(capsys):
     [
         ("fo o,3", "corpus hashtag 'fo o': plain tag must not contain whitespace"),
         ("bar,x", "{path}:3: invalid literal for int() with base 10: 'x'"),
+        ("bar,0", "corpus hashtag 'bar': count must be >= 1, not 0"),
+        ("foo,5", "corpus hashtag 'foo' appears more than once"),
     ],
-    ids=["hashtag", "count"],
+    ids=["hashtag", "count", "zero-count", "repeated"],
 )
 def test_analyze_report_locates_a_bad_corpus_line(capsys, tmp_path, line, message):
     corpus_path = tmp_path / "tags.csv"
