@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -95,11 +96,7 @@ def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceT
     """
     if not (entropy >= 0 and 0 < rate < math.inf) or cores < 1:  # a NaN fails both comparisons
         raise ValueError("entropy, rate, and cores must be positive, and the rate finite")
-    try:
-        space = 2.0**entropy
-    except OverflowError:
-        space = math.inf
-    full = space / (rate * cores)
+    full = (2.0**entropy if entropy < sys.float_info.max_exp else math.inf) / (rate * cores)
     return BruteForceTime(full, full / 2.0)
 
 

@@ -241,10 +241,7 @@ class ScenarioScript:
 
 
 def _typed(value, name: str, *json_types: type):
-    """``value``, refused as a ValueError unless its type is exactly one of ``json_types``.
-
-    Exactly, so that a JSON true or false is not taken for a number.
-    """
+    """``value`` if its type is exactly one of ``json_types`` (so true is no number), else a ValueError."""
     if type(value) not in json_types:
         raise ValueError(f"scenario script field {name!r} has the wrong JSON type ({type(value).__name__})")
     return value
