@@ -133,7 +133,7 @@ def bandwidth_budget(total_rate: float, k: int, link_bits_per_second: float, mes
     """Per-short-tag rate under a uniform split, and what a link carries."""
     if not MIN_K <= k <= MAX_K:
         raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
-    if total_rate < 0 or link_bits_per_second <= 0 or message_bits <= 0:
+    if not (total_rate >= 0 and link_bits_per_second > 0 and message_bits > 0):  # a NaN fails too
         raise ValueError("rates and sizes must be positive")
     per_tag = total_rate / 2.0**k
     return BandwidthBudget(per_tag, per_tag * 60.0, link_bits_per_second / message_bits)
@@ -149,7 +149,8 @@ class Corpus:
         names = [name for name, _ in self.entries]
         if len(set(names)) != len(names):
             seen = Counter(names)
-            raise ValueError(f"corpus hashtag {next(name for name in names if seen[name] > 1)!r} appears more than once")
+            repeated = next(name for name in names if seen[name] > 1)
+            raise ValueError(f"corpus hashtag {repeated!r} appears more than once")
         for name, count in self.entries:
             if count < 1:
                 raise ValueError(f"corpus hashtag {name!r}: count must be >= 1, not {count}")

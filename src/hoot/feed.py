@@ -188,8 +188,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.messages < 0 or self.replays < 0:
             raise ValueError("message and replay counts must be >= 0")
-        if self.rate <= 0:
-            raise ValueError("posting rate must be positive")
+        if not 0 < self.rate < float("inf"):  # a NaN fails too
+            raise ValueError("posting rate must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -414,8 +414,9 @@ def _counter_suffixes(blocks: int) -> tuple[bytes, ...]:
 
 def _keystream(ecb, prefix: bytes, data: bytes) -> bytes:
     """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||0, prefix||1, ..."""
-    stream = ecb.update(prefix.join(_counter_suffixes(-(-len(data) // 16))))
-    return (int.from_bytes(data, "big") ^ int.from_bytes(stream[: len(data)], "big")).to_bytes(len(data), "big")
+    n = len(data)
+    stream = ecb.update(prefix.join(_counter_suffixes((n + 15) // 16)))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def _mac(key: bytes, data: bytes) -> bytes:
@@ -477,10 +478,10 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
         if short_tag != material.short_tag:
             continue
         block = hoot.key_blocks[position]
-        keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])
-        k_enc, k_mac = keys[:SESSION_KEY_BYTES], keys[SESSION_KEY_BYTES:]
-        if hmac.compare_digest(_mac(k_mac, hoot.ciphertext), hoot.mac):
-            return _keystream(Cipher(algorithms.AES(k_enc), _ECB).encryptor(), bytes(8), hoot.ciphertext)
+        keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])  # k_enc || k_mac
+        if hmac.compare_digest(_mac(keys[SESSION_KEY_BYTES:], hoot.ciphertext), hoot.mac):
+            ecb = Cipher(algorithms.AES(keys[:SESSION_KEY_BYTES]), _ECB).encryptor()
+            return _keystream(ecb, bytes(8), hoot.ciphertext)
     return None
 
 

@@ -139,6 +139,9 @@ def test_bandwidth_zero_rate():
     for k in (0, 65):
         with pytest.raises(ValueError):
             bandwidth_budget(1, k, 1, 1)
+    for rates in ((math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan)):
+        with pytest.raises(ValueError):
+            bandwidth_budget(rates[0], 18, *rates[1:])
 
 
 def test_corpus_validation_and_io(tmp_path):

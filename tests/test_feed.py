@@ -228,8 +228,9 @@ def test_script_validation():
         ScenarioScript(groups=(GroupSpec("a", PlainTag("t1"), 1),), target_group="ghost")
     with pytest.raises(ValueError):
         load_scenario(json.dumps({"groups": [], "policy": [{"type": "mystery"}]}))
-    with pytest.raises(ValueError):
-        GroupSpec("a", PlainTag("t"), messages=1, rate=0.0)
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GroupSpec("a", PlainTag("t"), messages=1, rate=rate)
 
 
 def test_rule_tag_from_token():
