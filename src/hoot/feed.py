@@ -249,7 +249,7 @@ def _typed(value, name: str, *json_types: type):
 
 def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     if "short_tag" in raw:
-        return wire.decode_short_tag(str(raw["short_tag"]).lstrip("#"), k)
+        return wire.decode_short_tag(_typed(raw["short_tag"], "short_tag", str).lstrip("#"), k)
     if "plain_tag" in raw:
         return derive_tag_material(PlainTag(_typed(raw["plain_tag"], "plain_tag", str)), kdf, k).short_tag
     raise ValueError(f"rule {raw!r} names no tag (use 'short_tag' or 'plain_tag')")
@@ -281,7 +281,7 @@ def load_scenario(source: str | dict) -> ScenarioScript:
         k = _typed(raw.get("k", 24), "k", int)
         groups = tuple(
             GroupSpec(
-                name=g["name"],
+                name=_typed(g["name"], "name", str),
                 plain_tag=PlainTag(_typed(g["plain_tag"], "plain_tag", str)),
                 messages=_typed(g["messages"], "messages", int),
                 rate=float(_typed(g.get("rate", 1.0), "rate", int, float)),
@@ -295,7 +295,7 @@ def load_scenario(source: str | dict) -> ScenarioScript:
             if kind == "block-short-tag":
                 rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
             elif kind == "block-sender":
-                rules.append(BlockSender(entry["sender"]))
+                rules.append(BlockSender(_typed(entry["sender"], "sender", str)))
             elif kind == "whitelist-short-tag":
                 texts = _typed(entry.get("known_plain_tags", []), "known_plain_tags", list)
                 known = tuple(PlainTag(_typed(text, "known_plain_tags", str)) for text in texts)
@@ -309,7 +309,7 @@ def load_scenario(source: str | dict) -> ScenarioScript:
             k=k,
             kdf=kdf,
             glyph_budget=_typed(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET), "glyph_budget", int),
-            target_group=raw.get("target_group"),
+            target_group=_typed(raw.get("target_group"), "target_group", str, type(None)),
         )
     except KeyError as exc:
         raise ValueError(f"scenario script lacks the field {exc}") from exc

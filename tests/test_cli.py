@@ -282,9 +282,19 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
                 ({"messages": "5"}, "messages", "str"),
                 ({"replays": 1.5}, "replays", "float"),
                 ({"rate": True}, "rate", "bool"),
+                ({"name": 5}, "name", "int"),
             ]
         ),
         ({"k": 12.9, "groups": []}, "scenario script field 'k' has the wrong JSON type (float)"),
+        ({"groups": [], "target_group": ["g"]}, "scenario script field 'target_group' has the wrong JSON type (list)"),
+        (
+            {"groups": [], "policy": [{"type": "block-sender", "sender": ["x"]}]},
+            "scenario script field 'sender' has the wrong JSON type (list)",
+        ),
+        (
+            {"groups": [], "policy": [{"type": "block-short-tag", "short_tag": 12}]},
+            "scenario script field 'short_tag' has the wrong JSON type (int)",
+        ),
         *(
             (
                 {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": known}]},
@@ -295,7 +305,8 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
     ],
     ids=[
         "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "known-tags",
-        "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "k-float",
+        "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "name-int", "k-float",
+        "target-group-list", "sender-list", "short-tag-int",
         "known-tags-str", "known-tags-object", "known-tags-member",
     ],
 )
