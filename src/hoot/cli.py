@@ -183,7 +183,7 @@ def cmd_collide(args) -> int:
         kdf=kdf,
         seed=args.seed or 0,
     )
-    result = collider.find_tag_sharded(spec, len(os.sched_getaffinity(0)))
+    result = collider.find_tag(spec)
     for plain, short in result.matches:
         print(f"{plain.text}\t#{wire.encode_short_tag(short)}")
     rate = result.candidates_tried / result.elapsed if result.elapsed else 0.0

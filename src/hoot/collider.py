@@ -6,11 +6,12 @@ those whose derived short tag equals the target's. Exhaustive mode
 scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
-started. A sharded search returns exactly the serial result: a large
-exhaustive one runs its shards in a lasting process pool, and any other
-is the serial search. Candidates
-are hashed a step at a time with ``tagcrypt.short_tags``, which hashes
-with hashlib. Only first-n steps use numpy: a uint64 Feistel
+started. ``find_tag`` spreads a large fast-hash search over the cores:
+it searches position ranges in a lasting process pool and merges them
+in visit order, so its result is the serial search's. Candidates are
+hashed a step at a time with hashlib, and
+``tagcrypt.short_tag_positions`` finds a step's matches with one byte
+scan of the joined digests. Only first-n steps use numpy: a uint64 Feistel
 permutation of the step's positions, then one byte buffer of their
 tags. numpy loads when a first-n search starts, so importing hoot or
 running an exhaustive search never loads it. Positions are uint64, so
@@ -20,10 +21,12 @@ a space holds at most 2^64 candidates.
 from __future__ import annotations
 
 import atexit
+import collections
 import itertools
 import logging
 import os
 import string
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -35,6 +38,7 @@ from .tagcrypt import (
     KdfMode,
     PlainTag,
     ShortTag,
+    short_tag_positions,
     short_tags,
 )
 
@@ -44,7 +48,9 @@ ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 _MASK64 = (1 << 64) - 1
 FAST_HASH_STEP = 1 << 12  # candidates per fast-hash step, few enough that first-n hashes little past its last match
-_workers = None  # the shard pool, started on the first fan-out and kept for the life of the process
+_FAN_OUT_STEPS = 4  # steps per core a search is expected to hash before the pool pays for its round trips
+_workers = None  # the process pool, started on the first fan-out and kept for the life of the process
+_workers_lock = threading.Lock()
 
 
 class SearchMode(Enum):
@@ -57,7 +63,8 @@ class SearchSpec:
     """One collision search over ``prefix + alphabet^suffix_length``.
 
     ``start``/``stop`` bound the visit positions (not candidate values),
-    so a sharded first-n search still follows one global random order.
+    so each range of a fanned-out first-n search follows the one global
+    random order.
     """
 
     prefix: str
@@ -182,41 +189,125 @@ def _steps(spec: SearchSpec, step: int):
     return iter(lambda: list(itertools.islice(tags, step)), [])
 
 
-def find_tag(spec: SearchSpec) -> SearchResult:
-    """Run one search shard to completion.
+def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
+    """Merge consecutive pieces of the spec's visit order into its matches and candidates tried.
 
-    Exhaustive mode returns every match in its position range; first-n
-    mode returns the first ``spec.count`` matches in the seeded random
-    order. Matches are (plain tag, short tag) pairs, independently
-    recomputable from the KDF.
+    Each piece is (matches, length): its matches as (position within the
+    piece, UTF-8 plain tag), and the candidates it spans. A returned
+    match carries its position in the spec's range. First-n mode stops
+    at ``spec.count`` matches, having tried candidates up to the last one
+    taken, even when the piece holding it holds more.
+    """
+    matches, tried = [], 0
+    for hits, length in pieces:
+        if spec.mode is SearchMode.FIRST_N:
+            hits = hits[: spec.count - len(matches)]
+        matches += [(tried + position, tag) for position, tag in hits]
+        if spec.mode is SearchMode.FIRST_N and len(matches) == spec.count:
+            return matches, matches[-1][0] + 1
+        tried += length
+    return matches, tried
+
+
+def _walk(spec: SearchSpec) -> tuple[list[tuple[int, bytes]], int]:
+    """The serial search of the spec's range, a step at a time: ``_gather``'s matches and tries.
+
+    This is the pool's task for one range, and it never fans out.
+    """
+    step = FAST_HASH_STEP if spec.kdf.mode is KdfMode.FAST_HASH else 1  # memory-hard steps are single candidates
+    pieces = (
+        ([(i, batch[i]) for i in short_tag_positions(batch, spec.kdf, spec.k, spec.target.value)], len(batch))
+        for batch in _steps(spec, step)
+    )
+    return _gather(spec, pieces)
+
+
+def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int]:
+    """``_walk(spec)``'s result, from position ranges searched in the lasting process pool.
+
+    First-n mode submits one ``FAST_HASH_STEP`` per range, exhaustive
+    mode one range per core from ``partition``. Ranges are submitted in
+    visit order, at most ``cores + 2`` ahead of the one being merged, so
+    that no worker idles while the merge waits. Before returning or
+    raising, the ranges not started are cancelled and those started are
+    waited for, so that no work outlives the search.
+    """
+    global _workers
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _workers_lock:  # two threads fanning out at once start one pool between them
+        if _workers is None:
+            import multiprocessing  # on first fan-out, so that importing hoot stays cheap
+            from concurrent.futures import ProcessPoolExecutor
+
+            _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
+            atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
+        workers = _workers
+    start, stop = spec.position_range
+    if spec.mode is SearchMode.FIRST_N:
+        ranges = (
+            replace(spec, start=at, stop=min(at + FAST_HASH_STEP, stop)) for at in range(start, stop, FAST_HASH_STEP)
+        )
+    else:
+        ranges = partition(spec, cores)
+    pending = collections.deque()
+
+    def results():
+        for piece in ranges:
+            pending.append(workers.submit(_walk, piece))
+            if len(pending) == cores + 2:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        return _gather(spec, results())
+    except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
+        with _workers_lock:
+            if _workers is workers:
+                _workers = None
+        raise
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+def find_tag(spec: SearchSpec) -> SearchResult:
+    """Run one search to completion.
+
+    Exhaustive mode returns every match in the spec's position range;
+    first-n mode returns the first ``spec.count`` matches in the seeded
+    random order. Matches are (plain tag, short tag) pairs, independently
+    recomputable from the KDF. A fast-hash search on more than one core
+    that is expected to hash at least ``_FAN_OUT_STEPS`` steps per core
+    runs in the lasting process pool (``_fan_out``); any other runs in
+    this process. Either way the pieces merge in visit order, so the
+    result is the serial search's. A lock another thread held at the
+    fork stays held in a worker, but a worker takes none: it searches
+    for a resolved ``ShortTag`` through ``short_tag_positions``, never
+    the material cache or a ``TagMaterial``'s lock.
     """
     target = resolve_target(spec)
-    start, stop = spec.position_range
-    result = SearchResult()
+    spec = replace(spec, target=target)  # once, so that no range derives it again
     if spec.mode is SearchMode.FIRST_N:  # load numpy before the clock starts, so that elapsed times the search alone
         import numpy  # noqa: F401
     began = time.perf_counter()
 
-    fast = spec.kdf.mode is KdfMode.FAST_HASH
+    fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, len(os.sched_getaffinity(0))
     if not fast:
+        start, stop = spec.position_range
         log.warning(
             "searching with a non-trivial KDF: each of up to %d candidates pays the full derivation cost",
             stop - start,
         )
-
-    first_n = spec.mode is SearchMode.FIRST_N
-    for batch in _steps(spec, FAST_HASH_STEP if fast else 1):  # memory-hard steps are single candidates
-        hits = [i for i, value in enumerate(short_tags(batch, spec.kdf, spec.k)) if value == target.value]
-        if first_n:
-            hits = hits[: spec.count - len(result.matches)]
-        result.matches += [(PlainTag(batch[i].decode("utf-8")), target) for i in hits]
-        if first_n and len(result.matches) == spec.count:
-            result.candidates_tried += hits[-1] + 1
-            break
-        result.candidates_tried += len(batch)
-
-    result.elapsed = time.perf_counter() - began
-    return result
+    if fast and cores > 1 and expected_tries(spec) >= _FAN_OUT_STEPS * FAST_HASH_STEP * cores:
+        matches, tried = _fan_out(spec, cores)
+    else:
+        matches, tried = _walk(spec)
+    found = [(PlainTag(tag.decode("utf-8")), target) for _, tag in matches]
+    return SearchResult(found, tried, time.perf_counter() - began)
 
 
 def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:
@@ -233,42 +324,15 @@ def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:
     return [replace(spec, start=bounds[i], stop=bounds[i + 1]) for i in range(shards)]
 
 
-def _search(piece: SearchSpec) -> SearchResult:
-    """The pool's task: ``find_tag`` under a name that still pickles when a wrapper replaces ``find_tag``."""
-    return find_tag(piece)
-
-
 def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
-    """Run a search as ``partition(spec, shards)`` and merge the results.
+    """``find_tag(spec)``, for callers that name a shard count; ``shards`` must be at least 1.
 
-    An exhaustive search with more than one shard, more than one core and
-    ``FAST_HASH_STEP`` or more candidates per shard runs its shards in a
-    pool of forked workers, one per core, and merges them in position
-    order. Any other search is ``find_tag(spec)``, so the result is
-    ``find_tag(spec)``'s either way. A lock another thread held at the
-    fork stays held in a worker, but a worker takes none: it searches for
-    a resolved ``ShortTag`` through ``short_tags``, never the material
-    cache or a ``TagMaterial``'s lock.
+    ``find_tag`` picks its own position ranges, so the count changes
+    nothing else.
     """
-    global _workers
-    spec = replace(spec, target=resolve_target(spec))  # once, so that no shard derives it again
-    pieces, cores = partition(spec, shards), len(os.sched_getaffinity(0))
-    if spec.mode is SearchMode.FIRST_N or min(shards, cores) < 2 or expected_tries(spec) // shards < FAST_HASH_STEP:
-        return find_tag(spec)
-    began = time.perf_counter()
-    import multiprocessing  # on first fan-out, so that importing hoot stays cheap
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    if _workers is None:
-        _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
-        atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
-    try:
-        outcomes = list(_workers.map(_search, pieces))
-    except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
-        _workers = None
-        raise
-    matches = [match for outcome in outcomes for match in outcome.matches]
-    return SearchResult(matches, sum(outcome.candidates_tried for outcome in outcomes), time.perf_counter() - began)
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    return find_tag(spec)
 
 
 def expected_tries(spec: SearchSpec) -> int:

@@ -6,7 +6,9 @@ tag; the first k bits become the short tag (the public, searchable group
 identifier, deliberately collision-prone) and the next 128 bits become
 the tag key. A fast-hash short tag is the leading k bits of SHA-1 at any
 output_bits; ``short_tags`` is the batched form, one hashlib call per
-tag and one unpack of the joined digests. Each sealed message
+tag and one unpack of the joined digests, and ``short_tag_positions``
+finds one short tag in a batch with a byte scan of the joined digests
+in place of the unpack. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
 addressed group, a MAC over the ciphertext, and the ciphertext itself:
 
@@ -40,7 +42,8 @@ Tag material is memoized per (plain tag, KDF config, k) in one bounded
 least-recently-used cache of the last 64, fast hash and memory-hard
 alike, so repeat callers share one TagMaterial and its AES context.
 The cache lives in the process, so a fresh process pays scrypt again.
-``short_tags`` bypasses it, so a search evicts no subscriber's material.
+``short_tags`` and ``short_tag_positions`` bypass it, so a search evicts
+no subscriber's material.
 
 scrypt releases the interpreter lock, so ``derive_tag_materials``
 derives a batch of memory-hard tags in lanes, as ``hoot simulate`` does
@@ -405,6 +408,31 @@ def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     sha1, shift = hashlib.sha1, 64 - k
     digests = b"".join([sha1(tag).digest() for tag in plain_tags])
     return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]
+
+
+def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: int) -> list[int]:
+    """The positions i, in order, of the UTF-8 plain tags whose k-bit short tag is ``value``.
+
+    Equal to ``[i for i, v in enumerate(short_tags(plain_tags, cfg, k)) if v == value]``,
+    and k is checked first. A fast-hash batch is scanned in C: one
+    ``translate`` marks each digest whose first byte agrees with the
+    value's leading min(k, 8) bits, and only the marked digests are read
+    further.
+    """
+    _check_k(_long_tag_bits(cfg), k)
+    if cfg.mode is KdfMode.MEMORY_HARD:
+        return [i for i, tag_value in enumerate(short_tags(plain_tags, cfg, k)) if tag_value == value]
+    sha1, shift = hashlib.sha1, 64 - k
+    digests = b"".join([sha1(tag).digest() for tag in plain_tags])
+    spread = 1 << (8 - min(k, 8))  # first bytes that share the value's leading bits run from low to low + spread
+    low = (value << shift >> 56) & 0xFF  # a value outside k bits marks bytes no confirmation passes
+    marks = digests[::20].translate(bytes(low) + b"\x01" * spread + bytes(256 - low - spread))
+    positions, at = [], marks.find(1)
+    while at >= 0:
+        if _LEADING64.unpack_from(digests, 20 * at)[0] >> shift == value:
+            positions.append(at)
+        at = marks.find(1, at + 1)
+    return positions
 
 
 @functools.lru_cache(maxsize=8)  # holds every block count of a wire line's body and of a key block

@@ -1,20 +1,24 @@
 """Collision search: oracle equivalence, sharding, random order."""
 
 import contextlib
+import functools
 import hashlib
+import itertools
 import logging
 import multiprocessing
 import os
 import signal
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import threading
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoot import collider
 from hoot.collider import (
     ALPHANUMERIC,
     FAST_HASH_STEP,
@@ -240,6 +244,102 @@ def test_a_killed_worker_fails_one_call_and_the_next_starts_a_new_pool():
     with pytest.raises(BrokenProcessPool):
         find_tag_sharded(POOLED, 2)
     assert find_tag_sharded(POOLED, 2).matches == serial.matches
+
+
+@functools.cache
+def pooled_space() -> tuple[list[str], np.ndarray]:
+    """POOLED's candidates by index, and the leading 64 bits of each one's SHA-1, hashed with hashlib."""
+    texts = ["pool-" + "".join(glyphs) for glyphs in itertools.product(ALPHANUMERIC, repeat=3)]
+    leading = [int.from_bytes(hashlib.sha1(text.encode()).digest()[:8], "big") for text in texts]
+    return texts, np.array(leading, np.uint64)
+
+
+def first_n_walk(seed: int, count: int, k: int, value: int) -> tuple[list[str], int]:
+    """The first ``count`` matches of POOLED's space in the seeded visit order, and the candidates tried to reach them."""
+    texts, leading = pooled_space()
+    order = np.array(visits(POOLED.space_size, seed, 0, POOLED.space_size), np.uint64)
+    hits = np.flatnonzero(leading[order] >> np.uint64(64 - k) == value)[:count].tolist()
+    matches = [texts[index] for index in order[hits].tolist()]
+    return matches, hits[-1] + 1 if len(hits) == count else POOLED.space_size
+
+
+@contextlib.contextmanager
+def submitted_ranges():
+    """Record the future of every range submitted to the process pool while the context is open."""
+    futures = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(pool, *args, **kwargs):
+        futures.append(submit(pool, *args, **kwargs))
+        return futures[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProcessPoolExecutor, "submit", recording)
+        yield futures
+
+
+@needs_cores
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), count=st.integers(1, 4), k=st.integers(6, 16), value=st.integers(0, 2**16 - 1))
+@example(seed=9, count=1, k=6, value=5)  # every step holds many matches, more than are still needed
+@example(seed=1, count=2, k=16, value=0x5A5A)
+def test_pooled_first_n_equals_a_hashlib_walk_of_the_visit_order(seed, count, k, value):
+    value %= 1 << k
+    spec = replace(POOLED, target=ShortTag(value, k), k=k, mode=SearchMode.FIRST_N, count=count, seed=seed)
+    texts, tried = first_n_walk(seed, count, k, value)
+    with pytest.MonkeyPatch.context() as patch, submitted_ranges() as futures:
+        patch.setattr(collider, "_FAN_OUT_STEPS", 0)  # so that a search expected to stop within a step fans out too
+        result = find_tag(spec)
+    assert futures
+    assert [m[0].text for m in result.matches] == texts
+    assert result.candidates_tried == tried
+
+
+@needs_cores
+@pytest.mark.parametrize("found", [0, 1, 3])
+def test_a_pooled_first_n_search_short_of_count_tries_the_whole_space(found):
+    # a 16-bit value with exactly `found` matches among the 238,328 candidates, searched for four of them
+    leading = (pooled_space()[1] >> np.uint64(48)).astype(np.int64)
+    value = int(np.flatnonzero(np.bincount(leading, minlength=1 << 16) == found)[0])
+    spec = replace(POOLED, target=ShortTag(value, 16), k=16, mode=SearchMode.FIRST_N, count=4, seed=7)
+    with submitted_ranges() as futures:
+        result = find_tag(spec)
+    assert len(futures) == -(-POOLED.space_size // FAST_HASH_STEP)
+    assert [m[0].text for m in result.matches] == first_n_walk(7, 4, 16, value)[0]
+    assert len(result.matches) == found and result.candidates_tried == POOLED.space_size
+
+
+@needs_cores
+def test_a_first_n_search_leaves_no_range_running_when_it_returns():
+    spec = replace(POOLED, target=PlainTag("popular-topic"), k=16, mode=SearchMode.FIRST_N, count=1, seed=3)
+    with submitted_ranges() as futures:
+        result = find_tag(spec)
+    # ranges past the one holding the match were in flight when it was merged, at most CORES + 2 in all
+    merged = result.candidates_tried // FAST_HASH_STEP + 1
+    assert len(result.matches) == 1 and merged < len(futures) <= merged + CORES + 1
+    assert all(future.done() for future in futures)
+
+
+@needs_cores
+def test_two_threads_fanning_out_at_once_start_one_pool():
+    if collider._workers is not None:
+        collider._workers.shutdown()
+        collider._workers = None
+    barrier, results = threading.Barrier(2), []
+
+    def search():
+        barrier.wait(timeout=30)
+        results.append(find_tag(POOLED))
+
+    threads = [threading.Thread(target=search) for _ in range(2)]
+    with fast_thread_switching():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 2 and results[0].matches == results[1].matches and len(results[0].matches) > 100
+    assert len(multiprocessing.active_children()) == CORES
 
 
 def test_partition_is_disjoint_and_covering():

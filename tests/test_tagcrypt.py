@@ -39,6 +39,7 @@ from hoot.tagcrypt import (
     open_hoot,
     open_with_material,
     seal,
+    short_tag_positions,
     short_tags,
     split_tag,
 )
@@ -287,6 +288,40 @@ def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
     assert short_tags(tags, cfg, k) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(_plain_texts, max_size=40),
+    k=st.integers(1, 64),
+    cfg=st.sampled_from([KdfConfig(output_bits=160), KdfConfig(output_bits=256), _TINY_SCRYPT]),
+    pick=st.one_of(st.sampled_from(["zero", "ones"]), st.integers(0, 2**64 - 1), st.tuples(st.just("of"), st.integers(0, 99))),
+)
+@example([], 8, FAST_KDF, "zero")
+@example(["a"], 1, FAST_KDF, ("of", 0))
+@example(["ä€𝄞"], 64, KdfConfig(output_bits=256), ("of", 0))
+@example(["a", "ä€𝄞", "é" * 128, "x" * 256, "b"], 7, FAST_KDF, ("of", 3))
+@example([f"step-{i}" for i in range(4096)], 8, FAST_KDF, ("of", 11))
+@example([f"step-{i}" for i in range(4096)], 3, FAST_KDF, "ones")
+@example([f"step-{i}" for i in range(4096)], 12, KdfConfig(output_bits=256), ("of", 4095))
+@example(["grp", "ä€𝄞", "grp"], 5, _TINY_SCRYPT, ("of", 0))
+def test_short_tag_positions_equal_the_short_tags_filter(texts, k, cfg, pick):
+    tags = [text.encode("utf-8") for text in texts]
+    try:
+        values = short_tags(tags, cfg, k)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            short_tag_positions(tags, cfg, k, 0)
+        return
+    if pick == "zero":
+        value = 0
+    elif pick == "ones":
+        value = (1 << k) - 1
+    elif isinstance(pick, int):
+        value = pick >> (64 - k)
+    else:
+        value = values[pick[1] % len(values)] if values else 0
+    assert short_tag_positions(tags, cfg, k, value) == [i for i, v in enumerate(values) if v == value]
+
+
 def test_short_tags_check_k_before_hashing():
     for cfg, k, message in [
         (KdfConfig(output_bits=160), 64, "long tag has 160 bits; k=64 needs 192"),
@@ -296,6 +331,8 @@ def test_short_tags_check_k_before_hashing():
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             short_tags([], cfg, k)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            short_tag_positions([], cfg, k, 0)
         with pytest.raises(ValueError, match=re.escape(message)):
             split_tag(derive_long_tag(PlainTag("t"), cfg), k)
 
