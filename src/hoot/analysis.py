@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PlainTagError
-from .tagcrypt import FAST_KDF, KdfConfig, MAX_K, MIN_K, ShortTag, encode_plain_tags, short_tags
+from .tagcrypt import FAST_KDF, KdfConfig, MAX_K, MIN_K, ShortTag, _unchecked, encode_plain_tags, short_tags
 from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -310,8 +310,10 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
     assert sum(map(itemgetter(0), rows)) == total
     return AnonymityReport(
         k=k,
+        # short_tags checked k and encode_short_tags that every value fits in k bits
         buckets=tuple([
-            TagBucket(ShortTag(value, k), token, members, volume)
+            _unchecked(TagBucket, short_tag=_unchecked(ShortTag, value=value, k=k), token=token, members=members,
+                       volume=volume)
             for volume, token, value, members in rows[:top_buckets]
         ]),
         bucket_count=len(rows),

@@ -24,10 +24,13 @@ addressed group, a MAC over the ciphertext, and the ciphertext itself:
 Opening a candidate message checks the MAC before touching the message
 ciphertext; a MAC mismatch is the normal signal that the message
 belongs to a different group colliding on the same short tag. The MAC
-is RFC 2104's HMAC, with k_mac zero-padded to SHA-1's 64-byte block
-and ipad and opad the bytes 0x36 and 0x5c repeated over it, computed as
-those two ``hashlib`` SHA-1 calls, which for a 16-byte key and a
-short ciphertext cost less than OpenSSL's one-shot HMAC.
+is RFC 2104's HMAC, computed as its two ``hashlib`` SHA-1 calls, which
+for a 16-byte key and a short ciphertext cost less than OpenSSL's
+one-shot HMAC: k_mac is zero-padded to SHA-1's 64-byte block, and two
+256-byte ``bytes.translate`` tables XOR that block with the ipad byte
+0x36 and the opad byte 0x5c. A reject unwraps k_mac alone: it is the
+second 16-byte block of the wrapped keys, so its keystream is the one
+AES block nonce||1; k_enc's block nonce||0 is computed only on a match.
 
 The 64-bit random nonce on each key block keeps the tag key's CTR
 keystream from repeating across messages of the same group; it travels
@@ -85,14 +88,16 @@ SESSION_KEY_BYTES = 16
 MAC_BYTES = 20
 KEY_BLOCK_NONCE_BYTES = 8
 KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
+_WRAPPED_MAC_KEY = KEY_BLOCK_NONCE_BYTES + SESSION_KEY_BYTES  # where a key block's wrapped k_mac starts
 
 _ECB = modes.ECB()
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
-_IPAD = int.from_bytes(b"\x36" * _SHA1_BLOCK, "big")
-_OPAD = int.from_bytes(b"\x5c" * _SHA1_BLOCK, "big")
+# bytes.translate tables taking each key byte to itself XOR RFC 2104's ipad and opad bytes
+_XOR_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_XOR_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -296,6 +301,17 @@ class Hoot:
             raise ValueError(f"mac is {MAC_BYTES} bytes")
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` instance holding ``fields``, built without ``__init__``, so ``__post_init__`` checks nothing.
+
+    Only for a caller that has itself established every check: ``wire.parse``
+    for its Hoot, and ``analysis.anonymity_report`` for its buckets.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def _expand_digest(digest: bytes, nbytes: int) -> bytes:
     """Deterministic expansion keyed by the digest, digest-prefixed."""
     out = bytearray(digest)
@@ -435,15 +451,15 @@ def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: 
     return positions
 
 
-@functools.lru_cache(maxsize=8)  # holds every block count of a wire line's body and of a key block
-def _counter_suffixes(blocks: int) -> tuple[bytes, ...]:
-    return (b"", *(i.to_bytes(8, "big") for i in range(blocks)))
+@functools.lru_cache(maxsize=8)  # holds every counter range of a wire line's body and of a key block
+def _counter_suffixes(first: int, blocks: int) -> tuple[bytes, ...]:
+    return (b"", *(i.to_bytes(8, "big") for i in range(first, first + blocks)))
 
 
-def _keystream(ecb, prefix: bytes, data: bytes) -> bytes:
-    """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||0, prefix||1, ..."""
+def _keystream(ecb, prefix: bytes, data: bytes, first: int = 0) -> bytes:
+    """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||first, prefix||first+1..."""
     n = len(data)
-    stream = ecb.update(prefix.join(_counter_suffixes((n + 15) // 16)))
+    stream = ecb.update(prefix.join(_counter_suffixes(first, (n + 15) // 16)))
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
@@ -451,9 +467,9 @@ def _mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA1(key, data) per RFC 2104, as two SHA-1 calls."""
     if len(key) > _SHA1_BLOCK:
         key = hashlib.sha1(key).digest()
-    block = int.from_bytes(key.ljust(_SHA1_BLOCK, b"\0"), "big")
-    inner = hashlib.sha1((block ^ _IPAD).to_bytes(_SHA1_BLOCK, "big") + data).digest()
-    return hashlib.sha1((block ^ _OPAD).to_bytes(_SHA1_BLOCK, "big") + inner).digest()
+    block = key.ljust(_SHA1_BLOCK, b"\0")
+    inner = hashlib.sha1(block.translate(_XOR_IPAD) + data).digest()
+    return hashlib.sha1(block.translate(_XOR_OPAD) + inner).digest()
 
 
 def _random_bytes(rng, n: int) -> bytes:
@@ -500,16 +516,22 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
 
     Returns the message bytes on a MAC match, else None. The MAC check
     runs before any message decryption, so rejecting cover traffic from
-    colliding groups never touches the message ciphertext.
+    colliding groups never touches the message ciphertext, and unwraps
+    only k_mac: k_enc is unwrapped on a match.
     """
     for position, short_tag in enumerate(hoot.short_tags):
         if short_tag != material.short_tag:
             continue
+        # wrap's length checks hold in every Hoot: nonce || wrapped k_enc || wrapped k_mac, 40 bytes
         block = hoot.key_blocks[position]
-        keys = material.wrap(block[:KEY_BLOCK_NONCE_BYTES], block[KEY_BLOCK_NONCE_BYTES:])  # k_enc || k_mac
-        if hmac.compare_digest(_mac(keys[SESSION_KEY_BYTES:], hoot.ciphertext), hoot.mac):
-            ecb = Cipher(algorithms.AES(keys[:SESSION_KEY_BYTES]), _ECB).encryptor()
-            return _keystream(ecb, bytes(8), hoot.ciphertext)
+        nonce = block[:KEY_BLOCK_NONCE_BYTES]
+        ecb, lock = material._ecb
+        with lock:
+            k_mac = _keystream(ecb, nonce, block[_WRAPPED_MAC_KEY:], 1)  # the second CTR block
+        if hmac.compare_digest(_mac(k_mac, hoot.ciphertext), hoot.mac):
+            with lock:
+                k_enc = _keystream(ecb, nonce, block[KEY_BLOCK_NONCE_BYTES:_WRAPPED_MAC_KEY])
+            return _keystream(Cipher(algorithms.AES(k_enc), _ECB).encryptor(), bytes(8), hoot.ciphertext)
     return None
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import base64
 import binascii
 import functools
+import struct
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, ParseError
@@ -39,6 +40,7 @@ from .tagcrypt import (
     MIN_K,
     Hoot,
     ShortTag,
+    _unchecked,
     seal,
 )
 
@@ -191,6 +193,12 @@ def encode(hoot: Hoot, params: WireParams = DEFAULT_PARAMS) -> str:
     return tokens + " " + payload
 
 
+@functools.lru_cache(maxsize=8)
+def _key_blocks(n_tags: int) -> struct.Struct:
+    """Unpacks the leading ``n_tags`` 40-byte key blocks of a payload body as a tuple."""
+    return struct.Struct(f"{KEY_BLOCK_BYTES}s" * n_tags)
+
+
 def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     """Parse a wire line back into a hoot.
 
@@ -245,10 +253,11 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
             f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {fixed}",
             kind="payload-length",
         )
-    blocks = tuple([body[at : at + KEY_BLOCK_BYTES] for at in range(0, fixed - MAC_BYTES, KEY_BLOCK_BYTES)])
+    blocks = _key_blocks(len(tags)).unpack_from(body)
     mac = body[fixed - MAC_BYTES : fixed]
     ciphertext = body[fixed:]
-    return Hoot(tuple(tags), blocks, mac, ciphertext)
+    # Hoot's checks hold already: a tag or more, one 40-byte block per tag, a 20-byte MAC
+    return _unchecked(Hoot, short_tags=tuple(tags), key_blocks=blocks, mac=mac, ciphertext=ciphertext)
 
 
 def seal_to_wire(

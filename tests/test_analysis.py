@@ -232,6 +232,21 @@ def test_anonymity_report_over_a_full_step_equals_per_tag_bucketing():
     assert any(len(b.members) > 1 for b in report.buckets)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    names=st.lists(st.text("ab-1é", min_size=1, max_size=5), min_size=1, max_size=40, unique=True),
+    k=st.integers(1, 64),
+    top=st.none() | st.integers(0, 5),
+)
+def test_report_buckets_equal_the_checked_constructions(names, k, top):
+    corpus = Corpus(tuple((name, 1 + len(name) % 3) for name in names))
+    report = anonymity_report(corpus, k, KdfConfig(output_bits=max(160, k + 128)), top_buckets=top)
+    for bucket in report.buckets:
+        checked = TagBucket(ShortTag(bucket.short_tag.value, k), bucket.token, bucket.members, bucket.volume)
+        assert type(bucket) is TagBucket and type(bucket.short_tag) is ShortTag
+        assert bucket == checked and hash(bucket) == hash(checked) and repr(bucket) == repr(checked)
+
+
 def test_anonymity_report_refuses_a_kdf_too_narrow_for_k():
     corpus = Corpus((("one", 5), ("two", 2)))
     with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):

@@ -43,7 +43,7 @@ from hoot.tagcrypt import (
     short_tags,
     split_tag,
 )
-from hoot.wire import WireParams, seal_to_wire
+from hoot.wire import DEFAULT_PARAMS, WireParams, capacity, seal_to_wire
 
 # Published SHA-1 test vectors.
 SHA1_VECTORS = {
@@ -645,12 +645,33 @@ def test_seal_derives_a_hoots_new_memory_hard_tags_in_lanes(scrypt_calls, monkey
     assert started == []
 
 
+# RFC 2202's HMAC-SHA1 test cases 1-7, (key, data) to digest; cases 6 and 7 have keys longer than a block
+RFC_2202 = {
+    (b"\x0b" * 20, b"Hi There"): "b617318655057264e28bc0b6fb378c8ef146be00",
+    (b"Jefe", b"what do ya want for nothing?"): "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+    (b"\xaa" * 20, b"\xdd" * 50): "125d7342b9ac11cd91a39af48aa17b4f63f175d3",
+    (bytes(range(1, 26)), b"\xcd" * 50): "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+    (b"\x0c" * 20, b"Test With Truncation"): "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04",
+    (b"\xaa" * 80, b"Test Using Larger Than Block-Size Key - Hash Key First"): "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+    (b"\xaa" * 80, b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"):
+        "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(key=st.binary(max_size=64) | st.binary(min_size=65, max_size=130), data=st.binary(max_size=300))
 @example(key=b"\x0b" * 20, data=b"Hi There")  # RFC 2202, HMAC-SHA1 test case 1
+@example(key=b"Jefe", data=b"what do ya want for nothing?")  # case 2
+@example(key=b"\xaa" * 20, data=b"\xdd" * 50)  # case 3
+@example(key=bytes(range(1, 26)), data=b"\xcd" * 50)  # case 4
+@example(key=b"\x0c" * 20, data=b"Test With Truncation")  # case 5
+@example(key=b"\xaa" * 80, data=b"Test Using Larger Than Block-Size Key - Hash Key First")  # case 6
+@example(key=b"\xaa" * 80, data=b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data")  # case 7
 @example(key=bytes(65), data=b"")  # longer than a block, so HMAC hashes it first
 def test_mac_is_hmac_sha1(key, data):
-    assert tagcrypt._mac(key, data) == hmac.digest(key, data, "sha1")
+    mac = tagcrypt._mac(key, data)
+    assert mac == hmac.digest(key, data, "sha1")
+    assert mac.hex() == RFC_2202.get((key, data), mac.hex())
 
 
 def test_tag_material_is_cached_with_its_context(scrypt_calls):
@@ -695,6 +716,51 @@ def test_seal_body_equals_aes_ctr_from_zero_counter(message, seed):
     hoot = seal(message, [tag], rng=random.Random(seed))
     assert hoot.ciphertext == _reference_ctr(k_enc, bytes(8), message)
     assert open_with_material(hoot, derive_tag_material(tag)) == message
+
+
+OPEN_OWN = TagMaterial(ShortTag(0xC0FFEE, 24), bytes(range(16)))
+OPEN_FOREIGN = TagMaterial(OPEN_OWN.short_tag, b"\x5a" * 16)  # our short tag under another group's tag key
+OPEN_OTHER = TagMaterial(ShortTag(7, 24), b"\xa5" * 16)
+ONE_TAG_CAPACITY = capacity(DEFAULT_PARAMS, 1)
+
+
+def reference_hoot(message: bytes, keys: bytes, nonces: list[bytes], materials: list[TagMaterial]) -> Hoot:
+    """A hoot sealed from the public wrap, hmac.digest and cryptography's AES-CTR alone; keys = k_enc || k_mac."""
+    ciphertext = _reference_ctr(keys[:16], bytes(8), message)
+    blocks = tuple(nonce + material.wrap(nonce, keys) for nonce, material in zip(nonces, materials))
+    return Hoot(tuple(material.short_tag for material in materials), blocks, hmac.digest(keys[16:], ciphertext, "sha1"), ciphertext)
+
+
+def reference_open(hoot: Hoot, material: TagMaterial) -> bytes | None:
+    """Unwrap both session keys with the public wrap, check the MAC with hmac.digest, decrypt with AES-CTR."""
+    for short_tag, block in zip(hoot.short_tags, hoot.key_blocks):
+        if short_tag == material.short_tag:
+            keys = material.wrap(block[:8], block[8:])
+            if hmac.compare_digest(hmac.digest(keys[16:], hoot.ciphertext, "sha1"), hoot.mac):
+                return _reference_ctr(keys[:16], bytes(8), hoot.ciphertext)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    message=st.binary(max_size=ONE_TAG_CAPACITY),
+    keys=st.binary(min_size=32, max_size=32),
+    nonces=st.lists(st.binary(min_size=8, max_size=8), min_size=2, max_size=2),
+    senders=st.sampled_from([(OPEN_OWN,), (OPEN_FOREIGN,), (OPEN_OTHER, OPEN_OWN), (OPEN_OWN, OPEN_OTHER)]),
+)
+@example(message=b"", keys=bytes(32), nonces=[b"\xff" * 8] * 2, senders=(OPEN_OWN,))
+@example(message=b"\xff" * ONE_TAG_CAPACITY, keys=b"\xff" * 32, nonces=[b"\xff" * 8] * 2, senders=(OPEN_OWN,))
+@example(message=b"", keys=bytes(32), nonces=[b"\xff" * 8] * 2, senders=(OPEN_FOREIGN,))
+@example(message=bytes(ONE_TAG_CAPACITY), keys=bytes(32), nonces=[bytes(8), b"\xff" * 8], senders=(OPEN_OTHER, OPEN_OWN))
+def test_open_with_material_equals_the_reference_open(message, keys, nonces, senders):
+    hoot = reference_hoot(message, keys, nonces, list(senders))
+    for material in (OPEN_OWN, OPEN_FOREIGN, OPEN_OTHER):
+        expected = message if material in senders else None
+        assert reference_open(hoot, material) == expected
+        assert open_with_material(hoot, material) == expected
+    sealed = seal(message, [PlainTag("open-reference")], rng=random.Random(keys))
+    material = derive_tag_material(PlainTag("open-reference"))
+    assert open_with_material(sealed, material) == reference_open(sealed, material) == message
 
 
 def test_wrap_rejects_wrong_lengths():
@@ -745,7 +811,7 @@ def test_repr_hides_tag_key():
 def test_shared_material_opens_correctly_across_threads():
     # Four threads share one material, and so its cipher context, from
     # its first use on. A short switch interval makes them interleave
-    # inside wrap; 25 passes over the hoots make an overlap near certain.
+    # inside an unwrap; 25 passes over the hoots make an overlap near certain.
     tag = PlainTag("shared-across-threads")
     material = derive_tag_material(tag)
     rng = random.Random(11)

@@ -420,7 +420,11 @@ def test_parse_inverts_encode(case):
     hoot, params = case
     line = encode(hoot, params)
     assert len(line) <= params.glyph_budget
-    assert parse(line, params) == hoot
+    parsed = parse(line, params)
+    # parse skips the constructor's checks; the result is still what the checked constructor builds
+    checked = Hoot(parsed.short_tags, parsed.key_blocks, parsed.mac, parsed.ciphertext)
+    assert type(parsed) is Hoot and parsed == checked == hoot
+    assert hash(parsed) == hash(checked) and repr(parsed) == repr(checked)
 
 
 # Payload glyphs 10-31 carry body bits 60-191, and bits 64-191 are the first key block's wrapped
