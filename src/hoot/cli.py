@@ -103,16 +103,14 @@ def _wire_params(args) -> wire.WireParams:
 
 def _kdf(args) -> KdfConfig:
     """Build the KDF the flags name and log the command's effective configuration."""
-    kdf = kdf_config(args.kdf, args.kdf_work, args.kdf_memory, args.kdf_parallelism, args.kdf_output_bits)
+    kdf = kdf_config(args.kdf, args.kdf_work, args.kdf_memory, args.kdf_parallelism)
     log.info(
-        "config: k=%d kdf=%s(work=%d, memory=%d, parallelism=%d, output_bits=%d) "
-        "glyph_budget=%s seed=%s",
+        "config: k=%d kdf=%s(work=%d, memory=%d, parallelism=%d) glyph_budget=%s seed=%s",
         args.k,
         kdf.mode.value,
         kdf.work,
         kdf.memory,
         kdf.parallelism,
-        kdf.output_bits,
         getattr(args, "glyph_budget", None),
         getattr(args, "seed", None),
     )
@@ -237,6 +235,13 @@ def _require(args, *names):
         raise UsageError("missing required flag(s): " + ", ".join("--" + n for n in missing))
 
 
+def _print_brute_force(bits: float, rate: float, cores: int) -> None:
+    budget = analysis.brute_force_time(bits, rate, cores)
+    print(f"full_seconds={budget.full_seconds:.6g}")
+    print(f"expected_seconds={budget.expected_seconds:.6g}")
+    print(f"full_years={budget.full_years:.6g}")
+
+
 def cmd_analyze(args) -> int:
     if args.what == "entropy":
         if not args.component:
@@ -245,16 +250,10 @@ def cmd_analyze(args) -> int:
         bits = analysis.entropy_bits(spec)
         print(f"entropy_bits={bits:.4f}")
         if args.rate and args.cores:
-            budget = analysis.brute_force_time(bits, args.rate, args.cores)
-            print(f"full_seconds={budget.full_seconds:.6g}")
-            print(f"expected_seconds={budget.expected_seconds:.6g}")
-            print(f"full_years={budget.full_years:.6g}")
+            _print_brute_force(bits, args.rate, args.cores)
     elif args.what == "brute-force":
         _require(args, "bits", "rate")
-        budget = analysis.brute_force_time(args.bits, args.rate, args.cores)
-        print(f"full_seconds={budget.full_seconds:.6g}")
-        print(f"expected_seconds={budget.expected_seconds:.6g}")
-        print(f"full_years={budget.full_years:.6g}")
+        _print_brute_force(args.bits, args.rate, args.cores)
     elif args.what == "collision-prob":
         _require(args, "alphabet-size", "tag-glyphs", "suffix-len")
         p = analysis.collision_probability(args.alphabet_size, args.tag_glyphs, args.suffix_len)
@@ -348,7 +347,6 @@ def _add_k_and_kdf(parser: _Parser, default_kdf: str):
     parser.add_argument("--kdf-work", type=int, default=None)
     parser.add_argument("--kdf-memory", type=int, default=None)
     parser.add_argument("--kdf-parallelism", type=int, default=None)
-    parser.add_argument("--kdf-output-bits", type=int, default=None)
 
 
 def build_parser() -> _Parser:

@@ -240,6 +240,9 @@ class ScenarioScript:
         return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
 
 
+_KDF_SIZES = ("work", "memory", "parallelism")  # a script's kdf keys besides "mode"
+
+
 def _typed(value, name: str, *json_types: type):
     """``value`` if its type is exactly one of ``json_types`` (so true is no number), else a ValueError."""
     if type(value) not in json_types:
@@ -266,7 +269,9 @@ def _objects(raw: dict, name: str, default: list | None = None) -> list[dict]:
 def load_scenario(source: str | dict) -> ScenarioScript:
     """Build a script from a JSON string or an already-decoded dict.
 
-    A missing field, or a field of the wrong JSON type, is a ValueError.
+    A missing field, a field of the wrong JSON type, or a key of the
+    ``kdf`` object other than "mode" and the KdfConfig sizes is a
+    ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
@@ -274,9 +279,11 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     given = raw.get("kdf", {})
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
+    unknown = sorted(set(given) - {"mode", *_KDF_SIZES})
+    if unknown:
+        raise ValueError(f"scenario script field 'kdf' has the unknown key {unknown[0]!r}")
     try:
-        sizes = {key: _typed(given[key], key, int) for key in ("work", "memory", "parallelism", "output_bits")
-                 if given.get(key) is not None}
+        sizes = {key: _typed(given[key], key, int) for key in _KDF_SIZES if given.get(key) is not None}
         kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
         k = _typed(raw.get("k", 24), "k", int)
         groups = tuple(

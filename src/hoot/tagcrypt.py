@@ -4,9 +4,11 @@ A group's only secret is its plain tag, a short human-shareable hashtag
 string. A key derivation function stretches the plain tag into a long
 tag; the first k bits become the short tag (the public, searchable group
 identifier, deliberately collision-prone) and the next 128 bits become
-the tag key. A fast-hash short tag is the leading k bits of SHA-1 at any
-output_bits; ``short_tags`` is the batched form, one hashlib call per
-tag and one unpack of the joined digests, and ``short_tag_positions``
+the tag key. Every long tag has the k + 128 bits the largest k needs,
+and a short tag and tag key read only its leading bits. A fast-hash
+short tag is the leading k bits of SHA-1; ``short_tags`` is the batched
+form, one hashlib call per tag and one unpack of the joined digests,
+and ``short_tag_positions``
 finds one short tag in a batch with a byte scan of the joined digests
 in place of the unpack. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
@@ -82,6 +84,7 @@ MAX_PLAIN_TAG_BYTES = 256
 MIN_K = 1
 MAX_K = 64
 DEFAULT_K = 24
+LONG_TAG_BITS = MAX_K + 128  # the widest short tag and its tag key
 
 TAG_KEY_BYTES = 16
 SESSION_KEY_BYTES = 16
@@ -114,23 +117,18 @@ class KdfMode(enum.Enum):
 class KdfConfig:
     """How plain tags are stretched into long tags.
 
-    Fast-hash mode is a single SHA-1 digest (160 bits), extended by a
-    deterministic digest-keyed expansion when more bits are requested.
-    Memory-hard mode uses scrypt with ``work`` as the CPU/memory cost,
-    ``memory`` as a floor on bytes of state, and ``parallelism`` lanes.
+    Fast-hash mode is a SHA-1 digest, extended past its 160 bits by the
+    first 32 bits of SHA-1(digest || four zero bytes). Memory-hard mode
+    uses scrypt with ``work`` as the CPU/memory cost, ``memory`` as a
+    floor on bytes of state, and ``parallelism`` lanes.
     """
 
     mode: KdfMode = KdfMode.FAST_HASH
     work: int = 2**15
     memory: int = 2**20
     parallelism: int = 1
-    output_bits: int = 160
 
     def __post_init__(self):
-        if self.output_bits < MIN_K + 128:
-            raise ConfigError(
-                f"output_bits={self.output_bits} cannot hold a short tag plus a 128-bit tag key"
-            )
         if self.mode is KdfMode.MEMORY_HARD:
             if self.work < 2 or self.work & (self.work - 1):
                 raise ConfigError("memory-hard work factor must be a power of two >= 2")
@@ -151,13 +149,13 @@ FAST_KDF = KdfConfig()
 MEMORY_HARD_KDF = KdfConfig(mode=KdfMode.MEMORY_HARD)
 
 
-def kdf_config(mode: str, work=None, memory=None, parallelism=None, output_bits=None) -> KdfConfig:
+def kdf_config(mode: str, work=None, memory=None, parallelism=None) -> KdfConfig:
     """Build a KdfConfig from a mode name and optional integer fields.
 
     ``mode`` is a KdfMode value, or "fast" as the command line spells
     "fast-hash". A field left as None keeps its KdfConfig default.
     """
-    given = {"work": work, "memory": memory, "parallelism": parallelism, "output_bits": output_bits}
+    given = {"work": work, "memory": memory, "parallelism": parallelism}
     fields = {key: int(value) for key, value in given.items() if value is not None}
     return KdfConfig(mode=KdfMode("fast-hash" if mode == "fast" else mode), **fields)
 
@@ -312,20 +310,6 @@ def _unchecked(cls, **fields):
     return instance
 
 
-def _expand_digest(digest: bytes, nbytes: int) -> bytes:
-    """Deterministic expansion keyed by the digest, digest-prefixed."""
-    out = bytearray(digest)
-    counter = 0
-    while len(out) < nbytes:
-        out += hashlib.sha1(digest + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return bytes(out[:nbytes])
-
-
-def _long_tag_bits(cfg: KdfConfig) -> int:
-    return max(160, cfg.output_bits) if cfg.mode is KdfMode.FAST_HASH else cfg.output_bits
-
-
 def _check_k(long_tag_bits: int, k: int) -> None:
     ShortTag(0, k)  # raises unless MIN_K <= k <= MAX_K
     if long_tag_bits < k + 128:
@@ -333,25 +317,24 @@ def _check_k(long_tag_bits: int, k: int) -> None:
 
 
 def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
-    """Stretch a plain tag into its long tag.
+    """Stretch a plain tag into its 192-bit long tag.
 
-    Fast-hash output is bit-identical to the plain SHA-1 digest of the
-    tag's UTF-8 bytes (extended deterministically past 160 bits when the
-    config asks for more). Memory-hard output comes from scrypt under a
-    fixed protocol salt.
+    Fast-hash output is the plain SHA-1 digest of the tag's UTF-8 bytes
+    followed by the first 4 bytes of SHA-1(digest || four zero bytes).
+    Memory-hard output comes from scrypt under a fixed protocol salt.
+    Either way a longer output would only append bits, so the material
+    a k <= 64 reads is the leading bits of any wider derivation.
     """
     secret = plain_tag.encoded()
-    bits = _long_tag_bits(cfg)
-    nbytes = (bits + 7) // 8
     if cfg.mode is KdfMode.FAST_HASH:
-        data = _expand_digest(hashlib.sha1(secret).digest(), nbytes)
+        digest = hashlib.sha1(secret).digest()
+        data = digest + hashlib.sha1(digest + bytes(4)).digest()[:4]
     else:
         n, r, p = cfg.scrypt_params()
-        data = hashlib.scrypt(secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=nbytes)
-    pad = len(data) * 8 - bits
-    if pad:
-        data = data[:-1] + bytes([data[-1] & (0xFF << pad) & 0xFF])
-    return LongTag(data, bits)
+        data = hashlib.scrypt(
+            secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=LONG_TAG_BITS // 8
+        )
+    return LongTag(data, LONG_TAG_BITS)
 
 
 def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
@@ -418,7 +401,7 @@ def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     k is checked first. Memory-hard tags bypass the material cache; fast-hash
     tags are hashed with hashlib and read from the joined digests at once.
     """
-    _check_k(_long_tag_bits(cfg), k)
+    _check_k(LONG_TAG_BITS, k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
         return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
     sha1, shift = hashlib.sha1, 64 - k
@@ -435,7 +418,7 @@ def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: 
     value's leading min(k, 8) bits, and only the marked digests are read
     further.
     """
-    _check_k(_long_tag_bits(cfg), k)
+    _check_k(LONG_TAG_BITS, k)
     if cfg.mode is KdfMode.MEMORY_HARD:
         return [i for i, tag_value in enumerate(short_tags(plain_tags, cfg, k)) if tag_value == value]
     sha1, shift = hashlib.sha1, 64 - k

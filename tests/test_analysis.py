@@ -1,5 +1,6 @@
 """Entropy, brute-force, collision, bandwidth, and corpus arithmetic."""
 
+import hashlib
 import math
 import random
 import time
@@ -31,7 +32,7 @@ from hoot.analysis import (
     save_corpus,
 )
 from hoot.collider import SearchMode, SearchSpec, find_tag
-from hoot.tagcrypt import FAST_KDF, KdfConfig, PlainTag, ShortTag, derive_tag_material
+from hoot.tagcrypt import FAST_KDF, PlainTag, ShortTag, derive_tag_material
 from hoot.wire import encode_short_tag
 
 
@@ -240,17 +241,20 @@ def test_anonymity_report_over_a_full_step_equals_per_tag_bucketing():
 )
 def test_report_buckets_equal_the_checked_constructions(names, k, top):
     corpus = Corpus(tuple((name, 1 + len(name) % 3) for name in names))
-    report = anonymity_report(corpus, k, KdfConfig(output_bits=max(160, k + 128)), top_buckets=top)
+    report = anonymity_report(corpus, k, top_buckets=top)
     for bucket in report.buckets:
         checked = TagBucket(ShortTag(bucket.short_tag.value, k), bucket.token, bucket.members, bucket.volume)
         assert type(bucket) is TagBucket and type(bucket.short_tag) is ShortTag
         assert bucket == checked and hash(bucket) == hash(checked) and repr(bucket) == repr(checked)
 
 
-def test_anonymity_report_refuses_a_kdf_too_narrow_for_k():
+def test_anonymity_report_at_k64_under_the_default_kdf_equals_the_reference():
     corpus = Corpus((("one", 5), ("two", 2)))
-    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
-        anonymity_report(corpus, 64, KdfConfig(output_bits=160))
+    report = anonymity_report(corpus, 64)
+    assert [(b.short_tag, b.members) for b in report.buckets] == [
+        (ShortTag(int.from_bytes(hashlib.sha1(name.encode()).digest()[:8], "big"), 64), ((name, count),))
+        for name, count in corpus.entries
+    ]
 
 
 def test_report_render_and_csv():

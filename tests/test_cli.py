@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: flags, streams, exit codes."""
 
+import dataclasses
+import inspect
 import io
 import json
 import logging
@@ -8,9 +10,10 @@ import re
 
 import pytest
 
-from hoot import collider, wire
+from hoot import collider, feed, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
-from hoot.tagcrypt import PlainTag, seal
+from hoot.feed import load_scenario
+from hoot.tagcrypt import KdfConfig, PlainTag, kdf_config, seal
 
 
 def run(capsys, *argv):
@@ -52,6 +55,16 @@ def test_seal_two_tags_two_tokens(capsys):
     )
     assert code == EXIT_OK
     assert out.count("#") == 2
+
+
+def test_seal_takes_any_k_up_to_64_under_either_kdf(capsys):
+    # the line the fast hash sealed at k=40 when a flag had to widen its long tag to 168 bits
+    code, out, _ = run(capsys, "seal", "--kdf", "fast", "--k", "40", "--tag", "abc", "--seed", "1", "hi")
+    assert code == EXIT_OK
+    assert out == "#vgmt4nsh e9XUfkRvzsLBWVUokF0sfD1gCCARuWTH94HL5IPzJU8erPU9NgaH8FViNL5aWsyklRvlWSj6BLHGQnojeFc\n"
+    for kdf, token in (("fast", "vgmt4nsha2awu"), ("memory-hard", "nuuscwsswfpcs")):
+        code, out, _ = run(capsys, "seal", "--kdf", kdf, "--kdf-work", "16", "--k", "64", "--tag", "abc", "--seed", "1", "hi")
+        assert code == EXIT_OK and out.startswith(f"#{token} "), kdf
 
 
 def test_seal_over_capacity_names_the_limit(capsys):
@@ -268,6 +281,14 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
         ),
         ({"groups": [], "kdf": {"work": {}}}, "scenario script field 'work' has the wrong JSON type (dict)"),
         (
+            {"groups": [], "kdf": {"mode": "memory-hard", "wrok": 4}},
+            "scenario script field 'kdf' has the unknown key 'wrok'",
+        ),
+        (
+            {"groups": [], "kdf": {"mode": "fast-hash", "output_bits": 192}},
+            "scenario script field 'kdf' has the unknown key 'output_bits'",
+        ),
+        (
             {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": 3}]},
             "scenario script field 'known_plain_tags' has the wrong JSON type (int)",
         ),
@@ -304,7 +325,8 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
         ),
     ],
     ids=[
-        "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "known-tags",
+        "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "kdf-typo", "kdf-output-bits",
+        "known-tags",
         "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "name-int", "k-float",
         "target-group-list", "sender-list", "short-tag-int",
         "known-tags-str", "known-tags-object", "known-tags-member",
@@ -432,10 +454,26 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
         ("collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--glyph-budget", "200"),
         ("collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--shards", "2"),
         ("open", str(feed), "--tag", "t", "--kdf", "fast", "--seed", "1"),
+        ("seal", "m", "--tag", "t", "--kdf", "fast", "--kdf-output-bits", "192"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and "unrecognized arguments" in err
+
+
+def test_kdf_settings_are_one_list_in_every_place():
+    # a setting added to one of these and not the others would be silently ignored there
+    settings = {field.name for field in dataclasses.fields(KdfConfig)} - {"mode"}
+    assert settings == {"work", "memory", "parallelism"}
+    assert set(inspect.signature(kdf_config).parameters) - {"mode"} == settings
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("seal", "open", "collide", "analyze"):
+        flags = {flag for action in commands[name]._actions for flag in action.option_strings}
+        assert {flag[len("--kdf-"):].replace("-", "_") for flag in flags if flag.startswith("--kdf-")} == settings, name
+    assert set(feed._KDF_SIZES) == settings
+    for setting in settings:
+        script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", setting: 4}})
+        assert getattr(script.kdf, setting) == 4, setting
 
 
 def test_config_key_a_command_lacks_is_named(capsys, tmp_path):

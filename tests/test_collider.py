@@ -109,14 +109,11 @@ def test_multibyte_alphabet_equals_oracle():
 
 
 def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
-    # the expansion past 160 bits is digest-prefixed, so the short tag is
-    # still the digest's leading k bits
+    # the 192-bit long tag's expansion past 160 bits is digest-prefixed, so
+    # the short tag is still the digest's leading k bits
     oracle = brute_force_oracle("probe-", "abc", 5, 0x2D, 6)
     assert oracle
-    spec = SearchSpec(
-        prefix="probe-", target=ShortTag(0x2D, 6), suffix_length=5, alphabet="abc", k=6,
-        kdf=KdfConfig(output_bits=256),
-    )
+    spec = SearchSpec(prefix="probe-", target=ShortTag(0x2D, 6), suffix_length=5, alphabet="abc", k=6)
     with caplog.at_level(logging.WARNING, logger="hoot.collider"):
         result = find_tag(spec)
     assert {m[0].text for m in result.matches} == oracle
@@ -540,19 +537,17 @@ def test_spec_validation():
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=11, alphabet=ALPHANUMERIC, k=4)
 
 
+P_BA_64 = ShortTag(int.from_bytes(hashlib.sha1(b"p-ba").digest()[:8], "big"), 64)
+
+
 @pytest.mark.parametrize("mode", list(SearchMode))
-@pytest.mark.parametrize("target", [ShortTag(0, 64), PlainTag("popular-topic")], ids=["short", "plain"])
-def test_kdf_too_narrow_for_k_is_refused(mode, target):
-    # a 160-bit long tag cannot hold a 64-bit short tag and a 128-bit tag key, so no
-    # candidate of this space has tag material and the search must not report one
-    spec = SearchSpec(
-        prefix="p-", target=target, suffix_length=2, alphabet="ab", k=64, mode=mode,
-        kdf=KdfConfig(output_bits=160),
-    )
-    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
-        find_tag(spec)
-    with pytest.raises(ValueError, match="long tag has 160 bits; k=64 needs 192"):
-        find_tag_sharded(spec, 2)
+@pytest.mark.parametrize("target", [P_BA_64, PlainTag("p-ba")], ids=["short", "plain"])
+def test_k64_search_under_the_default_kdf_equals_the_oracle(mode, target):
+    # every long tag holds a 64-bit short tag and its 128-bit tag key, so the default KDF searches at k=64
+    assert brute_force_oracle("p-", "ab", 2, P_BA_64.value, 64) == {"p-ba"}
+    spec = SearchSpec(prefix="p-", target=target, suffix_length=2, alphabet="ab", k=64, mode=mode)
+    for result in (find_tag(spec), find_tag_sharded(spec, 2)):
+        assert result.matches == [(PlainTag("p-ba"), P_BA_64)]
 
 
 def test_estimate_runtime():

@@ -56,8 +56,8 @@ SHA1_VECTORS = {
 @pytest.mark.parametrize("text,digest", sorted(SHA1_VECTORS.items()))
 def test_fast_hash_matches_sha1_vectors(text, digest):
     long_tag = derive_long_tag(PlainTag(text), FAST_KDF)
-    assert long_tag.bits == 160
-    assert long_tag.data.hex() == digest
+    assert long_tag.bits == 192
+    assert long_tag.data[:20].hex() == digest
 
 
 def test_derivation_is_deterministic():
@@ -72,7 +72,7 @@ def test_memory_hard_deterministic_and_distinct_from_fast():
     a = derive_long_tag(PlainTag("abc"), cfg)
     b = derive_long_tag(PlainTag("abc"), cfg)
     assert a == b
-    assert a.bits == 160
+    assert a.bits == 192
     assert a.data != derive_long_tag(PlainTag("abc"), FAST_KDF).data
 
 
@@ -81,7 +81,7 @@ def test_memory_hard_agrees_with_independent_scrypt():
     # output length) against a second library's implementation.
     cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**14, memory=2**21, parallelism=1)
     n, r, p = cfg.scrypt_params()
-    expected = Scrypt(salt=b"hoot.tag.v1", length=20, n=n, r=r, p=p).derive(b"abc")
+    expected = Scrypt(salt=b"hoot.tag.v1", length=24, n=n, r=r, p=p).derive(b"abc")
     assert derive_long_tag(PlainTag("abc"), cfg).data == expected
 
 
@@ -94,17 +94,12 @@ def test_scrypt_parameter_mapping():
 
 
 def test_fast_hash_expansion_keeps_digest_prefix():
-    wide = derive_long_tag(PlainTag("abc"), KdfConfig(output_bits=192))
-    narrow = derive_long_tag(PlainTag("abc"), FAST_KDF)
-    assert wide.bits == 192
-    assert wide.data[:20] == narrow.data
-    again = derive_long_tag(PlainTag("abc"), KdfConfig(output_bits=256))
-    assert again.data[:24] == wide.data
+    digest = hashlib.sha1(b"abc").digest()
+    wide = derive_long_tag(PlainTag("abc"), FAST_KDF)
+    assert wide == LongTag(digest + hashlib.sha1(digest + bytes(4)).digest()[:4], 192)
 
 
 def test_kdf_config_validation():
-    with pytest.raises(ConfigError):
-        KdfConfig(output_bits=100)
     with pytest.raises(ConfigError):
         KdfConfig(mode=KdfMode.MEMORY_HARD, work=1000)  # not a power of two
     with pytest.raises(ConfigError):
@@ -138,7 +133,7 @@ def test_split_bit_disjointness():
     for bit in range(0, k + 128, 7):
         flipped = bytearray(base.data)
         flipped[bit // 8] ^= 0x80 >> (bit % 8)
-        material = split_tag(LongTag(bytes(flipped), 160), k)
+        material = split_tag(LongTag(bytes(flipped), base.bits), k)
         if bit < k:
             assert material.short_tag != reference.short_tag
             assert material.tag_key == reference.tag_key
@@ -272,19 +267,14 @@ _TINY_SCRYPT = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)
 @given(
     st.lists(_plain_texts, min_size=1, max_size=12),
     st.integers(1, 64),
-    st.sampled_from([KdfConfig(output_bits=160), KdfConfig(output_bits=256)]),
+    st.sampled_from([FAST_KDF, _TINY_SCRYPT]),
 )
-@example(["a", "ä€𝄞", "é" * 128, "x" * 256], 64, KdfConfig(output_bits=256))
+@example(["a", "ä€𝄞", "é" * 128, "x" * 256], 64, FAST_KDF)
 @example(["grp", "ä€𝄞"], 24, _TINY_SCRYPT)
-@example(["grp", "z" * 200], 33, KdfConfig(mode=KdfMode.MEMORY_HARD, work=4, memory=512, output_bits=170))
+@example(["grp", "z" * 200], 64, KdfConfig(mode=KdfMode.MEMORY_HARD, work=4, memory=512))
 def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
     tags = [text.encode("utf-8") for text in texts]
-    try:
-        expected = [derive_tag_material(PlainTag(text), cfg, k).short_tag.value for text in texts]
-    except ValueError as refusal:
-        with pytest.raises(ValueError, match=re.escape(str(refusal))):
-            short_tags(tags, cfg, k)
-        return
+    expected = [derive_tag_material(PlainTag(text), cfg, k).short_tag.value for text in texts]
     assert short_tags(tags, cfg, k) == expected
 
 
@@ -292,25 +282,20 @@ def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
 @given(
     texts=st.lists(_plain_texts, max_size=40),
     k=st.integers(1, 64),
-    cfg=st.sampled_from([KdfConfig(output_bits=160), KdfConfig(output_bits=256), _TINY_SCRYPT]),
+    cfg=st.sampled_from([FAST_KDF, _TINY_SCRYPT]),
     pick=st.one_of(st.sampled_from(["zero", "ones"]), st.integers(0, 2**64 - 1), st.tuples(st.just("of"), st.integers(0, 99))),
 )
 @example([], 8, FAST_KDF, "zero")
 @example(["a"], 1, FAST_KDF, ("of", 0))
-@example(["ä€𝄞"], 64, KdfConfig(output_bits=256), ("of", 0))
+@example(["ä€𝄞"], 64, FAST_KDF, ("of", 0))
 @example(["a", "ä€𝄞", "é" * 128, "x" * 256, "b"], 7, FAST_KDF, ("of", 3))
 @example([f"step-{i}" for i in range(4096)], 8, FAST_KDF, ("of", 11))
 @example([f"step-{i}" for i in range(4096)], 3, FAST_KDF, "ones")
-@example([f"step-{i}" for i in range(4096)], 12, KdfConfig(output_bits=256), ("of", 4095))
+@example([f"step-{i}" for i in range(4096)], 12, FAST_KDF, ("of", 4095))
 @example(["grp", "ä€𝄞", "grp"], 5, _TINY_SCRYPT, ("of", 0))
 def test_short_tag_positions_equal_the_short_tags_filter(texts, k, cfg, pick):
     tags = [text.encode("utf-8") for text in texts]
-    try:
-        values = short_tags(tags, cfg, k)
-    except ValueError as refusal:
-        with pytest.raises(ValueError, match=re.escape(str(refusal))):
-            short_tag_positions(tags, cfg, k, 0)
-        return
+    values = short_tags(tags, cfg, k)
     if pick == "zero":
         value = 0
     elif pick == "ones":
@@ -324,10 +309,10 @@ def test_short_tag_positions_equal_the_short_tags_filter(texts, k, cfg, pick):
 
 def test_short_tags_check_k_before_hashing():
     for cfg, k, message in [
-        (KdfConfig(output_bits=160), 64, "long tag has 160 bits; k=64 needs 192"),
-        (_TINY_SCRYPT, 33, "long tag has 160 bits; k=33 needs 161"),
         (FAST_KDF, 0, "k=0 outside supported range 1..64"),
-        (KdfConfig(output_bits=256), 65, "k=65 outside supported range 1..64"),
+        (_TINY_SCRYPT, 0, "k=0 outside supported range 1..64"),
+        (FAST_KDF, 65, "k=65 outside supported range 1..64"),
+        (_TINY_SCRYPT, 65, "k=65 outside supported range 1..64"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             short_tags([], cfg, k)
@@ -335,6 +320,69 @@ def test_short_tags_check_k_before_hashing():
             short_tag_positions([], cfg, k, 0)
         with pytest.raises(ValueError, match=re.escape(message)):
             split_tag(derive_long_tag(PlainTag("t"), cfg), k)
+    # a long tag a caller builds may still be too narrow for k
+    with pytest.raises(ValueError, match=re.escape("long tag has 160 bits; k=64 needs 192")):
+        split_tag(LongTag(bytes(20), 160), 64)
+
+
+def reference_long_tag(text: str, cfg: KdfConfig) -> bytes:
+    """The 24-byte long tag of ``text``, built straight from ``hashlib``."""
+    if cfg.mode is KdfMode.FAST_HASH:
+        digest = hashlib.sha1(text.encode()).digest()
+        return digest + hashlib.sha1(digest + bytes(4)).digest()[:4]
+    n, r, p = cfg.scrypt_params()
+    return hashlib.scrypt(text.encode(), salt=b"hoot.tag.v1", n=n, r=r, p=p, dklen=24)
+
+
+def reference_material(text: str, cfg: KdfConfig, k: int) -> tuple[int, bytes]:
+    """(short tag, tag key) carved from ``reference_long_tag`` by integer shifts."""
+    bits = int.from_bytes(reference_long_tag(text, cfg), "big")
+    return bits >> (192 - k), ((bits >> (64 - k)) & ((1 << 128) - 1)).to_bytes(16, "big")
+
+
+PINNED_TAGS = ("abc", "free-egypt-9rqt", "ä€𝄞")
+# SHA-256 over short tag (8 bytes) || tag key for k = 1..64 and each pinned tag, and the materials of
+# "abc" at a few k, as KdfConfig(output_bits=max(160, k + 128)) derived them before the long tag's
+# width was fixed at 192 bits
+PINNED_MATERIALS = {
+    "fast": (
+        "d1a3ae9801d3fd9adbad9876e2d3b79003936514f1ce153c09d7ccf0da96ec90",
+        {
+            1: (0x1, "53327c6c8e0d02d5747c4ae2f0a184d9"),
+            24: (0xA9993E, "364706816aba3e25717850c26c9cd0d8"),
+            33: (0x153327C6C, "8e0d02d5747c4ae2f0a184d939a1b13b"),
+            40: (0xA9993E3647, "06816aba3e25717850c26c9cd0d89d95"),
+            64: (0xA9993E364706816A, "ba3e25717850c26c9cd0d89d9544fc1a"),
+        },
+    ),
+    "tiny-scrypt": (
+        "0659980cfba664132cbb4836429e3fc8f4eaeba196d639da728189dad4feff31",
+        {
+            1: (0x1, "2efebe23d0114c48e425152ddaa4ef88"),
+            24: (0x977F5F, "11e808a62472128a96ed5277c44ac5b5"),
+            33: (0x12EFEBE23, "d0114c48e425152ddaa4ef88958b6b6a"),
+            40: (0x977F5F11E8, "08a62472128a96ed5277c44ac5b5b543"),
+            64: (0x977F5F11E808A624, "72128a96ed5277c44ac5b5b5432dcd55"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MATERIALS))
+def test_every_k_derives_the_pinned_material_of_the_reference_long_tag(name):
+    cfg = {"fast": FAST_KDF, "tiny-scrypt": _TINY_SCRYPT}[name]
+    pinned_digest, pinned = PINNED_MATERIALS[name]
+    digest = hashlib.sha256()
+    for k in range(1, 65):
+        for text in PINNED_TAGS:
+            material = derive_tag_material(PlainTag(text), cfg, k)
+            value, key = reference_material(text, cfg, k)
+            assert (material.short_tag, material.tag_key) == (ShortTag(value, k), key), (text, k)
+            assert short_tags([text.encode()], cfg, k) == [value]
+            digest.update(value.to_bytes(8, "big") + key)
+    assert digest.hexdigest() == pinned_digest
+    for k, (value, key) in pinned.items():
+        assert reference_material("abc", cfg, k) == (value, bytes.fromhex(key))
 
 
 def run_fresh(code: str) -> str:
@@ -463,8 +511,7 @@ def test_memory_hard_cache_misses_on_any_input_change(scrypt_calls):
     derive_tag_material(PlainTag("cached-tag"), cfg)
     derive_tag_material(PlainTag("other-tag"), cfg)
     derive_tag_material(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**5))
-    # k=64 needs a 192-bit long tag, so this derivation cannot come from the 160-bit ones
-    derive_tag_material(PlainTag("cached-tag"), KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**4, output_bits=192), 64)
+    derive_tag_material(PlainTag("cached-tag"), cfg, 64)
     derive_tag_material(PlainTag("cached-tag"), cfg, 12)
     assert len(scrypt_calls) == 5
 
@@ -563,15 +610,6 @@ def test_a_memory_hard_scenario_runs_alike_in_one_lane_and_in_many(scrypt_calls,
 
 
 def test_a_failing_lane_raises_what_the_serial_loop_raises(scrypt_calls, monkeypatch):
-    # a 160-bit long tag cannot hold k=40 plus a 128-bit tag key, so every derivation fails after its scrypt
-    raw = lane_script(k=40)
-    del raw["policy"][1]  # its plain tag would fail to derive as the script loads
-    script = load_scenario(raw)
-    for count in (1, 4):
-        with_cores(monkeypatch, count)
-        with pytest.raises(ValueError, match=re.escape("long tag has 160 bits; k=40 needs 168")):
-            run_scenario(script)
-
     counting = hashlib.scrypt
 
     def refusing(secret, **params):
@@ -579,7 +617,18 @@ def test_a_failing_lane_raises_what_the_serial_loop_raises(scrypt_calls, monkeyp
             raise ValueError(f"refused {secret.decode()}")
         return counting(secret, **params)
 
+    raw = lane_script()
+    raw["groups"][1]["plain_tag"], raw["groups"][3]["plain_tag"] = "bad-fans", "bad-crowd"
+    script = load_scenario(raw)
     monkeypatch.setattr(hashlib, "scrypt", refusing)
+    # the distinct group tags are lane-org, bad-fans and bad-crowd: in two lanes the calling
+    # thread's lane fails on bad-crowd and the other lane on the earlier bad-fans
+    for count in (1, 4):
+        with_cores(monkeypatch, count)
+        derive_tag_material.cache_clear()
+        with pytest.raises(ValueError, match="^refused bad-fans$"):
+            run_scenario(script)
+
     tags = [PlainTag(text) for text in ("ok-0", "bad-1", "bad-2", "ok-3", "bad-4")]
     # in two lanes the calling thread's lane fails on bad-2 and the other lane on the earlier bad-1
     for count in (1, 2, 6):
