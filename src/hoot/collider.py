@@ -12,8 +12,10 @@ in visit order, so its result is the serial search's. Candidates are
 hashed a step at a time with hashlib, and
 ``tagcrypt.short_tag_positions`` finds a step's matches with one byte
 scan of the joined digests. Only first-n steps use numpy: a uint64 Feistel
-permutation of the step's positions, then one byte buffer of their
-tags. numpy loads when a first-n search starts, so importing hoot or
+permutation of the step's positions, whose rounds are table lookups
+when a Feistel half is small, then one byte matrix of their tags, cut
+by one ``struct`` unpack when every glyph has the same UTF-8 width.
+numpy loads when a first-n search starts, so importing hoot or
 running an exhaustive search never loads it. Positions are uint64, so
 a space holds at most 2^64 candidates.
 """
@@ -22,10 +24,12 @@ from __future__ import annotations
 
 import atexit
 import collections
+import functools
 import itertools
 import logging
 import os
 import string
+import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -130,17 +134,31 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=8)  # so that a lasting pool worker builds a search's round tables once, not per range
 def _permutation(size: int, seed: int):
-    """Seeded bijection on [0, size <= 2^64) via a cycle-walked Feistel network, over uint64 arrays."""
+    """Seeded bijection on [0, size <= 2^64) via a cycle-walked Feistel network, over uint64 arrays.
+
+    When a Feistel half takes at most ``FAST_HASH_STEP`` values, each
+    round function is one gather from a table of its outputs, built with
+    the same ``_mix64``; a table is then no larger than one step. Wider
+    halves cost more to tabulate than a step's rounds cost to compute.
+    """
+    import numpy as np  # on first use, so that importing hoot stays cheap
+
     bits = max(2, (size - 1).bit_length())
     half = (bits + 1) // 2
     mask = (1 << half) - 1
     round_keys = [_mix64(seed * 0x9E3779B97F4A7C15 + r + 1) for r in range(4)]
+    if 1 << half <= FAST_HASH_STEP:
+        halves = np.arange(1 << half, dtype=np.uint64)
+        rounds = [(_mix64(halves ^ key) & mask).take for key in round_keys]
+    else:
+        rounds = [lambda right, key=key: _mix64(right ^ key) & mask for key in round_keys]
 
     def feistel(x):
         left, right = x >> half, x & mask
-        for key in round_keys:
-            left, right = right, left ^ (_mix64(right ^ key) & mask)
+        for round_function in rounds:
+            left, right = right, left ^ round_function(right)
         return (left << half) | right
 
     def permute(positions):
@@ -154,16 +172,27 @@ def _permutation(size: int, seed: int):
     return permute
 
 
+@functools.lru_cache(maxsize=8)
+def _tag_cut(width: int, n: int) -> struct.Struct:
+    """Unpacks a buffer of ``n`` consecutive ``width``-byte plain tags as a tuple."""
+    return struct.Struct(f"{width}s" * n)
+
+
 def _first_n_steps(spec: SearchSpec, step: int):
-    """Plain tags of the spec's position range in the seeded visit order, ``step`` positions at a time."""
+    """Plain tags of the spec's position range in the seeded visit order, ``step`` positions at a time.
+
+    When every glyph has one UTF-8 width, every tag has one length, and
+    one ``struct`` unpack cuts a step's byte matrix into its tags.
+    """
     import numpy as np  # on first use, so that importing hoot stays cheap
 
     start, stop = spec.position_range
     permute = _permutation(spec.space_size, spec.seed)
     glyphs = [glyph.encode("utf-8") for glyph in spec.alphabet]
-    widths = np.array([len(glyph) for glyph in glyphs])
-    table = np.array([list(glyph.ljust(widths.max(), b"\0")) for glyph in glyphs], np.uint8)  # zero-padded rows
-    real = np.arange(table.shape[1]) < widths[:, None]  # real[d, j]: byte j of glyph d is not padding
+    widths = [len(glyph) for glyph in glyphs]
+    width = max(widths)
+    table = np.frombuffer(b"".join(glyph.ljust(width, b"\0") for glyph in glyphs), np.uint8).reshape(-1, width)
+    real = np.arange(width) < np.array(widths)[:, None]  # real[d, j]: byte j of glyph d is not padding
     prefix = np.frombuffer(spec.prefix.encode("utf-8"), np.uint8)
     for at in range(start, stop, step):
         index = permute(np.arange(at, min(at + step, stop), dtype=np.uint64))
@@ -172,13 +201,16 @@ def _first_n_steps(spec: SearchSpec, step: int):
         for column in reversed(range(spec.suffix_length)):  # the last suffix glyph is the lowest digit
             index, digits[:, column] = np.divmod(index, len(glyphs))
         tags = np.hstack([np.broadcast_to(prefix, (n, len(prefix))), table[digits].reshape(n, -1)])
+        if min(widths) == width:
+            yield _tag_cut(tags.shape[1], n).unpack(tags.tobytes())
+            continue
         keep = np.hstack([np.ones((n, len(prefix)), bool), real[digits].reshape(n, -1)])
         buffer, ends = tags[keep].tobytes(), np.cumsum(keep.sum(axis=1)).tolist()
         yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
 
 
 def _steps(spec: SearchSpec, step: int):
-    """Plain tags (UTF-8) of the spec's position range in visit order, in lists of ``step``."""
+    """Plain tags (UTF-8) of the spec's position range in visit order, ``step`` at a time."""
     if spec.mode is SearchMode.FIRST_N:
         return _first_n_steps(spec, step)
     start, stop = spec.position_range

@@ -502,8 +502,9 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
     colliding groups never touches the message ciphertext, and unwraps
     only k_mac: k_enc is unwrapped on a match.
     """
+    ours = material.short_tag
     for position, short_tag in enumerate(hoot.short_tags):
-        if short_tag != material.short_tag:
+        if short_tag.value != ours.value or short_tag.k != ours.k:  # two field reads, not the dataclass __eq__ call
             continue
         # wrap's length checks hold in every Hoot: nonce || wrapped k_enc || wrapped k_mac, 40 bytes
         block = hoot.key_blocks[position]

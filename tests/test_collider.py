@@ -121,11 +121,14 @@ def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
 
 
 @pytest.mark.parametrize(
-    "alphabet,length", [("abcdefghijklmnop", 4), ("aäöüß€", 6)], ids=["one-byte", "multibyte"]
+    "alphabet,length",
+    [("abcdefghijklmnop", 4), ("aäöüß€", 6), ("äöüß", 8), ("€→✓", 10), ("𝔞𝔟𝔠", 10)],
+    ids=["one-byte", "multibyte", "two-byte", "three-byte", "four-byte"],
 )
 def test_full_batches_equal_oracle(alphabet, length):
-    # 65,536 and 46,656 candidates: both modes hash many full steps, and
-    # first-n counts its tries across them
+    # 46,656 to 65,536 candidates: both modes hash many full steps, and
+    # first-n counts its tries across them; "multibyte" mixes glyph widths,
+    # so its first-n tags differ in length, and the others do not
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=length, alphabet=alphabet, k=8)
     oracle = brute_force_oracle("probe-", alphabet, length, 0x5A, 8)
     result = find_tag(spec)
@@ -373,12 +376,30 @@ sizes = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(size=sizes, seed=st.integers(-(2**80), 2**80), data=st.data())
-def test_permutation_equals_scalar_feistel(size, seed, data):
-    span = data.draw(st.integers(1, min(size, 64)))
-    start = data.draw(st.one_of(st.just(size - span), st.integers(0, size - span)))  # often the space's end
+@given(
+    size=sizes,
+    seed=st.integers(-(2**80), 2**80),
+    span=st.integers(1, 64),
+    back=st.one_of(st.just(0), st.integers(0, 2**64)),
+)
+@example(size=2**24, seed=7, span=64, back=0)  # 12-bit halves: the widest whose rounds are table lookups
+@example(size=2**24 + 1, seed=7, span=64, back=0)  # 13-bit halves: computed rounds
+def test_permutation_equals_scalar_feistel(size, seed, span, back):
+    span = min(span, size)
+    start = size - span - back % (size - span + 1)  # back 0, often drawn, ends at the space's end
     permute = scalar_permutation(size, seed)
     assert visits(size, seed, start, start + span) == [permute(p) for p in range(start, start + span)]
+
+
+def test_a_second_search_over_the_same_space_and_seed_reuses_its_permutation():
+    spec = SearchSpec(
+        prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=4, alphabet="abcdefgh", k=8,
+        mode=SearchMode.FIRST_N, count=3, seed=5,
+    )
+    find_tag(spec)
+    misses = _permutation.cache_info().misses
+    find_tag(replace(spec, target=ShortTag(0x11, 8), count=1))
+    assert _permutation.cache_info().misses == misses
 
 
 def first_visits(size: int, seed: int) -> list[int]:
