@@ -203,10 +203,10 @@ def _first_n_steps(spec: SearchSpec, step: int):
         tags = np.hstack([np.broadcast_to(prefix, (n, len(prefix))), table[digits].reshape(n, -1)])
         if min(widths) == width:
             yield _tag_cut(tags.shape[1], n).unpack(tags.tobytes())
-            continue
-        keep = np.hstack([np.ones((n, len(prefix)), bool), real[digits].reshape(n, -1)])
-        buffer, ends = tags[keep].tobytes(), np.cumsum(keep.sum(axis=1)).tolist()
-        yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
+        else:
+            keep = np.hstack([np.ones((n, len(prefix)), bool), real[digits].reshape(n, -1)])
+            buffer, ends = tags[keep].tobytes(), np.cumsum(keep.sum(axis=1)).tolist()
+            yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
 
 
 def _steps(spec: SearchSpec, step: int):
