@@ -25,7 +25,17 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PlainTagError
-from .tagcrypt import FAST_KDF, KdfConfig, MAX_K, MIN_K, ShortTag, _unchecked, encode_plain_tags, short_tags
+from .tagcrypt import (
+    FAST_KDF,
+    KdfConfig,
+    MAX_K,
+    MIN_K,
+    ShortTag,
+    _build_short_tag,
+    _builder,
+    encode_plain_tags,
+    short_tags,
+)
 from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
@@ -152,6 +162,8 @@ class Corpus:
             repeated = next(name for name in names if seen[name] > 1)
             raise ValueError(f"corpus hashtag {repeated!r} appears more than once")
         for name, count in self.entries:
+            if type(count) is not int:  # so a bool, a float (NaN too) or a string is refused, not summed or compared
+                raise ValueError(f"corpus hashtag {name!r}: count must be an integer, not {count!r}")
             if count < 1:
                 raise ValueError(f"corpus hashtag {name!r}: count must be >= 1, not {count}")
 
@@ -226,7 +238,7 @@ def powerlaw_slope(pairs, max_rank: int = 1000) -> float | None:
     return statistics.linear_regression(ranks, counts).slope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagBucket:
     short_tag: ShortTag
     token: str
@@ -237,6 +249,9 @@ class TagBucket:
         """Other groups' volume relative to one member's own volume."""
         own = dict(self.members)[hashtag]
         return (self.volume - own) / own
+
+
+_build_bucket = _builder(TagBucket)
 
 
 @dataclass(frozen=True)
@@ -284,7 +299,9 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
     The work is done over whole lists: the names are checked and
     encoded in C-level calls, hashed by ``short_tags`` and their tokens
     built by ``encode_short_tags``; entries and buckets are each put in
-    order by two key sorts. Only the buckets kept become objects.
+    order by two key sorts. Only the buckets kept become objects: each
+    a slotted TagBucket and ShortTag, built positionally by their
+    generated builders, which skip the checks those lists have passed.
     """
     if not corpus.entries:
         raise ValueError("corpus is empty")
@@ -312,8 +329,7 @@ def anonymity_report(corpus: Corpus, k: int, kdf: KdfConfig = FAST_KDF, *, top_b
         k=k,
         # short_tags checked k and encode_short_tags that every value fits in k bits
         buckets=tuple([
-            _unchecked(TagBucket, short_tag=_unchecked(ShortTag, value=value, k=k), token=token, members=members,
-                       volume=volume)
+            _build_bucket(_build_short_tag(value, k), token, members, volume)
             for volume, token, value, members in rows[:top_buckets]
         ]),
         bucket_count=len(rows),

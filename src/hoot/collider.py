@@ -178,15 +178,15 @@ def _tag_cut(width: int, n: int) -> struct.Struct:
     return struct.Struct(f"{width}s" * n)
 
 
-def _first_n_steps(spec: SearchSpec, step: int):
-    """Plain tags of the spec's position range in the seeded visit order, ``step`` positions at a time.
+def _first_n_steps(spec: SearchSpec, span: tuple[int, int], step: int):
+    """Plain tags of the position range ``span`` in the spec's seeded visit order, ``step`` positions at a time.
 
     When every glyph has one UTF-8 width, every tag has one length, and
     one ``struct`` unpack cuts a step's byte matrix into its tags.
     """
     import numpy as np  # on first use, so that importing hoot stays cheap
 
-    start, stop = spec.position_range
+    start, stop = span
     permute = _permutation(spec.space_size, spec.seed)
     glyphs = [glyph.encode("utf-8") for glyph in spec.alphabet]
     widths = [len(glyph) for glyph in glyphs]
@@ -209,11 +209,11 @@ def _first_n_steps(spec: SearchSpec, step: int):
             yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
 
 
-def _steps(spec: SearchSpec, step: int):
-    """Plain tags (UTF-8) of the spec's position range in visit order, ``step`` at a time."""
+def _steps(spec: SearchSpec, span: tuple[int, int], step: int):
+    """Plain tags (UTF-8) of the position range ``span`` in the spec's visit order, ``step`` at a time."""
     if spec.mode is SearchMode.FIRST_N:
-        return _first_n_steps(spec, step)
-    start, stop = spec.position_range
+        return _first_n_steps(spec, span, step)
+    start, stop = span
     prefix = spec.prefix.encode("utf-8")
     # product order is position order: the last suffix glyph varies fastest
     suffixes = itertools.product([glyph.encode("utf-8") for glyph in spec.alphabet], repeat=spec.suffix_length)
@@ -241,21 +241,23 @@ def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
     return matches, tried
 
 
-def _walk(spec: SearchSpec) -> tuple[list[tuple[int, bytes]], int]:
-    """The serial search of the spec's range, a step at a time: ``_gather``'s matches and tries.
+def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, bytes]], int]:
+    """The serial search of the position range ``span``, a step at a time: ``_gather``'s matches and tries.
 
-    This is the pool's task for one range, and it never fans out.
+    ``span`` lies within the checked spec's range, so that a range needs
+    no spec of its own. This is the pool's task for one range, and it
+    never fans out.
     """
     step = FAST_HASH_STEP if spec.kdf.mode is KdfMode.FAST_HASH else 1  # memory-hard steps are single candidates
     pieces = (
         ([(i, batch[i]) for i in short_tag_positions(batch, spec.kdf, spec.k, spec.target.value)], len(batch))
-        for batch in _steps(spec, step)
+        for batch in _steps(spec, span, step)
     )
     return _gather(spec, pieces)
 
 
 def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int]:
-    """``_walk(spec)``'s result, from position ranges searched in the lasting process pool.
+    """``_walk(spec, spec.position_range)``'s result, from position ranges searched in the lasting process pool.
 
     First-n mode submits one ``FAST_HASH_STEP`` per range, exhaustive
     mode one range per core from ``partition``. Ranges are submitted in
@@ -278,16 +280,14 @@ def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int
         workers = _workers
     start, stop = spec.position_range
     if spec.mode is SearchMode.FIRST_N:
-        ranges = (
-            replace(spec, start=at, stop=min(at + FAST_HASH_STEP, stop)) for at in range(start, stop, FAST_HASH_STEP)
-        )
+        ranges = ((at, min(at + FAST_HASH_STEP, stop)) for at in range(start, stop, FAST_HASH_STEP))
     else:
-        ranges = partition(spec, cores)
+        ranges = [piece.position_range for piece in partition(spec, cores)]
     pending = collections.deque()
 
     def results():
-        for piece in ranges:
-            pending.append(workers.submit(_walk, piece))
+        for span in ranges:
+            pending.append(workers.submit(_walk, spec, span))
             if len(pending) == cores + 2:
                 yield pending.popleft().result()
         while pending:
@@ -337,7 +337,7 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     if fast and cores > 1 and expected_tries(spec) >= _FAN_OUT_STEPS * FAST_HASH_STEP * cores:
         matches, tried = _fan_out(spec, cores)
     else:
-        matches, tried = _walk(spec)
+        matches, tried = _walk(spec, spec.position_range)
     found = [(PlainTag(tag.decode("utf-8")), target) for _, tag in matches]
     return SearchResult(found, tried, time.perf_counter() - began)
 

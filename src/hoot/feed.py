@@ -50,7 +50,7 @@ class RejectReason(Enum):
     CENSORED = "censored"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostOutcome:
     accepted: bool
     post_id: int | None = None
@@ -59,7 +59,7 @@ class PostOutcome:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeedPost:
     id: int
     sender: str

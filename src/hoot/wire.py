@@ -40,7 +40,7 @@ from .tagcrypt import (
     MIN_K,
     Hoot,
     ShortTag,
-    _unchecked,
+    _build_hoot,
     seal,
 )
 
@@ -257,7 +257,7 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     mac = body[fixed - MAC_BYTES : fixed]
     ciphertext = body[fixed:]
     # Hoot's checks hold already: a tag or more, one 40-byte block per tag, a 20-byte MAC
-    return _unchecked(Hoot, short_tags=tuple(tags), key_blocks=blocks, mac=mac, ciphertext=ciphertext)
+    return _build_hoot(tuple(tags), blocks, mac, ciphertext)
 
 
 def seal_to_wire(

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,32 @@ def test_report_groups_large_buckets_in_linear_time():
         return time.perf_counter() - began
 
     assert min(seconds(1), seconds(1)) < 2 * min(seconds(24), seconds(24))
+
+
+@pytest.mark.parametrize("count", [2.5, True, math.nan, "3"])
+def test_corpus_refuses_a_count_that_is_not_an_integer(count):
+    # a float would be summed into total_volume, True counted as 1, a NaN would fail the
+    # report's volume check and a string the comparison with 1
+    with pytest.raises(ValueError) as refusal:
+        Corpus((("fine", 2), ("odd", count)))
+    assert str(refusal.value) == f"corpus hashtag 'odd': count must be an integer, not {count!r}"
+
+
+def test_report_buckets_hold_no_per_instance_dict():
+    # a bucket and its short tag take about 112 bytes slotted, and the buckets tuple 8 more per
+    # bucket; with a __dict__ on each they took about 488
+    corpus = Corpus(tuple((f"t{i}", 1 + i % 7) for i in range(10_000)))
+    tracemalloc.start()
+    try:
+        report = anonymity_report(corpus, 24)
+        kept = report.rank_frequency, [(b.short_tag.value, b.token, b.members, b.volume) for b in report.buckets]
+        held = tracemalloc.get_traced_memory()[0]
+        del report  # frees the buckets, their short tags and the tuple of them, but no value they hold
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept[1]) > 9_900  # at k=24 nearly every tag has a bucket of its own
+    assert freed <= 200 * len(kept[1])
 
 
 def test_load_corpus_locates_a_bad_count(tmp_path):

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -19,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoot import tagcrypt
+from hoot.analysis import TagBucket
 from hoot.collider import SearchSpec, find_tag, find_tag_sharded
 from hoot.errors import ConfigError, PlainTagError
-from hoot.feed import load_scenario, run_scenario
+from hoot.feed import FeedPost, PostOutcome, RejectReason, load_scenario, run_scenario
 from hoot.tagcrypt import (
     FAST_KDF,
     MEMORY_HARD_KDF,
@@ -849,6 +850,27 @@ def test_material_pickles_and_copies_after_use():
     for twin in (pickle.loads(pickle.dumps(material)), copy.deepcopy(material), copy.copy(material)):
         assert twin == material
         assert open_with_material(hoot, twin) == b"m"
+
+
+SLOTTED_VALUES = [
+    PlainTag("slotted"),
+    ShortTag(5, 8),
+    LongTag(bytes(24), 192),
+    seal(b"slotted", [PlainTag("slotted")], rng=random.Random(1)),
+    TagBucket(ShortTag(5, 8), "au", (("slotted", 2), ("other", 1)), 3),
+    FeedPost(1, "alice", "#aaaaa AAAA"),
+    PostOutcome(False, reason=RejectReason.CENSORED, rule_index=0),
+]
+
+
+@pytest.mark.parametrize("value", SLOTTED_VALUES, ids=lambda value: type(value).__name__)
+def test_protocol_values_are_slotted_frozen_and_copy_equal(value):
+    assert not hasattr(value, "__dict__")
+    for slot in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, slot.name, getattr(value, slot.name))
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), replace(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
 
 
 def test_repr_hides_tag_key():
