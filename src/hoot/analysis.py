@@ -28,11 +28,10 @@ from .errors import PlainTagError
 from .tagcrypt import (
     FAST_KDF,
     KdfConfig,
-    MAX_K,
-    MIN_K,
     ShortTag,
     _build_short_tag,
     _builder,
+    check_k_range,
     encode_plain_tags,
     short_tags,
 )
@@ -141,8 +140,7 @@ class BandwidthBudget:
 
 def bandwidth_budget(total_rate: float, k: int, link_bits_per_second: float, message_bits: float) -> BandwidthBudget:
     """Per-short-tag rate under a uniform split, and what a link carries."""
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
+    check_k_range(k)
     if not (total_rate >= 0 and link_bits_per_second > 0 and message_bits > 0):  # a NaN fails too
         raise ValueError("rates and sizes must be positive")
     per_tag = total_rate / 2.0**k

@@ -11,13 +11,15 @@ it searches position ranges in a lasting process pool and merges them
 in visit order, so its result is the serial search's. Candidates are
 hashed a step at a time with hashlib, and
 ``tagcrypt.short_tag_positions`` finds a step's matches with one byte
-scan of the joined digests. Only first-n steps use numpy: a uint64 Feistel
-permutation of the step's positions, whose rounds are table lookups
-when a Feistel half is small, then one byte matrix of their tags, cut
-by one ``struct`` unpack when every glyph has the same UTF-8 width.
-numpy loads when a first-n search starts, so importing hoot or
-running an exhaustive search never loads it. Positions are uint64, so
-a space holds at most 2^64 candidates.
+scan of the joined digests. Every search builds its steps with numpy:
+a step's positions map to candidate indices (in exhaustive mode the
+positions themselves, so a range starts at its position directly; in
+first-n mode a uint64 Feistel permutation, whose rounds are table
+lookups when a Feistel half is small), then to one byte matrix of
+their tags, cut by one ``struct`` unpack when every glyph has the same
+UTF-8 width. numpy loads when a search starts, so importing hoot never
+loads it. Positions are uint64, so a space holds at most 2^64
+candidates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import atexit
 import collections
 import functools
-import itertools
 import logging
 import os
 import string
@@ -178,16 +179,19 @@ def _tag_cut(width: int, n: int) -> struct.Struct:
     return struct.Struct(f"{width}s" * n)
 
 
-def _first_n_steps(spec: SearchSpec, span: tuple[int, int], step: int):
-    """Plain tags of the position range ``span`` in the spec's seeded visit order, ``step`` positions at a time.
+def _steps(spec: SearchSpec, span: tuple[int, int], step: int):
+    """Plain tags (UTF-8) of the position range ``span`` in the spec's visit order, ``step`` positions at a time.
 
-    When every glyph has one UTF-8 width, every tag has one length, and
-    one ``struct`` unpack cuts a step's byte matrix into its tags.
+    A position's candidate index is the position itself in exhaustive
+    mode and its seeded permutation in first-n mode, so a range starts
+    at its position directly. When every glyph has one UTF-8 width,
+    every tag has one length, and one ``struct`` unpack cuts a step's
+    byte matrix into its tags.
     """
     import numpy as np  # on first use, so that importing hoot stays cheap
 
     start, stop = span
-    permute = _permutation(spec.space_size, spec.seed)
+    permute = _permutation(spec.space_size, spec.seed) if spec.mode is SearchMode.FIRST_N else None
     glyphs = [glyph.encode("utf-8") for glyph in spec.alphabet]
     widths = [len(glyph) for glyph in glyphs]
     width = max(widths)
@@ -195,7 +199,9 @@ def _first_n_steps(spec: SearchSpec, span: tuple[int, int], step: int):
     real = np.arange(width) < np.array(widths)[:, None]  # real[d, j]: byte j of glyph d is not padding
     prefix = np.frombuffer(spec.prefix.encode("utf-8"), np.uint8)
     for at in range(start, stop, step):
-        index = permute(np.arange(at, min(at + step, stop), dtype=np.uint64))
+        index = np.arange(at, min(at + step, stop), dtype=np.uint64)
+        if permute:
+            index = permute(index)
         n = len(index)
         digits = np.empty((n, spec.suffix_length), np.intp)
         for column in reversed(range(spec.suffix_length)):  # the last suffix glyph is the lowest digit
@@ -207,18 +213,6 @@ def _first_n_steps(spec: SearchSpec, span: tuple[int, int], step: int):
             keep = np.hstack([np.ones((n, len(prefix)), bool), real[digits].reshape(n, -1)])
             buffer, ends = tags[keep].tobytes(), np.cumsum(keep.sum(axis=1)).tolist()
             yield [buffer[begin:end] for begin, end in zip([0, *ends], ends)]
-
-
-def _steps(spec: SearchSpec, span: tuple[int, int], step: int):
-    """Plain tags (UTF-8) of the position range ``span`` in the spec's visit order, ``step`` at a time."""
-    if spec.mode is SearchMode.FIRST_N:
-        return _first_n_steps(spec, span, step)
-    start, stop = span
-    prefix = spec.prefix.encode("utf-8")
-    # product order is position order: the last suffix glyph varies fastest
-    suffixes = itertools.product([glyph.encode("utf-8") for glyph in spec.alphabet], repeat=spec.suffix_length)
-    tags = map(prefix.__add__, map(b"".join, itertools.islice(suffixes, start, stop)))
-    return iter(lambda: list(itertools.islice(tags, step)), [])
 
 
 def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
@@ -323,8 +317,8 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     """
     target = resolve_target(spec)
     spec = replace(spec, target=target)  # once, so that no range derives it again
-    if spec.mode is SearchMode.FIRST_N:  # load numpy before the clock starts, so that elapsed times the search alone
-        import numpy  # noqa: F401
+    # steps are built with numpy: load it before the clock starts, so that elapsed times the search alone
+    import numpy  # noqa: F401
     began = time.perf_counter()
 
     fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, len(os.sched_getaffinity(0))

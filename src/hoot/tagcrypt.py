@@ -235,6 +235,12 @@ class LongTag:
         return (total >> (len(self.data) * 8 - end)) & ((1 << length) - 1)
 
 
+def check_k_range(k: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless k is a supported short-tag width."""
+    if not MIN_K <= k <= MAX_K:
+        raise error(f"k={k} outside supported range {MIN_K}..{MAX_K}")
+
+
 @dataclass(frozen=True, slots=True)
 class ShortTag:
     """The first k bits of a long tag; the public group identifier."""
@@ -243,8 +249,7 @@ class ShortTag:
     k: int
 
     def __post_init__(self):
-        if not MIN_K <= self.k <= MAX_K:
-            raise ValueError(f"k={self.k} outside supported range {MIN_K}..{MAX_K}")
+        check_k_range(self.k)
         if not 0 <= self.value < (1 << self.k):
             raise ValueError(f"short tag value {self.value} does not fit in {self.k} bits")
 
@@ -330,7 +335,7 @@ _build_hoot = _builder(Hoot)
 
 
 def _check_k(long_tag_bits: int, k: int) -> None:
-    ShortTag(0, k)  # raises unless MIN_K <= k <= MAX_K
+    check_k_range(k)
     if long_tag_bits < k + 128:
         raise ValueError(f"long tag has {long_tag_bits} bits; k={k} needs {k + 128}")
 

@@ -36,11 +36,10 @@ from .tagcrypt import (
     KEY_BLOCK_BYTES,
     MAC_BYTES,
     KdfConfig,
-    MAX_K,
-    MIN_K,
     Hoot,
     ShortTag,
     _build_hoot,
+    check_k_range,
     seal,
 )
 
@@ -73,8 +72,7 @@ class WireParams:
     glyph_budget: int = DEFAULT_GLYPH_BUDGET
 
     def __post_init__(self):
-        if not MIN_K <= self.k <= MAX_K:
-            raise ConfigError(f"k={self.k} outside supported range {MIN_K}..{MAX_K}")
+        check_k_range(self.k, ConfigError)
         if self.glyph_budget < 1:
             raise ConfigError("glyph budget must be positive")
 
@@ -95,8 +93,7 @@ def encode_short_tags(values: list[int], k: int) -> list[str]:
     column of single glyphs when the glyph count is odd, then columns of
     two glyphs from a 1,024-entry table, joined per token by one map.
     """
-    if not MIN_K <= k <= MAX_K:
-        raise ValueError(f"k={k} outside supported range {MIN_K}..{MAX_K}")
+    check_k_range(k)
     if values and (min(values) < 0 or max(values) >> k):
         raise ValueError(f"short tag values must fit in {k} bits")
     shift = 5 * tag_glyphs(k)

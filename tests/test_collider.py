@@ -72,11 +72,13 @@ def visits(size: int, seed: int, start: int, stop: int) -> list[int]:
     return _permutation(size, seed)(np.arange(start, stop, dtype=np.uint64)).tolist()
 
 
-def brute_force_oracle(prefix: str, alphabet: str, length: int, target: int, k: int) -> set[str]:
-    """Independent enumeration: hash every suffix, compare leading bits."""
-    matches = set()
+def brute_force_oracle(
+    prefix: str, alphabet: str, length: int, target: int, k: int, positions: range | None = None
+) -> list[str]:
+    """Independent enumeration: hash every suffix (or those at ``positions``), compare leading bits, keep index order."""
+    matches = []
     size = len(alphabet)
-    for index in range(size**length):
+    for index in range(size**length) if positions is None else positions:
         value, digits = index, []
         for _ in range(length):
             value, digit = divmod(value, size)
@@ -85,7 +87,7 @@ def brute_force_oracle(prefix: str, alphabet: str, length: int, target: int, k: 
         digest = hashlib.sha1(candidate.encode()).digest()
         leading = int.from_bytes(digest[: (k + 7) // 8], "big") >> ((-k) % 8)
         if leading == target:
-            matches.add(candidate)
+            matches.append(candidate)
     return matches
 
 
@@ -93,7 +95,7 @@ def test_exhaustive_equals_oracle():
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x5, 4), suffix_length=8, alphabet="ab", k=4)
     result = find_tag(spec)
     oracle = brute_force_oracle("probe-", "ab", 8, 0x5, 4)
-    assert {m[0].text for m in result.matches} == oracle
+    assert [m[0].text for m in result.matches] == oracle
     assert result.candidates_tried == 256
 
 
@@ -102,10 +104,10 @@ def test_multibyte_alphabet_equals_oracle():
     oracle = brute_force_oracle("probe-", alphabet, 4, 0x9, 6)
     assert oracle
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x9, 6), suffix_length=4, alphabet=alphabet, k=6)
-    assert {m[0].text for m in find_tag(spec).matches} == oracle
-    assert {m[0].text for m in find_tag_sharded(spec, 3).matches} == oracle
+    assert [m[0].text for m in find_tag(spec).matches] == oracle
+    assert [m[0].text for m in find_tag_sharded(spec, 3).matches] == oracle
     first_n = replace(spec, mode=SearchMode.FIRST_N, count=len(oracle), seed=3)
-    assert {m[0].text for m in find_tag(first_n).matches} == oracle
+    assert {m[0].text for m in find_tag(first_n).matches} == set(oracle)
 
 
 def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
@@ -116,7 +118,7 @@ def test_fast_hash_wider_than_sha1_takes_the_fast_path(caplog):
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x2D, 6), suffix_length=5, alphabet="abc", k=6)
     with caplog.at_level(logging.WARNING, logger="hoot.collider"):
         result = find_tag(spec)
-    assert {m[0].text for m in result.matches} == oracle
+    assert [m[0].text for m in result.matches] == oracle
     assert not caplog.records
 
 
@@ -132,7 +134,7 @@ def test_full_batches_equal_oracle(alphabet, length):
     spec = SearchSpec(prefix="probe-", target=ShortTag(0x5A, 8), suffix_length=length, alphabet=alphabet, k=8)
     oracle = brute_force_oracle("probe-", alphabet, length, 0x5A, 8)
     result = find_tag(spec)
-    assert {m[0].text for m in result.matches} == oracle
+    assert [m[0].text for m in result.matches] == oracle
     assert result.candidates_tried == spec.space_size
 
     first_n = replace(spec, mode=SearchMode.FIRST_N, count=100, seed=11)
@@ -143,11 +145,28 @@ def test_full_batches_equal_oracle(alphabet, length):
             index, digit = divmod(index, len(alphabet))
             digits.append(alphabet[digit])
         walk.append("probe-" + "".join(reversed(digits)))
-    hits = [i for i, text in enumerate(walk) if text in oracle][:100]
+    matching = set(oracle)
+    hits = [i for i, text in enumerate(walk) if text in matching][:100]
     assert len(hits) == 100
     result = find_tag(first_n)
     assert [m[0].text for m in result.matches] == [walk[i] for i in hits]
     assert result.candidates_tried == hits[-1] + 1
+
+
+@pytest.mark.parametrize("start,stop", [(2**40, 2**40 + 40), (2**64 - 40, 2**64)], ids=["2^40", "2^64"])
+def test_an_exhaustive_range_deep_in_a_large_space_starts_at_its_position(start, stop):
+    # "0123456789abcdef"^16 holds 2^64 candidates; a range deep in it costs its own length, not its start
+    alphabet = "0123456789abcdef"
+    oracle = brute_force_oracle("deep-", alphabet, 16, 0x3, 4, range(start, stop))
+    assert oracle
+    spec = SearchSpec(
+        prefix="deep-", target=ShortTag(0x3, 4), suffix_length=16, alphabet=alphabet, k=4, start=start, stop=stop
+    )
+    for result in (find_tag(spec), find_tag_sharded(spec, 2)):
+        assert [m[0].text for m in result.matches] == oracle
+        assert result.candidates_tried == 40
+    matches, tried = collider._fan_out(spec, 2)  # too few candidates for find_tag to fan out, so ask the pool directly
+    assert [tag.decode() for _, tag in matches] == oracle and tried == 40
 
 
 def test_matches_recompute_to_target():
@@ -565,7 +584,7 @@ P_BA_64 = ShortTag(int.from_bytes(hashlib.sha1(b"p-ba").digest()[:8], "big"), 64
 @pytest.mark.parametrize("target", [P_BA_64, PlainTag("p-ba")], ids=["short", "plain"])
 def test_k64_search_under_the_default_kdf_equals_the_oracle(mode, target):
     # every long tag holds a 64-bit short tag and its 128-bit tag key, so the default KDF searches at k=64
-    assert brute_force_oracle("p-", "ab", 2, P_BA_64.value, 64) == {"p-ba"}
+    assert brute_force_oracle("p-", "ab", 2, P_BA_64.value, 64) == ["p-ba"]
     spec = SearchSpec(prefix="p-", target=target, suffix_length=2, alphabet="ab", k=64, mode=mode)
     for result in (find_tag(spec), find_tag_sharded(spec, 2)):
         assert result.matches == [(PlainTag("p-ba"), P_BA_64)]

@@ -398,7 +398,7 @@ def numpy_loaded_after(code: str) -> bool:
 
 
 def test_importing_hoot_leaves_numpy_unloaded():
-    # numpy is imported when a first-n search starts, so that importing hoot stays cheap
+    # numpy is imported when a search starts, so that importing hoot stays cheap
     assert not numpy_loaded_after("import hoot, hoot.collider, hoot.tagcrypt")
 
 
@@ -413,18 +413,8 @@ def test_importing_hoot_leaves_numpy_unloaded():
     ids=["cli", "anonymity-report"],
 )
 def test_the_command_line_and_a_corpus_report_leave_numpy_unloaded(code):
-    # only a first-n search and generate_powerlaw_corpus import numpy
+    # only a search and generate_powerlaw_corpus import numpy
     assert not numpy_loaded_after(code)
-
-
-def test_exhaustive_search_leaves_numpy_unloaded():
-    # 4**7 = 16,384 candidates: many fast-hash steps, all hashed with hashlib
-    assert not numpy_loaded_after(
-        "from hoot import PlainTag\n"
-        "from hoot.collider import SearchSpec, find_tag\n"
-        "result = find_tag(SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=7, alphabet='abcd', k=8))\n"
-        "assert result.candidates_tried == 16384"
-    )
 
 
 def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
@@ -466,14 +456,21 @@ def test_a_fast_hash_scenario_starts_no_thread_and_leaves_concurrent_futures_unl
     assert out.split() == ["1", "0", "False"]
 
 
-@pytest.mark.parametrize("search", ["find_tag(spec)", "find_tag_sharded(spec, 2)"])
-def test_first_n_search_loads_numpy_before_its_clock_starts(search):
+@pytest.mark.parametrize(
+    "mode,search",
+    [
+        pytest.param(mode, search, id=search if mode == "FIRST_N" else f"{search}-exhaustive")
+        for mode in ("FIRST_N", "EXHAUSTIVE")
+        for search in ("find_tag(spec)", "find_tag_sharded(spec, 2)")
+    ],
+)
+def test_first_n_search_loads_numpy_before_its_clock_starts(mode, search):
     # so that elapsed, and the rate hoot collide logs from it, time the search and not numpy's first import
     out = run_fresh(
         "import sys, time\n"
         "from hoot import PlainTag\n"
         "from hoot.collider import SearchMode, SearchSpec, find_tag, find_tag_sharded\n"
-        "spec = SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=2, mode=SearchMode.FIRST_N, k=4)\n"
+        f"spec = SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=2, mode=SearchMode.{mode}, k=4)\n"
         "clock = time.perf_counter\n"
         "time.perf_counter = lambda: print('numpy' in sys.modules) or clock()\n"
         f"{search}\n"
