@@ -64,6 +64,9 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         path = argv[index + 1]
     except IndexError:
         parser.error("--config needs a file path")
+    rest = argv[:index] + argv[index + 2 :]
+    if "--config" in rest:
+        parser.error("--config given more than once")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             defaults = json.load(handle)
@@ -71,6 +74,8 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(defaults, dict):
         raise ConfigError(f"config file {path} holds a JSON {type(defaults).__name__}, not an object")
+    if "config" in defaults:
+        raise ConfigError(f"config file {path} names another config file")
     injected = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
@@ -79,9 +84,9 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
                 injected.append(flag)
         else:
             injected.extend([flag, str(value)])
-    rest = argv[:index] + argv[index + 2 :]
-    # subcommand first, then config-file defaults, then explicit flags
-    return rest[:1] + injected + rest[1:]
+    # command words (`analyze` takes a report name too) first, then config-file defaults, then explicit flags
+    words = 2 if rest[:1] == ["analyze"] else 1
+    return rest[:words] + injected + rest[words:]
 
 
 def _gather_tags(args, *, need_many: bool) -> list[PlainTag]:
@@ -135,12 +140,12 @@ def cmd_open(args) -> int:
     tag = _gather_tags(args, need_many=False)[0]
     params = _wire_params(args)
     material = derive_tag_material(tag, kdf, params.k)
-    stream = sys.stdin if args.file == "-" else open(args.file, "r", encoding="utf-8")
+    stream = sys.stdin.buffer if args.file == "-" else open(args.file, "rb")
     matched = skipped = 0
     malformed = Counter()
     try:
-        for line in stream:
-            line = line.strip()
+        for raw in stream:
+            line = raw.decode("utf-8", errors="replace").strip()  # wire.parse refuses what did not decode
             if not line:
                 continue
             try:
@@ -155,7 +160,7 @@ def cmd_open(args) -> int:
             matched += 1
             sys.stdout.write(message.decode("utf-8", errors="replace") + "\n")
     finally:
-        if stream is not sys.stdin:
+        if stream is not sys.stdin.buffer:
             stream.close()
     if args.stats:
         kinds = " ".join(f"{kind}={count}" for kind, count in sorted(malformed.items()))
@@ -165,6 +170,8 @@ def cmd_open(args) -> int:
 
 
 def cmd_collide(args) -> int:
+    if args.mode != "first-n" and (args.count is not None or args.seed is not None):
+        raise UsageError("--count and --seed need --mode first-n")
     kdf = _kdf(args)
     if args.target.startswith("#"):
         target = wire.decode_short_tag(args.target[1:], args.k)
@@ -176,7 +183,7 @@ def cmd_collide(args) -> int:
         suffix_length=args.suffix_len,
         alphabet=args.alphabet,
         mode=collider.SearchMode(args.mode),
-        count=args.count,
+        count=1 if args.count is None else args.count,
         k=args.k,
         kdf=kdf,
         seed=args.seed or 0,
@@ -229,51 +236,39 @@ def _parse_component(text: str):
     raise HootError(f"unknown namespace component {text!r} (use dict:N, digits:N, glyphs:SIZE:LEN)")
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise UsageError("missing required flag(s): " + ", ".join("--" + n for n in missing))
-
-
-def _print_brute_force(bits: float, rate: float, cores: int) -> None:
+def _brute_force_lines(bits: float, rate: float, cores: int) -> str:
     budget = analysis.brute_force_time(bits, rate, cores)
-    print(f"full_seconds={budget.full_seconds:.6g}")
-    print(f"expected_seconds={budget.expected_seconds:.6g}")
-    print(f"full_years={budget.full_years:.6g}")
+    return (
+        f"full_seconds={budget.full_seconds:.6g}\n"
+        f"expected_seconds={budget.expected_seconds:.6g}\n"
+        f"full_years={budget.full_years:.6g}\n"
+    )
 
 
 def cmd_analyze(args) -> int:
-    if args.what == "entropy":
-        if not args.component:
-            raise UsageError("entropy needs at least one --component")
+    if args.report == "entropy":
         spec = analysis.NamespaceSpec(tuple(_parse_component(c) for c in args.component))
         bits = analysis.entropy_bits(spec)
-        print(f"entropy_bits={bits:.4f}")
-        if args.rate and args.cores:
-            _print_brute_force(bits, args.rate, args.cores)
-    elif args.what == "brute-force":
-        _require(args, "bits", "rate")
-        _print_brute_force(args.bits, args.rate, args.cores)
-    elif args.what == "collision-prob":
-        _require(args, "alphabet-size", "tag-glyphs", "suffix-len")
+        brute_force = "" if args.rate is None else _brute_force_lines(bits, args.rate, args.cores)
+        sys.stdout.write(f"entropy_bits={bits:.4f}\n" + brute_force)
+    elif args.report == "brute-force":
+        sys.stdout.write(_brute_force_lines(args.bits, args.rate, args.cores))
+    elif args.report == "collision-prob":
         p = analysis.collision_probability(args.alphabet_size, args.tag_glyphs, args.suffix_len)
         print(f"probability={p:.10g}")
-    elif args.what == "bandwidth":
-        _require(args, "total-rate", "link-bps")
+    elif args.report == "bandwidth":
         budget = analysis.bandwidth_budget(args.total_rate, args.k, args.link_bps, args.msg_bytes * 8)
         print(f"per_tag_per_second={budget.per_tag_per_second:.6g}")
         print(f"per_tag_per_minute={budget.per_tag_per_minute:.6g}")
         print(f"link_messages_per_second={budget.link_messages_per_second:.6g}")
-    elif args.what == "report":
-        _require(args, "corpus")
+    elif args.report == "report":
         corpus = analysis.load_corpus(args.corpus)
         report = analysis.anonymity_report(corpus, args.k, _kdf(args), top_buckets=args.top)
         sys.stdout.write(report.render())
         if args.rank_out:
             with open(args.rank_out, "w", encoding="utf-8") as handle:
                 handle.write(report.rank_frequency_csv())
-    elif args.what == "gen-corpus":
-        _require(args, "tags", "total", "out")
+    elif args.report == "gen-corpus":
         corpus = analysis.generate_powerlaw_corpus(args.tags, args.exponent, args.total, args.seed or 0)
         analysis.save_corpus(corpus, args.out)
         print(f"wrote {len(corpus.entries)} tags, volume {corpus.total}, to {args.out}")
@@ -378,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suffix-len", type=int, required=True)
     p.add_argument("--alphabet", default=collider.ALPHANUMERIC)
     p.add_argument("--mode", choices=["exhaustive", "first-n"], default="exhaustive")
-    p.add_argument("--count", type=int, default=1, help="matches wanted in first-n mode")
+    p.add_argument("--count", type=int, default=None, help="matches wanted in first-n mode (default 1)")
     p.set_defaults(run=cmd_collide)
 
     p = sub.add_parser("simulate", help="run a feed/censor scenario script")
@@ -388,30 +383,36 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("analyze", help="entropy, collision, bandwidth, and corpus reports")
-    _add_k_and_kdf(p, "fast")
-    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
-    p.add_argument(
-        "what",
-        choices=["entropy", "brute-force", "collision-prob", "bandwidth", "report", "gen-corpus"],
-    )
-    p.add_argument("--component", action="append", default=[], help="dict:N | digits:N | glyphs:SIZE:LEN")
-    p.add_argument("--bits", type=float)
+    p.set_defaults(run=cmd_analyze)
+    reports = p.add_subparsers(dest="report", required=True)
+    p = reports.add_parser("entropy")
+    p.add_argument("--component", action="append", required=True, help="dict:N | digits:N | glyphs:SIZE:LEN")
     p.add_argument("--rate", type=float)
     p.add_argument("--cores", type=int, default=1)
-    p.add_argument("--alphabet-size", type=int)
-    p.add_argument("--tag-glyphs", type=int)
-    p.add_argument("--suffix-len", type=int)
-    p.add_argument("--total-rate", type=float)
-    p.add_argument("--link-bps", type=float)
+    p = reports.add_parser("brute-force")
+    p.add_argument("--bits", type=float, required=True)
+    p.add_argument("--rate", type=float, required=True)
+    p.add_argument("--cores", type=int, default=1)
+    p = reports.add_parser("collision-prob")
+    p.add_argument("--alphabet-size", type=int, required=True)
+    p.add_argument("--tag-glyphs", type=int, required=True)
+    p.add_argument("--suffix-len", type=int, required=True)
+    p = reports.add_parser("bandwidth")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
+    p.add_argument("--total-rate", type=float, required=True)
+    p.add_argument("--link-bps", type=float, required=True)
     p.add_argument("--msg-bytes", type=float, default=140)
-    p.add_argument("--corpus")
+    p = reports.add_parser("report")
+    _add_k_and_kdf(p, "fast")
+    p.add_argument("--corpus", required=True)
     p.add_argument("--top", type=int, default=None, help="truncate the report to N buckets")
     p.add_argument("--rank-out", help="write rank,count CSV here")
-    p.add_argument("--tags", type=int)
+    p = reports.add_parser("gen-corpus")
+    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
+    p.add_argument("--tags", type=int, required=True)
     p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--total", type=int)
-    p.add_argument("--out")
-    p.set_defaults(run=cmd_analyze)
+    p.add_argument("--total", type=int, required=True)
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="measure seal/open throughput")
     p.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
@@ -420,8 +421,9 @@ def build_parser() -> _Parser:
     p.add_argument("--reject-fraction", type=float, default=0.9)
     p.set_defaults(run=cmd_bench)
 
-    for command in sub.choices.values():
-        command.add_argument("--config", help="JSON file of default flag values for this command")
+    for name, command in [*sub.choices.items(), *reports.choices.items()]:
+        if name != "analyze":
+            command.add_argument("--config", help="JSON file of default flag values for this command")
     return parser
 
 

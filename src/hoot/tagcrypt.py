@@ -334,12 +334,6 @@ _build_short_tag = _builder(ShortTag)
 _build_hoot = _builder(Hoot)
 
 
-def _check_k(long_tag_bits: int, k: int) -> None:
-    check_k_range(k)
-    if long_tag_bits < k + 128:
-        raise ValueError(f"long tag has {long_tag_bits} bits; k={k} needs {k + 128}")
-
-
 def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     """Stretch a plain tag into its 192-bit long tag.
 
@@ -363,7 +357,9 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
 
 def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
     """Carve a long tag into its k-bit short tag and 128-bit tag key."""
-    _check_k(long_tag.bits, k)
+    check_k_range(k)
+    if long_tag.bits < k + 128:
+        raise ValueError(f"long tag has {long_tag.bits} bits; k={k} needs {k + 128}")
     short = ShortTag(long_tag.bit_slice(0, k), k)
     key = long_tag.bit_slice(k, 128).to_bytes(TAG_KEY_BYTES, "big")
     return TagMaterial(short, key)
@@ -425,7 +421,7 @@ def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     k is checked first. Memory-hard tags bypass the material cache; fast-hash
     tags are hashed with hashlib and read from the joined digests at once.
     """
-    _check_k(LONG_TAG_BITS, k)
+    check_k_range(k)
     if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
         return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
     sha1, shift = hashlib.sha1, 64 - k
@@ -442,7 +438,7 @@ def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: 
     value's leading min(k, 8) bits, and only the marked digests are read
     further.
     """
-    _check_k(LONG_TAG_BITS, k)
+    check_k_range(k)
     if cfg.mode is KdfMode.MEMORY_HARD:
         return [i for i, tag_value in enumerate(short_tags(plain_tags, cfg, k)) if tag_value == value]
     sha1, shift = hashlib.sha1, 64 - k

@@ -112,7 +112,7 @@ def test_open_filters_cover_traffic_preserving_order(capsys, monkeypatch):
         token + " AAAA",  # payload-length
         lines[0] + "*",  # bad-alphabet
     ]
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(("\n".join(lines) + "\n").encode())))
     code, out, err = run(capsys, "open", "-", "--tag", "ours-cli", "--kdf", "fast", "--stats")
     assert code == EXIT_OK
     assert out.splitlines() == mine
@@ -123,9 +123,24 @@ def test_open_filters_cover_traffic_preserving_order(capsys, monkeypatch):
 
 
 def test_open_empty_stream(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
     code, out, _ = run(capsys, "open", "-", "--tag", "t", "--kdf", "fast")
     assert code == EXIT_OK and out == ""
+
+
+def test_open_counts_a_non_utf8_line_as_malformed_from_a_path_and_stdin(capsys, monkeypatch, tmp_path):
+    rng = random.Random(4)
+    first, last = (wire.encode(seal(body, [PlainTag("utf8-group")], rng=rng)) for body in (b"first", b"last"))
+    data = f"{first}\n".encode() + b"#abcde \xff\xfe\n" + f"{last}\n".encode()
+    path = tmp_path / "feed.txt"
+    path.write_bytes(data)
+    argv = ["--tag", "utf8-group", "--kdf", "fast", "--stats"]
+    from_path = run(capsys, "open", str(path), *argv)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    from_stdin = run(capsys, "open", "-", *argv)
+    for code, out, err in (from_path, from_stdin):
+        assert code == EXIT_OK and out == "first\nlast\n"
+        assert err.splitlines()[-1] == "matched=2 skipped=0 malformed=1 (bad-alphabet=1)"
 
 
 def test_collide_emits_verifiable_lines(capsys):
@@ -170,6 +185,17 @@ def test_collide_short_tag_target_and_shortfall(capsys):
     )
     assert code == EXIT_DATA
     assert "of 5 requested" in err
+
+
+def test_collide_refuses_count_and_seed_without_first_n(capsys):
+    base = ["collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--kdf", "fast"]
+    for extra in (["--count", "5"], ["--seed", "3"], ["--count", "5", "--seed", "3"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == EXIT_USAGE and out == "", extra
+        assert err == "hoot collide: usage error: --count and --seed need --mode first-n\n", extra
+    code, out, err = run(capsys, *base, "--mode", "first-n", "--count", "0")
+    assert code == EXIT_DATA and out == ""
+    assert err.splitlines()[-1] == "hoot collide: error: first-n mode needs count >= 1"
 
 
 def test_collide_rejects_a_space_of_invalid_plain_tags(capsys):
@@ -360,8 +386,16 @@ def test_analyze_entropy_and_brute_force(capsys):
         code, out, err = run(capsys, "analyze", *argv)
         assert code == EXIT_OK and err == "", argv
         assert "full_seconds=inf\nexpected_seconds=inf\nfull_years=inf\n" in out, argv
-    for argv in (["--bits", "nan", "--rate", "1"], ["--bits", "40", "--rate", "nan"], ["--bits", "40", "--rate", "inf"]):
-        code, out, err = run(capsys, "analyze", "brute-force", *argv)
+    for argv in (
+        ["brute-force", "--bits", "nan", "--rate", "1"],
+        ["brute-force", "--bits", "40", "--rate", "nan"],
+        ["brute-force", "--bits", "40", "--rate", "inf"],
+        ["brute-force", "--bits", "40", "--rate", "0"],
+        ["brute-force", "--bits", "40", "--rate", "1", "--cores", "0"],
+        ["entropy", "--component", "digits:7", "--rate", "0"],
+        ["entropy", "--component", "digits:7", "--rate", "1", "--cores", "0"],
+    ):
+        code, out, err = run(capsys, "analyze", *argv)
         assert code == EXIT_DATA and out == "", argv
         assert err == "hoot analyze: error: entropy, rate, and cores must be positive, and the rate finite\n", argv
 
@@ -455,6 +489,13 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
         ("collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--shards", "2"),
         ("open", str(feed), "--tag", "t", "--kdf", "fast", "--seed", "1"),
         ("seal", "m", "--tag", "t", "--kdf", "fast", "--kdf-output-bits", "192"),
+        ("analyze", "entropy", "--component", "dict:10", "--kdf", "memory-hard", "--corpus", "x", "--tags", "4"),
+        ("analyze", "entropy", "--component", "dict:10", "--k", "10"),
+        ("analyze", "brute-force", "--bits", "40", "--rate", "1", "--component", "dict:10"),
+        ("analyze", "collision-prob", "--alphabet-size", "62", "--tag-glyphs", "2", "--suffix-len", "3", "--rate", "1"),
+        ("analyze", "bandwidth", "--total-rate", "7000", "--link-bps", "128000", "--kdf", "fast"),
+        ("analyze", "report", "--corpus", str(feed), "--seed", "1"),
+        ("analyze", "gen-corpus", "--tags", "5", "--total", "10", "--out", str(tmp_path / "c.csv"), "--k", "10"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
@@ -467,8 +508,10 @@ def test_kdf_settings_are_one_list_in_every_place():
     assert settings == {"work", "memory", "parallelism"}
     assert set(inspect.signature(kdf_config).parameters) - {"mode"} == settings
     commands = build_parser()._subparsers._group_actions[0].choices
-    for name in ("seal", "open", "collide", "analyze"):
-        flags = {flag for action in commands[name]._actions for flag in action.option_strings}
+    parsers = {name: commands[name] for name in ("seal", "open", "collide")}
+    parsers["analyze report"] = commands["analyze"]._subparsers._group_actions[0].choices["report"]
+    for name, parser in parsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
         assert {flag[len("--kdf-"):].replace("-", "_") for flag in flags if flag.startswith("--kdf-")} == settings, name
     assert set(feed._KDF_SIZES) == settings
     for setting in settings:
@@ -482,6 +525,41 @@ def test_config_key_a_command_lacks_is_named(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "--iterations", "10", "--config", str(config))
     assert code == EXIT_USAGE
     assert "--glyph-budget" in err
+
+
+def test_every_analyze_report_takes_its_own_config(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 10}))
+    argv = ["analyze", "bandwidth", "--total-rate", "7000", "--link-bps", "128000"]
+    assert run(capsys, *argv, "--config", str(config)) == run(capsys, *argv, "--k", "10")
+    assert run(capsys, *argv, "--k", "10")[1] != run(capsys, *argv)[1]
+    config.write_text(json.dumps({"corpus": "tags.csv"}))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --corpus tags.csv" in err
+    commands = build_parser()._subparsers._group_actions[0].choices
+    leaves = {(name,): parser for name, parser in commands.items() if name != "analyze"}
+    reports = commands["analyze"]._subparsers._group_actions[0].choices
+    leaves.update({("analyze", name): parser for name, parser in reports.items()})
+    assert len(leaves) == 11
+    for words, parser in leaves.items():
+        assert any("--config" in action.option_strings for action in parser._actions), words
+        code, out, _ = run(capsys, *words, "--help")
+        assert code == EXIT_OK and out.startswith(f"usage: hoot {' '.join(words)} "), words
+
+
+def test_config_is_read_once_and_names_no_other_config(capsys, tmp_path):
+    first, second, nested = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "nested.json"
+    first.write_text(json.dumps({"k": 12}))
+    second.write_text(json.dumps({"k": 18}))
+    nested.write_text(json.dumps({"config": str(second), "kdf": "fast"}))
+    argv = ["seal", "m", "--tag", "t", "--seed", "1", "--kdf", "fast"]
+    code, out, err = run(capsys, *argv, "--config", str(first), f"--config={second}")
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1] == "hoot: error: --config given more than once"
+    code, out, err = run(capsys, *argv, "--config", str(nested))
+    assert code == EXIT_DATA and out == ""
+    assert err == f"hoot: error: config file {nested} names another config file\n"
 
 
 def test_usage_errors_exit_one(capsys):
