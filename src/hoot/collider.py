@@ -41,6 +41,7 @@ from .tagcrypt import (
     FAST_KDF,
     KdfConfig,
     KdfMode,
+    MAX_PLAIN_TAG_BYTES,
     PlainTag,
     ShortTag,
     short_tag_positions,
@@ -65,12 +66,7 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One collision search over ``prefix + alphabet^suffix_length``.
-
-    ``start``/``stop`` bound the visit positions (not candidate values),
-    so each range of a fanned-out first-n search follows the one global
-    random order.
-    """
+    """One collision search over ``prefix + alphabet^suffix_length``, the whole space."""
 
     prefix: str
     target: PlainTag | ShortTag
@@ -81,8 +77,6 @@ class SearchSpec:
     k: int = DEFAULT_K
     kdf: KdfConfig = FAST_KDF
     seed: int = 0
-    start: int = 0
-    stop: int | None = None
 
     def __post_init__(self):
         if not self.alphabet:
@@ -92,24 +86,18 @@ class SearchSpec:
         if self.suffix_length < 0:
             raise ValueError("suffix length must be >= 0")
         widest = max(self.alphabet, key=lambda glyph: len(glyph.encode("utf-8")))
+        tail = widest * (min(self.suffix_length, MAX_PLAIN_TAG_BYTES + 1) - 1)  # 257 glyphs already exceed 256 bytes
         for glyph in self.alphabet if self.suffix_length else [""]:  # fails if any candidate would
-            PlainTag(self.prefix + glyph + widest * (self.suffix_length - 1))
+            PlainTag(self.prefix + glyph + tail)
         if self.mode is SearchMode.FIRST_N and self.count < 1:
             raise ValueError("first-n mode needs count >= 1")
         size = self.space_size
         if size > 1 << 64:  # positions and candidate indices are uint64
             raise ValueError(f"a space of {size} candidates is more than 2^64")
-        stop = size if self.stop is None else self.stop
-        if not 0 <= self.start <= stop <= size:
-            raise ValueError(f"position range [{self.start}, {stop}) outside space of {size}")
 
     @property
     def space_size(self) -> int:
         return len(self.alphabet) ** self.suffix_length
-
-    @property
-    def position_range(self) -> tuple[int, int]:
-        return self.start, self.space_size if self.stop is None else self.stop
 
 
 @dataclass
@@ -220,9 +208,9 @@ def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
 
     Each piece is (matches, length): its matches as (position within the
     piece, UTF-8 plain tag), and the candidates it spans. A returned
-    match carries its position in the spec's range. First-n mode stops
-    at ``spec.count`` matches, having tried candidates up to the last one
-    taken, even when the piece holding it holds more.
+    match carries its position counted from the first piece's start.
+    First-n mode stops at ``spec.count`` matches, having tried candidates
+    up to the last one taken, even when the piece holding it holds more.
     """
     matches, tried = [], 0
     for hits, length in pieces:
@@ -238,7 +226,7 @@ def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
 def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, bytes]], int]:
     """The serial search of the position range ``span``, a step at a time: ``_gather``'s matches and tries.
 
-    ``span`` lies within the checked spec's range, so that a range needs
+    ``span`` lies within ``[0, spec.space_size)``, so that a range needs
     no spec of its own. This is the pool's task for one range, and it
     never fans out.
     """
@@ -251,14 +239,14 @@ def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, byte
 
 
 def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int]:
-    """``_walk(spec, spec.position_range)``'s result, from position ranges searched in the lasting process pool.
+    """``_walk(spec, (0, spec.space_size))``'s result, from position ranges searched in the lasting process pool.
 
     First-n mode submits one ``FAST_HASH_STEP`` per range, exhaustive
-    mode one range per core from ``partition``. Ranges are submitted in
-    visit order, at most ``cores + 2`` ahead of the one being merged, so
-    that no worker idles while the merge waits. Before returning or
-    raising, the ranges not started are cancelled and those started are
-    waited for, so that no work outlives the search.
+    mode one range per core. Ranges are submitted in visit order, at most
+    ``cores + 2`` ahead of the one being merged, so that no worker idles
+    while the merge waits. Before returning or raising, the ranges not
+    started are cancelled and those started are waited for, so that no
+    work outlives the search.
     """
     global _workers
     from concurrent.futures import wait
@@ -272,11 +260,9 @@ def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int
             _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
             atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
         workers = _workers
-    start, stop = spec.position_range
-    if spec.mode is SearchMode.FIRST_N:
-        ranges = ((at, min(at + FAST_HASH_STEP, stop)) for at in range(start, stop, FAST_HASH_STEP))
-    else:
-        ranges = [piece.position_range for piece in partition(spec, cores)]
+    size = spec.space_size
+    width = FAST_HASH_STEP if spec.mode is SearchMode.FIRST_N else -(-size // cores)
+    ranges = ((at, min(at + width, size)) for at in range(0, size, width))
     pending = collections.deque()
 
     def results():
@@ -303,9 +289,9 @@ def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int
 def find_tag(spec: SearchSpec) -> SearchResult:
     """Run one search to completion.
 
-    Exhaustive mode returns every match in the spec's position range;
-    first-n mode returns the first ``spec.count`` matches in the seeded
-    random order. Matches are (plain tag, short tag) pairs, independently
+    Exhaustive mode returns every match in the space; first-n mode
+    returns the first ``spec.count`` matches in the seeded random order.
+    Matches are (plain tag, short tag) pairs, independently
     recomputable from the KDF. A fast-hash search on more than one core
     that is expected to hash at least ``_FAN_OUT_STEPS`` steps per core
     runs in the lasting process pool (``_fan_out``); any other runs in
@@ -323,31 +309,16 @@ def find_tag(spec: SearchSpec) -> SearchResult:
 
     fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, len(os.sched_getaffinity(0))
     if not fast:
-        start, stop = spec.position_range
         log.warning(
             "searching with a non-trivial KDF: each of up to %d candidates pays the full derivation cost",
-            stop - start,
+            spec.space_size,
         )
     if fast and cores > 1 and expected_tries(spec) >= _FAN_OUT_STEPS * FAST_HASH_STEP * cores:
         matches, tried = _fan_out(spec, cores)
     else:
-        matches, tried = _walk(spec, spec.position_range)
+        matches, tried = _walk(spec, (0, spec.space_size))
     found = [(PlainTag(tag.decode("utf-8")), target) for _, tag in matches]
     return SearchResult(found, tried, time.perf_counter() - began)
-
-
-def partition(spec: SearchSpec, shards: int) -> list[SearchSpec]:
-    """Split a search into disjoint position ranges covering the space.
-
-    Shards beyond the space size degenerate to empty ranges, which is
-    harmless; their results are empty.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    start, stop = spec.position_range
-    span = stop - start
-    bounds = [start + (span * i) // shards for i in range(shards + 1)]
-    return [replace(spec, start=bounds[i], stop=bounds[i + 1]) for i in range(shards)]
 
 
 def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
@@ -362,11 +333,10 @@ def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
 
 
 def expected_tries(spec: SearchSpec) -> int:
-    """Candidates the search is expected to hash: its position range, or 2^k per first-n match."""
-    start, stop = spec.position_range
+    """Candidates the search is expected to hash: its space, or 2^k per first-n match."""
     if spec.mode is SearchMode.EXHAUSTIVE:
-        return stop - start
-    return min(spec.count << spec.k, stop - start)
+        return spec.space_size
+    return min(spec.count << spec.k, spec.space_size)
 
 
 def estimate_runtime(spec: SearchSpec, hash_rate: float, cores: int = 1) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -188,7 +189,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.messages < 0 or self.replays < 0:
             raise ValueError("message and replay counts must be >= 0")
-        if not 0 < self.rate < float("inf"):  # a NaN fails too
+        if not 0 < self.rate <= sys.float_info.max:  # a NaN fails too, and so does an int too large for a float
             raise ValueError("posting rate must be positive and finite")
 
 
@@ -291,7 +292,7 @@ def load_scenario(source: str | dict) -> ScenarioScript:
                 name=_typed(g["name"], "name", str),
                 plain_tag=PlainTag(_typed(g["plain_tag"], "plain_tag", str)),
                 messages=_typed(g["messages"], "messages", int),
-                rate=float(_typed(g.get("rate", 1.0), "rate", int, float)),
+                rate=_typed(g.get("rate", 1.0), "rate", int, float),
                 replays=_typed(g.get("replays", 0), "replays", int),
             )
             for g in _objects(raw, "groups")

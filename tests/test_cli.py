@@ -367,6 +367,15 @@ def test_simulate_names_a_field_of_the_wrong_type_in_one_line(capsys, tmp_path, 
     assert err == f"hoot simulate: error: {message}\n"
 
 
+def test_simulate_refuses_a_rate_too_large_for_a_float(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2, "rate": 10**330}]}))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "hoot simulate: error: posting rate must be positive and finite\n"
+
+
 def test_analyze_entropy_and_brute_force(capsys):
     code, out, _ = run(
         capsys, "analyze", "entropy", "--component", "dict:40000", "--component", "digits:7",
@@ -482,6 +491,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
     script.write_text(json.dumps({"groups": [{"name": "g", "plain_tag": "flag-group", "messages": 1}]}))
     feed = tmp_path / "feed.txt"
     feed.write_text("")
+    conf = tmp_path / "k12.json"
+    conf.write_text(json.dumps({"k": 12}))
     for argv in (
         ("simulate", str(script), "--k", "18", "--kdf", "memory-hard"),
         ("bench", "--iterations", "10", "--kdf", "fast"),
@@ -489,6 +500,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
         ("collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--shards", "2"),
         ("open", str(feed), "--tag", "t", "--kdf", "fast", "--seed", "1"),
         ("seal", "m", "--tag", "t", "--kdf", "fast", "--kdf-output-bits", "192"),
+        ("seal", "m", "--tag", "t", "--seed", "1", "--kdf", "fast", "--conf", str(conf)),  # no abbreviated flags
+        ("seal", "m", "--tag", "t", "--kdf", "fast", "--gly", "100"),
         ("analyze", "entropy", "--component", "dict:10", "--kdf", "memory-hard", "--corpus", "x", "--tags", "4"),
         ("analyze", "entropy", "--component", "dict:10", "--k", "10"),
         ("analyze", "brute-force", "--bits", "40", "--rate", "1", "--component", "dict:10"),

@@ -10,6 +10,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
@@ -25,13 +26,12 @@ from hoot.collider import (
     SearchMode,
     SearchSpec,
     estimate_runtime,
-    expected_tries,
     find_tag,
     find_tag_sharded,
-    partition,
     resolve_target,
     _permutation,
 )
+from hoot.errors import PlainTagError
 from hoot.tagcrypt import (
     KdfConfig,
     KdfMode,
@@ -159,13 +159,8 @@ def test_an_exhaustive_range_deep_in_a_large_space_starts_at_its_position(start,
     alphabet = "0123456789abcdef"
     oracle = brute_force_oracle("deep-", alphabet, 16, 0x3, 4, range(start, stop))
     assert oracle
-    spec = SearchSpec(
-        prefix="deep-", target=ShortTag(0x3, 4), suffix_length=16, alphabet=alphabet, k=4, start=start, stop=stop
-    )
-    for result in (find_tag(spec), find_tag_sharded(spec, 2)):
-        assert [m[0].text for m in result.matches] == oracle
-        assert result.candidates_tried == 40
-    matches, tried = collider._fan_out(spec, 2)  # too few candidates for find_tag to fan out, so ask the pool directly
+    spec = SearchSpec(prefix="deep-", target=ShortTag(0x3, 4), suffix_length=16, alphabet=alphabet, k=4)
+    matches, tried = collider._walk(spec, (start, stop))
     assert [tag.decode() for _, tag in matches] == oracle and tried == 40
 
 
@@ -361,18 +356,12 @@ def test_two_threads_fanning_out_at_once_start_one_pool():
     assert len(multiprocessing.active_children()) == CORES
 
 
-def test_partition_is_disjoint_and_covering():
-    spec = SearchSpec(prefix="x-", target=ShortTag(0, 8), suffix_length=3, alphabet="abc", k=8)
-    pieces = partition(spec, 5)
-    ranges = [piece.position_range for piece in pieces]
-    covered = []
-    for lo, hi in ranges:
-        covered.extend(range(lo, hi))
-    assert covered == list(range(27))
-    # more shards than candidates degenerates gracefully
-    tiny = partition(SearchSpec(prefix="x-", target=ShortTag(0, 8), suffix_length=1, alphabet="ab", k=8), 5)
-    spans = [hi - lo for lo, hi in (p.position_range for p in tiny)]
-    assert sum(spans) == 2 and all(s >= 0 for s in spans)
+@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("alphabet, length", [("a", 1), ("ab", 1), ("abc", 1), ("abc", 3)], ids=["1", "2", "3", "27"])
+def test_the_pool_covers_a_small_space(mode, alphabet, length):
+    # spaces of 1 and 2 candidates are no larger than the core count; too few candidates for find_tag to fan out
+    spec = SearchSpec(prefix="x-", target=ShortTag(0, 1), suffix_length=length, alphabet=alphabet, k=1, mode=mode)
+    assert collider._fan_out(spec, 2) == collider._walk(spec, (0, spec.space_size))
 
 
 @pytest.mark.parametrize("mode", list(SearchMode))
@@ -552,8 +541,6 @@ def test_spec_validation():
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=1, alphabet="", k=4)
     with pytest.raises(ValueError):
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=1, alphabet="aa", k=4)
-    with pytest.raises(ValueError):
-        SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=2, alphabet="ab", k=4, start=3, stop=9)
     # a space with any candidate that is not a valid plain tag is refused before it is searched
     for prefix, alphabet, length, reason in [
         ("a b", "ab", 2, "whitespace"),
@@ -575,6 +562,17 @@ def test_spec_validation():
     SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=64, alphabet="ab", k=4)
     with pytest.raises(ValueError, match=f"space of {62**11} candidates is more than 2\\^64"):
         SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=11, alphabet=ALPHANUMERIC, k=4)
+
+
+def test_an_over_long_suffix_is_refused_before_its_candidates_are_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlainTagError, match="plain tag exceeds 256 UTF-8 bytes"):
+            SearchSpec(prefix="p", target=ShortTag(0, 4), suffix_length=10**7, alphabet="a", k=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a candidate of 10^7 glyphs would take 10 MB
 
 
 P_BA_64 = ShortTag(int.from_bytes(hashlib.sha1(b"p-ba").digest()[:8], "big"), 64)
@@ -605,8 +603,6 @@ def test_estimate_runtime():
         mode=SearchMode.FIRST_N, count=1,
     )
     assert estimate_runtime(expected_first, 1.9e6, 1) == pytest.approx(2**18 / 1.9e6)
-    # a shard is expected to cost its own position range
-    assert [expected_tries(piece) for piece in partition(spec, 3)] == [2**36 // 3, 2**36 // 3, 2**36 - 2 * (2**36 // 3)]
 
 
 def test_runtime_scales_with_alphabet_per_suffix_glyph():

@@ -233,6 +233,11 @@ def test_script_validation():
             GroupSpec("a", PlainTag("t"), messages=1, rate=rate)
 
 
+def test_a_rate_too_large_for_a_float_is_refused():
+    with pytest.raises(ValueError, match="posting rate must be positive and finite"):
+        load_scenario(json.dumps({"groups": [{"name": "a", "plain_tag": "t", "messages": 1, "rate": 10**330}]}))
+
+
 def test_rule_tag_from_token():
     ours = PlainTag("token-rule")
     token = wire.encode_short_tag(tag_of(ours))
