@@ -85,6 +85,7 @@ class SearchSpec:
             raise ValueError("suffix alphabet must not repeat glyphs")
         if self.suffix_length < 0:
             raise ValueError("suffix length must be >= 0")
+        PlainTag("x" + "".join(g for g in self.alphabet if "\ud800" <= g <= "\udfff"))  # a lone surrogate's PlainTagError
         widest = max(self.alphabet, key=lambda glyph: len(glyph.encode("utf-8")))
         tail = widest * (min(self.suffix_length, MAX_PLAIN_TAG_BYTES + 1) - 1)  # 257 glyphs already exceed 256 bytes
         for glyph in self.alphabet if self.suffix_length else [""]:  # fails if any candidate would

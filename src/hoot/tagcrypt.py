@@ -7,10 +7,9 @@ identifier, deliberately collision-prone) and the next 128 bits become
 the tag key. Every long tag has the k + 128 bits the largest k needs,
 and a short tag and tag key read only its leading bits. A fast-hash
 short tag is the leading k bits of SHA-1; ``short_tags`` is the batched
-form, one hashlib call per tag and one unpack of the joined digests,
-and ``short_tag_positions``
-finds one short tag in a batch with a byte scan of the joined digests
-in place of the unpack. Each sealed message
+form, one hashlib call per tag and one unpack of the joined digests, and
+``short_tag_positions`` finds one short tag in a batch with a byte scan
+of the joined digests in place of the unpack. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
 addressed group, a MAC over the ciphertext, and the ciphertext itself:
 
@@ -43,25 +42,25 @@ c||0, c||1, ..., with c the nonce or eight zero bytes. Each TagMaterial
 builds its AES-ECB context once, on first use, and reuses it, under a
 lock, for every key block it wraps or unwraps.
 
-Tag material is memoized per (plain tag, KDF config, k) in one bounded
-least-recently-used cache of the last 64, fast hash and memory-hard
-alike, so repeat callers share one TagMaterial and its AES context.
-The cache lives in the process, so a fresh process pays scrypt again.
-``short_tags`` and ``short_tag_positions`` bypass it, so a search evicts
-no subscriber's material.
+The module owns one least-recently-used cache of the last 64 tag
+materials by (plain tag, KDF config, k), so repeat callers share one
+TagMaterial and its AES context; its lock is held for a lookup or an
+insert, never while a tag is derived. ``short_tags`` and
+``short_tag_positions`` bypass it, so a search evicts no subscriber's
+material.
 
 scrypt releases the interpreter lock, so ``derive_tag_materials``
-derives a batch of memory-hard tags in lanes, as ``hoot simulate`` does
-for a scenario's group tags before its first post and ``seal`` does for
-the tags of one hoot. There is one lane per core, at most one per
-distinct tag and at most two in all, so a batch holds at most two
-scrypt buffers at once on any host. The calling thread is the first
-lane, and each other lane is a thread started for the call and joined
-before it returns, so no thread outlives a call and a fork after it
-copies no lane. The results, and the error raised when a derivation
-fails (the earliest failing tag's), are the serial loop's.
-``short_tags`` stays serial, and fast-hash tags never use lanes: a
-SHA-1 holds the lock and takes microseconds.
+derives a batch's memory-hard tags in lanes, as ``hoot simulate`` does
+for a scenario's group tags and ``seal`` for the tags of one hoot. The
+lanes run ``derive_long_tag`` on the tags the cache lacks and nothing
+else; the calling thread caches the results. There is one lane per
+core, at most one per missing tag and at most two in all, so a batch
+holds at most two scrypt buffers on any host. The calling thread is
+the first lane, and each other lane is a thread joined before the call
+returns, so no thread outlives a call and a fork after it copies no
+lane. The results, and the error raised when a derivation fails (the
+earliest failing tag's), are the serial loop's. ``short_tags`` stays
+serial, and fast-hash tags never use lanes: a SHA-1 takes microseconds.
 
 The protocol's values are frozen slotted dataclasses: PlainTag,
 ShortTag, LongTag and Hoot here, analysis.TagBucket, and feed.FeedPost
@@ -74,6 +73,7 @@ memory they took with one. TagMaterial keeps its ``__dict__``:
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import hashlib
@@ -148,9 +148,7 @@ class KdfConfig:
 
         r is sized so 128*r*n covers the requested memory, floored at 1.
         """
-        n = self.work
-        r = max(1, self.memory // (128 * n))
-        return n, r, self.parallelism
+        return self.work, max(1, self.memory // (128 * self.work)), self.parallelism
 
 
 FAST_KDF = KdfConfig()
@@ -231,8 +229,7 @@ class LongTag:
         end = start + length
         if start < 0 or length < 0 or end > self.bits:
             raise ValueError(f"bit range [{start}, {end}) outside 0..{self.bits}")
-        total = int.from_bytes(self.data, "big")
-        return (total >> (len(self.data) * 8 - end)) & ((1 << length) - 1)
+        return (int.from_bytes(self.data, "big") >> (len(self.data) * 8 - end)) & ((1 << length) - 1)
 
 
 def check_k_range(k: int, error: type[ValueError] = ValueError) -> None:
@@ -374,9 +371,9 @@ def _in_lanes(derive, items: list) -> list:
     failure of the item earliest in ``items`` is raised, as the serial
     loop would raise it.
     """
-    distinct = list(dict.fromkeys(items))
+    done, failed = dict.fromkeys(items), {}  # keyed here, so that a lane only sets values
+    distinct = list(done)
     lanes = max(1, min(len(distinct), len(os.sched_getaffinity(0)), _MAX_LANES))
-    done, failed = {}, {}
 
     def lane(mine):
         for item in mine:
@@ -399,20 +396,54 @@ def _in_lanes(derive, items: list) -> list:
     return [done[item] for item in items]
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+_materials = collections.OrderedDict()  # (plain tag text, config, k) -> TagMaterial, least recently used first
+_materials_lock = threading.Lock()
+_lookups = [0, 0]  # hits and misses, as functools.lru_cache counts them
+
+
+def _lookup(key) -> TagMaterial | None:
+    with _materials_lock:
+        material = _materials.get(key)
+        _lookups[material is None] += 1
+        if material is not None:
+            _materials.move_to_end(key)
+    return material
+
+
+def _insert(key, material: TagMaterial) -> TagMaterial:
+    with _materials_lock:
+        material = _materials.setdefault(key, material)  # one another thread cached first stays, and is returned
+        if len(_materials) > _CACHE_SIZE:
+            _materials.popitem(last=False)
+    return material
+
+
+def _cache_clear() -> None:
+    with _materials_lock:
+        _materials.clear()
+        _lookups[:] = 0, 0
+
+
 def derive_tag_material(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF, k: int = DEFAULT_K) -> TagMaterial:
-    return split_tag(derive_long_tag(plain_tag, cfg), k)
+    return _lookup(key := (plain_tag.text, cfg, k)) or _insert(key, split_tag(derive_long_tag(plain_tag, cfg), k))
+
+
+derive_tag_material.cache_info = lambda: functools._CacheInfo(*_lookups, _CACHE_SIZE, len(_materials))
+derive_tag_material.cache_clear = _cache_clear
 
 
 def derive_tag_materials(plain_tags: list[PlainTag], cfg: KdfConfig, k: int) -> list[TagMaterial]:
     """``derive_tag_material(t, cfg, k)`` for each plain tag t, memory-hard tags in lanes.
 
-    Every result goes through the material cache, so later calls for
-    these tags are cache hits while they stay among its last 64.
+    Each distinct tag is looked up once; this thread splits and caches the missing ones' long tags in order.
     """
-    if cfg.mode is KdfMode.MEMORY_HARD:
-        return _in_lanes(lambda tag: derive_tag_material(tag, cfg, k), plain_tags)
-    return [derive_tag_material(tag, cfg, k) for tag in plain_tags]
+    found = {tag: _lookup((tag.text, cfg, k)) for tag in dict.fromkeys(plain_tags)}
+    missing = [tag for tag, material in found.items() if material is None]
+    if missing:  # an all-cached batch starts no lane
+        run = _in_lanes if cfg.mode is KdfMode.MEMORY_HARD else map
+        for tag, long_tag in zip(missing, run(functools.partial(derive_long_tag, cfg=cfg), missing)):
+            found[tag] = _insert((tag.text, cfg, k), split_tag(long_tag, k))
+    return [found[tag] for tag in plain_tags]
 
 
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:

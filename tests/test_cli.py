@@ -209,6 +209,16 @@ def test_collide_rejects_a_space_of_invalid_plain_tags(capsys):
     assert "whitespace" in err
 
 
+def test_collide_names_an_undecodable_alphabet_byte_as_a_plain_tag_error(capsys):
+    # Python decodes an argument's invalid UTF-8 byte 0xff to the lone surrogate U+DCFF
+    for length in ("1", "0"):
+        code, out, err = run(
+            capsys, "collide", "--prefix", "p-", "--target", "t", "--suffix-len", length, "--alphabet", "a\udcff",
+        )
+        assert code == EXIT_DATA and out == ""
+        assert err.splitlines()[-1] == "hoot collide: error: plain tag is not valid UTF-8"
+
+
 def test_collide_refuses_a_space_beyond_2_to_the_64_before_searching(capsys, monkeypatch):
     searched = []
     monkeypatch.setattr(collider, "find_tag", searched.append)

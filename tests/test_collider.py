@@ -550,6 +550,8 @@ def test_spec_validation():
         ("", "a b", 1, "whitespace"),
         ("", "ab", 0, "non-empty"),
         ("x" * 250, "aé", 4, "256 UTF-8 bytes"),  # 250 + 4 * 2 bytes
+        ("p-", "a\udcff", 1, "not valid UTF-8"),  # a lone surrogate, as a command line's undecodable byte arrives
+        ("p-", "a\udcff", 0, "not valid UTF-8"),  # refused even where no candidate holds a glyph
     ]:
         with pytest.raises(ValueError, match=reason):
             SearchSpec(prefix=prefix, target=ShortTag(0, 4), suffix_length=length, alphabet=alphabet, k=4)

@@ -1,5 +1,6 @@
 """Tag derivation, splitting, and seal/open behavior."""
 
+import collections
 import copy
 import hashlib
 import hmac
@@ -690,6 +691,123 @@ def test_seal_derives_a_hoots_new_memory_hard_tags_in_lanes(scrypt_calls, monkey
     derive_tag_material.cache_clear()
     seal(b"one group", [PlainTag("seal-lane-c")], _TINY_SCRYPT, k=12, rng=random.Random(5))
     assert started == []
+    # a hoot whose tags are all cached starts no lane and asks for no core count
+    asked = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: asked.append(pid) or {0, 1})
+    seal(b"cached group", [PlainTag("seal-lane-c")] * 2, _TINY_SCRYPT, k=12, rng=random.Random(5))
+    assert started == [] and asked == []
+
+
+class _Recording(collections.OrderedDict):
+    """A material cache that records the name of each thread that inserts into it."""
+
+    def __init__(self, inserters):
+        super().__init__()
+        self.inserters = inserters
+
+    def __setitem__(self, key, value):
+        self.inserters.append(threading.current_thread().name)
+        super().__setitem__(key, value)
+
+
+class _RecordingLock:
+    """A lock that records the name of each thread that takes it."""
+
+    def __init__(self, takers):
+        self.lock, self.takers = threading.Lock(), takers
+
+    def __enter__(self):
+        self.takers.append(threading.current_thread().name)
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_only_the_calling_thread_touches_the_material_cache(scrypt_calls, monkeypatch):
+    inserters, takers = [], []
+    monkeypatch.setattr(tagcrypt, "_materials", _Recording(inserters))
+    monkeypatch.setattr(tagcrypt, "_materials_lock", _RecordingLock(takers))
+    with_cores(monkeypatch, 2)
+    lanes = scrypt_lanes(monkeypatch)
+    tags = [PlainTag(f"insert-{i % 6}") for i in range(10)]
+    materials = derive_tag_materials(tags, _TINY_SCRYPT, 16)
+    assert len(lanes) == 2  # the batch ran on two lanes
+    me = threading.current_thread().name
+    # one lookup and one insert per distinct tag, all in this thread, the inserts in batch order
+    assert inserters == [me] * 6 and takers == [me] * 12
+    assert [key[0] for key in tagcrypt._materials] == [tag.text for tag in tags[:6]]
+    assert materials == [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
+
+
+def test_the_material_cache_reports_and_resets_as_lru_cache_does(scrypt_calls):
+    assert derive_tag_material.cache_info() == (0, 0, 64, 0)
+    for i in range(100):
+        derive_tag_material(PlainTag(f"bounded-{i}"), FAST_KDF, 12)
+        assert derive_tag_material.cache_info().currsize == min(i + 1, 64)
+    derive_tag_material(PlainTag("bounded-99"), FAST_KDF, 12)
+    info = derive_tag_material.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 100, 64, 64)
+    derive_tag_material.cache_clear()
+    info = derive_tag_material.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_threads_deriving_overlapping_batches_share_each_material(scrypt_calls, monkeypatch):
+    with_cores(monkeypatch, 2)
+    batches = [[PlainTag(f"overlap-{i}") for i in range(start, start + 20)] for start in (0, 10)]
+    results = {}
+
+    def derive(n):
+        results[n] = derive_tag_materials(batches[n], _TINY_SCRYPT, 16)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=derive, args=(n,)) for n in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for n, batch in enumerate(batches):
+        assert results[n] == [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in batch]
+    # the 30 tags stay among the cache's last 64, so each key is one object, in both batches and later
+    assert all(ours is theirs for ours, theirs in zip(results[0][10:], results[1][:10]))
+    for tag, material in zip(batches[0] + batches[1], results[0] + results[1]):
+        assert derive_tag_material(tag, _TINY_SCRYPT, 16) is material
+
+
+def test_a_pooled_search_forked_while_the_material_cache_is_locked_equals_the_serial_search():
+    # a worker inherits the lock as held at the fork, so a worker that took it would never finish: after
+    # 120 s a watchdog kills the interpreter's process group, its pool workers included, and the run fails
+    out = run_fresh(
+        "import os, signal, threading\n"
+        "os.setpgrp()\n"
+        "watchdog = threading.Timer(120, os.killpg, (0, signal.SIGKILL))\n"
+        "watchdog.daemon = True\n"
+        "watchdog.start()\n"
+        "from hoot import PlainTag, collider, tagcrypt\n"
+        "from hoot.collider import ALPHANUMERIC, SearchSpec, find_tag\n"
+        "held, release = threading.Event(), threading.Event()\n"
+        "def hold():\n"
+        "    with tagcrypt._materials_lock:\n"
+        "        held.set()\n"
+        "        release.wait()\n"
+        "holder = threading.Thread(target=hold)\n"
+        "holder.start()\n"
+        "held.wait()\n"
+        "spec = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
+        "pooled = find_tag(spec)\n"
+        "forked = collider._workers is not None or len(os.sched_getaffinity(0)) == 1\n"
+        "release.set()\n"
+        "holder.join()\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "serial = find_tag(spec)\n"
+        "print(forked, pooled.matches == serial.matches, pooled.candidates_tried == serial.candidates_tried)"
+    )
+    assert out.split() == ["True", "True", "True"]
 
 
 # RFC 2202's HMAC-SHA1 test cases 1-7, (key, data) to digest; cases 6 and 7 have keys longer than a block
