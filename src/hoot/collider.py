@@ -7,9 +7,9 @@ scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
 started. ``find_tag`` spreads a large fast-hash search over the cores:
-it searches position ranges in a lasting process pool and merges them
-in visit order, so its result is the serial search's. Candidates are
-hashed a step at a time with hashlib, and
+it searches position ranges in ``tagcrypt``'s process pool and merges
+them in visit order, so its result is the serial search's. Candidates
+are hashed a step at a time with hashlib, and
 ``tagcrypt.short_tag_positions`` finds a step's matches with one byte
 scan of the joined digests. Every search builds its steps with numpy:
 a step's positions map to candidate indices (in exhaustive mode the
@@ -24,14 +24,11 @@ candidates.
 
 from __future__ import annotations
 
-import atexit
 import collections
 import functools
 import logging
-import os
 import string
 import struct
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -47,6 +44,7 @@ from .tagcrypt import (
     short_tag_positions,
     short_tags,
 )
+from .tagcrypt import _cores, _drop_pool, _pool
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +53,6 @@ ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 _MASK64 = (1 << 64) - 1
 FAST_HASH_STEP = 1 << 12  # candidates per fast-hash step, few enough that first-n hashes little past its last match
 _FAN_OUT_STEPS = 4  # steps per core a search is expected to hash before the pool pays for its round trips
-_workers = None  # the process pool, started on the first fan-out and kept for the life of the process
-_workers_lock = threading.Lock()
 
 
 class SearchMode(Enum):
@@ -240,7 +236,7 @@ def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, byte
 
 
 def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int]:
-    """``_walk(spec, (0, spec.space_size))``'s result, from position ranges searched in the lasting process pool.
+    """``_walk(spec, (0, spec.space_size))``'s result, from position ranges searched in ``tagcrypt``'s process pool.
 
     First-n mode submits one ``FAST_HASH_STEP`` per range, exhaustive
     mode one range per core. Ranges are submitted in visit order, at most
@@ -249,18 +245,10 @@ def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int
     started are cancelled and those started are waited for, so that no
     work outlives the search.
     """
-    global _workers
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    with _workers_lock:  # two threads fanning out at once start one pool between them
-        if _workers is None:
-            import multiprocessing  # on first fan-out, so that importing hoot stays cheap
-            from concurrent.futures import ProcessPoolExecutor
-
-            _workers = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"))
-            atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
-        workers = _workers
+    workers = _pool()
     size = spec.space_size
     width = FAST_HASH_STEP if spec.mode is SearchMode.FIRST_N else -(-size // cores)
     ranges = ((at, min(at + width, size)) for at in range(0, size, width))
@@ -277,9 +265,7 @@ def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int
     try:
         return _gather(spec, results())
     except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
-        with _workers_lock:
-            if _workers is workers:
-                _workers = None
+        _drop_pool(workers)
         raise
     finally:
         for future in pending:
@@ -295,12 +281,9 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     Matches are (plain tag, short tag) pairs, independently
     recomputable from the KDF. A fast-hash search on more than one core
     that is expected to hash at least ``_FAN_OUT_STEPS`` steps per core
-    runs in the lasting process pool (``_fan_out``); any other runs in
-    this process. Either way the pieces merge in visit order, so the
-    result is the serial search's. A lock another thread held at the
-    fork stays held in a worker, but a worker takes none: it searches
-    for a resolved ``ShortTag`` through ``short_tag_positions``, never
-    the material cache or a ``TagMaterial``'s lock.
+    runs in ``tagcrypt``'s fork-safe process pool (``_fan_out``); any
+    other runs in this process. Either way the pieces merge in visit
+    order, so the result is the serial search's.
     """
     target = resolve_target(spec)
     spec = replace(spec, target=target)  # once, so that no range derives it again
@@ -308,7 +291,7 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     import numpy  # noqa: F401
     began = time.perf_counter()
 
-    fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, len(os.sched_getaffinity(0))
+    fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, _cores()
     if not fast:
         log.warning(
             "searching with a non-trivial KDF: each of up to %d candidates pays the full derivation cost",
@@ -325,8 +308,9 @@ def find_tag(spec: SearchSpec) -> SearchResult:
 def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
     """``find_tag(spec)``, for callers that name a shard count; ``shards`` must be at least 1.
 
-    ``find_tag`` picks its own position ranges, so the count changes
-    nothing else.
+    ``find_tag`` picks its own ranges, so the count changes nothing
+    else. Nothing in hoot calls this: it stays only because the
+    benchmark's collider-exhaustive workload and trace layer do.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")

@@ -49,18 +49,19 @@ insert, never while a tag is derived. ``short_tags`` and
 ``short_tag_positions`` bypass it, so a search evicts no subscriber's
 material.
 
+The module owns hoot's use of the cores, which ``_cores()`` counts.
 scrypt releases the interpreter lock, so ``derive_tag_materials``
-derives a batch's memory-hard tags in lanes, as ``hoot simulate`` does
-for a scenario's group tags and ``seal`` for the tags of one hoot. The
-lanes run ``derive_long_tag`` on the tags the cache lacks and nothing
-else; the calling thread caches the results. There is one lane per
-core, at most one per missing tag and at most two in all, so a batch
-holds at most two scrypt buffers on any host. The calling thread is
-the first lane, and each other lane is a thread joined before the call
-returns, so no thread outlives a call and a fork after it copies no
-lane. The results, and the error raised when a derivation fails (the
-earliest failing tag's), are the serial loop's. ``short_tags`` stays
-serial, and fast-hash tags never use lanes: a SHA-1 takes microseconds.
+derives a batch's missing memory-hard tags in lanes: one per core, at
+most one per tag and at most two, so a batch holds at most two scrypt
+buffers. Lanes run ``derive_long_tag`` alone, and the calling thread
+caches the results; results and the error raised (the earliest failing
+tag's) are the serial loop's. Fast-hash tags (a SHA-1 takes
+microseconds) and ``short_tags`` never use lanes. A search fans out over
+``_pool()``, a fork process pool of one worker per core that lasts as
+long as the process. Fork safety: a lock another thread holds at a fork
+stays held in the child. So no lane outlives a call (the caller is the
+first lane and joins the rest), and a pool worker takes no lock: it
+hashes candidates for a resolved ``ShortTag`` and looks up no material.
 
 The protocol's values are frozen slotted dataclasses: PlainTag,
 ShortTag, LongTag and Hoot here, analysis.TagBucket, and feed.FeedPost
@@ -73,6 +74,7 @@ memory they took with one. TagMaterial keeps its ``__dict__``:
 
 from __future__ import annotations
 
+import atexit
 import collections
 import enum
 import functools
@@ -104,6 +106,8 @@ _WRAPPED_MAC_KEY = KEY_BLOCK_NONCE_BYTES + SESSION_KEY_BYTES  # where a key bloc
 _ECB = modes.ECB()
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
+_workers = None  # the fork pool, started on first use and kept for the life of the process
+_workers_lock = threading.Lock()
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
 # bytes.translate tables taking each key byte to itself XOR RFC 2104's ipad and opad bytes
@@ -362,18 +366,22 @@ def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
     return TagMaterial(short, key)
 
 
-def _in_lanes(derive, items: list) -> list:
-    """``[derive(item) for item in items]``, each distinct item derived once, in one lane per core.
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask's size where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; macOS, for one, has no affinity mask
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    There are at most ``_MAX_LANES`` lanes, whatever the core count.
-    Lane i derives every lanes-th distinct item from the i-th on; the
-    calling thread is lane 0. A lane stops at its first failure, and the
-    failure of the item earliest in ``items`` is raised, as the serial
-    loop would raise it.
+
+def _in_lanes(derive, items: list) -> list:
+    """``[derive(item) for item in items]``, each distinct item derived once, in lanes as the module docstring says.
+
+    A lane stops at its first failure, and the failure of the item
+    earliest in ``items`` is raised, as the serial loop would raise it.
     """
     done, failed = dict.fromkeys(items), {}  # keyed here, so that a lane only sets values
     distinct = list(done)
-    lanes = max(1, min(len(distinct), len(os.sched_getaffinity(0)), _MAX_LANES))
+    lanes = max(1, min(len(distinct), _cores(), _MAX_LANES))
 
     def lane(mine):
         for item in mine:
@@ -394,6 +402,26 @@ def _in_lanes(derive, items: list) -> list:
     if failed:
         raise failed[next(item for item in items if item in failed)]
     return [done[item] for item in items]
+
+
+def _pool():
+    """The lasting fork process pool, one worker per core, started on the first call; see the module docstring."""
+    global _workers
+    with _workers_lock:  # two threads asking at once start one pool between them
+        if _workers is None:
+            import multiprocessing  # on first use, so that importing hoot stays cheap
+            from concurrent.futures import ProcessPoolExecutor
+
+            _workers = ProcessPoolExecutor(_cores(), mp_context=multiprocessing.get_context("fork"))
+            atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
+        return _workers
+
+
+def _drop_pool(pool) -> None:
+    global _workers
+    with _workers_lock:
+        if _workers is pool:
+            _workers = None
 
 
 _materials = collections.OrderedDict()  # (plain tag text, config, k) -> TagMaterial, least recently used first

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hoot import collider
+from hoot import collider, tagcrypt
 from hoot.collider import (
     ALPHANUMERIC,
     FAST_HASH_STEP,
@@ -336,9 +336,9 @@ def test_a_first_n_search_leaves_no_range_running_when_it_returns():
 
 @needs_cores
 def test_two_threads_fanning_out_at_once_start_one_pool():
-    if collider._workers is not None:
-        collider._workers.shutdown()
-        collider._workers = None
+    if tagcrypt._workers is not None:
+        tagcrypt._workers.shutdown()
+        tagcrypt._workers = None
     barrier, results = threading.Barrier(2), []
 
     def search():

@@ -800,7 +800,7 @@ def test_a_pooled_search_forked_while_the_material_cache_is_locked_equals_the_se
         "held.wait()\n"
         "spec = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
         "pooled = find_tag(spec)\n"
-        "forked = collider._workers is not None or len(os.sched_getaffinity(0)) == 1\n"
+        "forked = tagcrypt._workers is not None or len(os.sched_getaffinity(0)) == 1\n"
         "release.set()\n"
         "holder.join()\n"
         "os.sched_getaffinity = lambda pid: {0}\n"
@@ -808,6 +808,54 @@ def test_a_pooled_search_forked_while_the_material_cache_is_locked_equals_the_se
         "print(forked, pooled.matches == serial.matches, pooled.candidates_tried == serial.candidates_tried)"
     )
     assert out.split() == ["True", "True", "True"]
+
+
+@pytest.mark.parametrize("count", [2, None])
+def test_searches_seals_and_lanes_without_an_affinity_mask_equal_the_serial_loop(count, scrypt_calls, monkeypatch):
+    # where os has no sched_getaffinity (macOS, for one) the core count is os.cpu_count(), or 1 when that is unknown
+    spec = SearchSpec(prefix="p-", target=PlainTag("t"), suffix_length=6, alphabet="abcd", k=8)  # too small to fan out
+    tags, params = [PlainTag("no-mask-a"), PlainTag("no-mask-b")], WireParams(k=12, glyph_budget=280)
+    with_cores(monkeypatch, 1)
+    search = find_tag(spec)
+    serial = [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
+    line = seal_to_wire(b"two groups", tags, _TINY_SCRYPT, params, rng=random.Random(5))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    lanes = scrypt_lanes(monkeypatch)
+    result = find_tag(spec)
+    assert (result.matches, result.candidates_tried) == (search.matches, search.candidates_tried)
+    derive_tag_material.cache_clear()
+    assert derive_tag_materials(tags, _TINY_SCRYPT, 16) == serial
+    assert len(lanes) == (count or 1)
+    derive_tag_material.cache_clear()
+    assert seal_to_wire(b"two groups", tags, _TINY_SCRYPT, params, rng=random.Random(5)) == line
+
+
+def test_one_core_count_sizes_both_the_lanes_and_the_pool():
+    # one core starts neither a pool worker nor a lane thread; two cores start two workers and one lane thread
+    out = run_fresh(
+        "import multiprocessing, os, threading\n"
+        "from hoot import PlainTag, tagcrypt\n"
+        "from hoot.collider import ALPHANUMERIC, SearchSpec, find_tag\n"
+        "from hoot.tagcrypt import KdfConfig, KdfMode, derive_tag_material, derive_tag_materials\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: started.append(thread.name) or start(thread)\n"
+        "spec = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
+        "tags, tiny = [PlainTag('cores-a'), PlainTag('cores-b')], KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)\n"
+        "for cores in ({0}, {0, 1}):\n"
+        "    os.sched_getaffinity = lambda pid: cores\n"
+        "    matches = find_tag(spec).matches\n"
+        "    workers = 0 if tagcrypt._workers is None else tagcrypt._workers._max_workers\n"
+        "    derive_tag_material.cache_clear()\n"
+        "    started.clear()\n"
+        "    derive_tag_materials(tags, tiny, 16)\n"
+        "    print(len(matches), workers, len(multiprocessing.active_children()), ','.join(started) or '-')\n"
+    )
+    one, two = (line.split() for line in out.splitlines())
+    assert one[1:] == ["0", "0", "-"]
+    assert two[1:] == ["2", "2", "hoot-lane-1"]
+    assert one[0] == two[0] and int(one[0]) > 100
 
 
 # RFC 2202's HMAC-SHA1 test cases 1-7, (key, data) to digest; cases 6 and 7 have keys longer than a block
