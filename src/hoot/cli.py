@@ -25,6 +25,7 @@ from .errors import ConfigError, HootError, ParseError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
+    KDF_SETTINGS,
     Hoot,
     KdfConfig,
     PlainTag,
@@ -111,7 +112,7 @@ def _wire_params(args) -> wire.WireParams:
 
 def _kdf(args) -> KdfConfig:
     """Build the KDF the flags name and log the command's effective configuration."""
-    kdf = kdf_config(args.kdf, args.kdf_work, args.kdf_memory, args.kdf_parallelism)
+    kdf = kdf_config(args.kdf, **{name: getattr(args, f"kdf_{name}") for name in KDF_SETTINGS})
     log.info(
         "config: k=%d kdf=%s(work=%d, memory=%d, parallelism=%d) glyph_budget=%s seed=%s",
         args.k,
@@ -286,6 +287,10 @@ def run_bench(iterations: int = 2000, k: int = DEFAULT_K, reject_fraction: float
     shortcut that never touches the message ciphertext. Tag material is
     derived once, as a subscribed reader would.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, not {iterations}")
+    if not 0 <= reject_fraction <= 1:  # NaN fails both comparisons
+        raise ValueError(f"reject fraction must lie in [0, 1], not {reject_fraction}")
     rng = random.Random(seed)
     params = wire.WireParams(k=k)
     ours = PlainTag("bench-our-group")
@@ -342,9 +347,8 @@ def cmd_bench(args) -> int:
 def _add_k_and_kdf(parser: _Parser, default_kdf: str):
     parser.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
     parser.add_argument("--kdf", choices=["fast", "memory-hard"], default=default_kdf)
-    parser.add_argument("--kdf-work", type=int, default=None)
-    parser.add_argument("--kdf-memory", type=int, default=None)
-    parser.add_argument("--kdf-parallelism", type=int, default=None)
+    for name in KDF_SETTINGS:
+        parser.add_argument(f"--kdf-{name}", type=int, default=None, help="memory-hard KDF only")
 
 
 def build_parser() -> _Parser:

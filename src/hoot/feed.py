@@ -32,7 +32,9 @@ from collections import Counter, OrderedDict
 
 from .errors import ParseError
 from .tagcrypt import (
+    DEFAULT_K,
     FAST_KDF,
+    KDF_SETTINGS,
     Hoot,
     KdfConfig,
     PlainTag,
@@ -224,7 +226,7 @@ class ScenarioScript:
     groups: tuple[GroupSpec, ...]
     policy: CensorPolicy = CensorPolicy()
     seed: int = 0
-    k: int = 24
+    k: int = DEFAULT_K
     kdf: KdfConfig = FAST_KDF
     glyph_budget: int = wire.DEFAULT_GLYPH_BUDGET
     target_group: str | None = None
@@ -239,9 +241,6 @@ class ScenarioScript:
     @property
     def wire_params(self) -> wire.WireParams:
         return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
-
-
-_KDF_SIZES = ("work", "memory", "parallelism")  # a script's kdf keys besides "mode"
 
 
 def _typed(value, name: str, *json_types: type):
@@ -270,9 +269,9 @@ def _objects(raw: dict, name: str, default: list | None = None) -> list[dict]:
 def load_scenario(source: str | dict) -> ScenarioScript:
     """Build a script from a JSON string or an already-decoded dict.
 
-    A missing field, a field of the wrong JSON type, or a key of the
-    ``kdf`` object other than "mode" and the KdfConfig sizes is a
-    ValueError.
+    A missing field, a field of the wrong JSON type, a key of the
+    ``kdf`` object other than "mode" and ``KDF_SETTINGS``, or such a
+    setting under the fast hash is a ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
@@ -280,13 +279,13 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     given = raw.get("kdf", {})
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
-    unknown = sorted(set(given) - {"mode", *_KDF_SIZES})
+    unknown = sorted(set(given) - {"mode", *KDF_SETTINGS})
     if unknown:
         raise ValueError(f"scenario script field 'kdf' has the unknown key {unknown[0]!r}")
     try:
-        sizes = {key: _typed(given[key], key, int) for key in _KDF_SIZES if given.get(key) is not None}
+        sizes = {key: _typed(given[key], key, int) for key in KDF_SETTINGS if given.get(key) is not None}
         kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
-        k = _typed(raw.get("k", 24), "k", int)
+        k = _typed(raw.get("k", DEFAULT_K), "k", int)
         groups = tuple(
             GroupSpec(
                 name=_typed(g["name"], "name", str),

@@ -13,9 +13,9 @@ of the joined digests in place of the unpack. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
 addressed group, a MAC over the ciphertext, and the ciphertext itself:
 
-    long_tag  = H(plain_tag)
-    short_tag = long_tag.bits[0 : k]
-    tag_key   = long_tag.bits[k : k+128]
+    long_tag  = H(plain_tag)                 192 bits, the most significant first
+    short_tag = long_tag[0 : k]
+    tag_key   = long_tag[k : k+128]
     k_enc, k_mac = fresh random 128-bit keys
     ciphertext   = AES-CTR(k_enc, counter=0, message)
     key_block    = nonce || AES-CTR(tag_key, counter=nonce||0, k_enc||k_mac)
@@ -94,7 +94,7 @@ MAX_PLAIN_TAG_BYTES = 256
 MIN_K = 1
 MAX_K = 64
 DEFAULT_K = 24
-LONG_TAG_BITS = MAX_K + 128  # the widest short tag and its tag key
+LONG_TAG_BYTES = (MAX_K + 128) // 8  # the widest short tag and its tag key
 
 TAG_KEY_BYTES = 16
 SESSION_KEY_BYTES = 16
@@ -159,15 +159,22 @@ FAST_KDF = KdfConfig()
 MEMORY_HARD_KDF = KdfConfig(mode=KdfMode.MEMORY_HARD)
 
 
-def kdf_config(mode: str, work=None, memory=None, parallelism=None) -> KdfConfig:
-    """Build a KdfConfig from a mode name and optional integer fields.
+KDF_SETTINGS = tuple(setting.name for setting in fields(KdfConfig) if setting.name != "mode")  # the sizes of scrypt
+
+
+def kdf_config(mode: str, **sizes) -> KdfConfig:
+    """Build a KdfConfig from a mode name and optional integer settings, named as in KDF_SETTINGS.
 
     ``mode`` is a KdfMode value, or "fast" as the command line spells
-    "fast-hash". A field left as None keeps its KdfConfig default.
+    "fast-hash". A setting left as None keeps its KdfConfig default. The
+    settings size scrypt, so the fast hash takes none: given one, it
+    raises ConfigError naming the first.
     """
-    given = {"work": work, "memory": memory, "parallelism": parallelism}
-    sizes = {key: int(value) for key, value in given.items() if value is not None}
-    return KdfConfig(mode=KdfMode("fast-hash" if mode == "fast" else mode), **sizes)
+    given = {name: int(value) for name, value in sizes.items() if value is not None}
+    cfg = KdfConfig(KdfMode("fast-hash" if mode == "fast" else mode), **given)
+    if given and cfg.mode is KdfMode.FAST_HASH:
+        raise ConfigError(f"{next(iter(given))} is a memory-hard KDF setting; the fast-hash KDF takes none")
+    return cfg
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,21 +226,13 @@ def encode_plain_tags(texts: list[str]) -> list[bytes]:
 
 @dataclass(frozen=True, slots=True)
 class LongTag:
-    """Fixed-length bit string derived from a plain tag."""
+    """The 192 bits a KDF stretches a plain tag into: the widest short tag and its tag key."""
 
     data: bytes
-    bits: int
 
     def __post_init__(self):
-        if self.bits < 1 or len(self.data) != (self.bits + 7) // 8:
-            raise ValueError(f"{len(self.data)} bytes cannot hold exactly {self.bits} bits")
-
-    def bit_slice(self, start: int, length: int) -> int:
-        """Bits [start, start+length) as an integer, bit 0 the most significant."""
-        end = start + length
-        if start < 0 or length < 0 or end > self.bits:
-            raise ValueError(f"bit range [{start}, {end}) outside 0..{self.bits}")
-        return (int.from_bytes(self.data, "big") >> (len(self.data) * 8 - end)) & ((1 << length) - 1)
+        if len(self.data) != LONG_TAG_BYTES:
+            raise ValueError(f"a long tag is {LONG_TAG_BYTES} bytes, not {len(self.data)}")
 
 
 def check_k_range(k: int, error: type[ValueError] = ValueError) -> None:
@@ -351,19 +350,16 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
     else:
         n, r, p = cfg.scrypt_params()
         data = hashlib.scrypt(
-            secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=LONG_TAG_BITS // 8
+            secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=LONG_TAG_BYTES
         )
-    return LongTag(data, LONG_TAG_BITS)
+    return LongTag(data)
 
 
 def split_tag(long_tag: LongTag, k: int) -> TagMaterial:
-    """Carve a long tag into its k-bit short tag and 128-bit tag key."""
+    """Carve a long tag into its leading k bits, the short tag, and the 128 bits after them, the tag key."""
     check_k_range(k)
-    if long_tag.bits < k + 128:
-        raise ValueError(f"long tag has {long_tag.bits} bits; k={k} needs {k + 128}")
-    short = ShortTag(long_tag.bit_slice(0, k), k)
-    key = long_tag.bit_slice(k, 128).to_bytes(TAG_KEY_BYTES, "big")
-    return TagMaterial(short, key)
+    leading = int.from_bytes(long_tag.data, "big") >> (MAX_K - k)  # the short tag's k bits, then the key's 128
+    return TagMaterial(ShortTag(leading >> 128, k), (leading & ((1 << 128) - 1)).to_bytes(TAG_KEY_BYTES, "big"))
 
 
 def _cores() -> int:
@@ -374,34 +370,33 @@ def _cores() -> int:
 
 
 def _in_lanes(derive, items: list) -> list:
-    """``[derive(item) for item in items]``, each distinct item derived once, in lanes as the module docstring says.
+    """``[derive(item) for item in items]`` for distinct items, in lanes as the module docstring says.
 
-    A lane stops at its first failure, and the failure of the item
-    earliest in ``items`` is raised, as the serial loop would raise it.
+    A lane stops at its first failure, and the failure of the earliest
+    item is raised, as the serial loop would raise it.
     """
-    done, failed = dict.fromkeys(items), {}  # keyed here, so that a lane only sets values
-    distinct = list(done)
-    lanes = max(1, min(len(distinct), _cores(), _MAX_LANES))
+    done, failed = [None] * len(items), {}  # by position, so that a lane only sets entries
+    lanes = max(1, min(len(items), _cores(), _MAX_LANES))
 
-    def lane(mine):
-        for item in mine:
+    def lane(first):
+        for i in range(first, len(items), lanes):
             try:
-                done[item] = derive(item)
+                done[i] = derive(items[i])
             except Exception as exc:  # re-raised in the calling thread below
-                failed[item] = exc
+                failed[i] = exc
                 return
 
-    others = [threading.Thread(target=lane, args=(distinct[i::lanes],), name=f"hoot-lane-{i}") for i in range(1, lanes)]
+    others = [threading.Thread(target=lane, args=(i,), name=f"hoot-lane-{i}") for i in range(1, lanes)]
     for thread in others:
         thread.start()
     try:
-        lane(distinct[0::lanes])
+        lane(0)
     finally:
         for thread in others:
             thread.join()
     if failed:
-        raise failed[next(item for item in items if item in failed)]
-    return [done[item] for item in items]
+        raise failed[min(failed)]
+    return done
 
 
 def _pool():

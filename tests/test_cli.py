@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: flags, streams, exit codes."""
 
 import dataclasses
-import inspect
 import io
 import json
 import logging
@@ -10,10 +9,11 @@ import re
 
 import pytest
 
-from hoot import collider, feed, wire
+from hoot import collider, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.feed import load_scenario
-from hoot.tagcrypt import KdfConfig, PlainTag, kdf_config, seal
+from hoot.errors import ConfigError
+from hoot.tagcrypt import KDF_SETTINGS, KdfConfig, KdfMode, PlainTag, kdf_config, seal
 
 
 def run(capsys, *argv):
@@ -63,7 +63,8 @@ def test_seal_takes_any_k_up_to_64_under_either_kdf(capsys):
     assert code == EXIT_OK
     assert out == "#vgmt4nsh e9XUfkRvzsLBWVUokF0sfD1gCCARuWTH94HL5IPzJU8erPU9NgaH8FViNL5aWsyklRvlWSj6BLHGQnojeFc\n"
     for kdf, token in (("fast", "vgmt4nsha2awu"), ("memory-hard", "nuuscwsswfpcs")):
-        code, out, _ = run(capsys, "seal", "--kdf", kdf, "--kdf-work", "16", "--k", "64", "--tag", "abc", "--seed", "1", "hi")
+        work = ["--kdf-work", "16"] if kdf == "memory-hard" else []
+        code, out, _ = run(capsys, "seal", "--kdf", kdf, *work, "--k", "64", "--tag", "abc", "--seed", "1", "hi")
         assert code == EXIT_OK and out.startswith(f"#{token} "), kdf
 
 
@@ -484,6 +485,27 @@ def test_run_bench_counts_mix():
     assert report["dropped"] == 80
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--iterations", "0"), "iterations must be at least 1, not 0"),
+        (("--iterations", "-3"), "iterations must be at least 1, not -3"),
+        (("--iterations", "10", "--reject-fraction", "2"), "reject fraction must lie in [0, 1], not 2.0"),
+        (("--iterations", "10", "--reject-fraction", "-0.5"), "reject fraction must lie in [0, 1], not -0.5"),
+        (("--iterations", "10", "--reject-fraction", "nan"), "reject fraction must lie in [0, 1], not nan"),
+    ],
+)
+def test_bench_refuses_iterations_and_reject_fractions_out_of_range(capsys, flags, message):
+    code, out, err = run(capsys, "bench", *flags)
+    assert code == EXIT_DATA and out == ""
+    assert err == f"hoot bench: error: {message}\n"
+
+
+def test_run_bench_takes_one_iteration_and_either_end_of_the_reject_range():
+    assert run_bench(iterations=1, k=12, reject_fraction=0.0, seed=3)["opened"] == 1
+    assert run_bench(iterations=1, k=12, reject_fraction=1.0, seed=3)["dropped"] == 1
+
+
 def test_config_file_defaults_can_be_overridden(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 12, "kdf": "fast", "seed": 11}))
@@ -529,17 +551,82 @@ def test_kdf_settings_are_one_list_in_every_place():
     # a setting added to one of these and not the others would be silently ignored there
     settings = {field.name for field in dataclasses.fields(KdfConfig)} - {"mode"}
     assert settings == {"work", "memory", "parallelism"}
-    assert set(inspect.signature(kdf_config).parameters) - {"mode"} == settings
     commands = build_parser()._subparsers._group_actions[0].choices
     parsers = {name: commands[name] for name in ("seal", "open", "collide")}
     parsers["analyze report"] = commands["analyze"]._subparsers._group_actions[0].choices["report"]
     for name, parser in parsers.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert {flag[len("--kdf-"):].replace("-", "_") for flag in flags if flag.startswith("--kdf-")} == settings, name
-    assert set(feed._KDF_SIZES) == settings
     for setting in settings:
         script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", setting: 4}})
         assert getattr(script.kdf, setting) == 4, setting
+
+
+def test_kdf_config_refuses_a_setting_for_the_fast_hash():
+    assert kdf_config("fast", **dict.fromkeys(KDF_SETTINGS)) == KdfConfig()
+    for mode in ("fast", "fast-hash"):
+        for setting in KDF_SETTINGS:
+            with pytest.raises(ConfigError, match=f"^{setting} is a memory-hard KDF setting"):
+                kdf_config(mode, **{setting: 16})
+    # the first setting given is the one named
+    with pytest.raises(ConfigError, match="^parallelism is"):
+        kdf_config("fast", work=None, parallelism=2, memory=4)
+
+
+def _kdf_commands(tmp_path) -> dict[str, list[str]]:
+    """Each command that takes --kdf, with the other arguments it needs to exit 0."""
+    lines = tmp_path / "feed.txt"
+    lines.write_text("")
+    corpus = tmp_path / "tags.csv"
+    corpus.write_text("foo,3\nbar,1\n")
+    return {
+        "seal": ["seal", "m", "--tag", "t", "--seed", "1"],
+        "open": ["open", str(lines), "--tag", "t"],
+        "collide": ["collide", "--prefix", "p-", "--target", "t", "--suffix-len", "1", "--k", "8"],
+        "analyze": ["analyze", "report", "--corpus", str(corpus)],
+    }
+
+
+@pytest.mark.parametrize("setting", KDF_SETTINGS)
+@pytest.mark.parametrize("command", ["seal", "open", "collide", "analyze"])
+def test_every_command_refuses_a_kdf_setting_for_the_fast_hash(capsys, tmp_path, command, setting):
+    argv = _kdf_commands(tmp_path)[command]
+    assert run(capsys, *argv, "--kdf", "fast")[0] == EXIT_OK
+    code, out, err = run(capsys, *argv, "--kdf", "fast", f"--kdf-{setting.replace('_', '-')}", "16")
+    assert code == EXIT_DATA and out == ""
+    assert f"hoot {command}: error: {setting} is a memory-hard KDF setting; the fast-hash KDF takes none\n" in err
+
+
+@pytest.mark.parametrize("setting", KDF_SETTINGS)
+def test_a_config_file_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp_path, setting):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kdf": "fast", f"kdf_{setting}": 16}))
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--config", str(config))
+    assert code == EXIT_DATA and out == ""
+    assert f"hoot seal: error: {setting} is a memory-hard KDF setting" in err
+
+
+def test_memory_hard_takes_every_kdf_setting(capsys):
+    sizes = ["--kdf-work", "16", "--kdf-memory", "4096", "--kdf-parallelism", "2"]
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--kdf", "memory-hard", *sizes)
+    assert code == EXIT_OK and out.startswith("#")
+    assert "kdf=memory-hard(work=16, memory=4096, parallelism=2)" in err
+    script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", "work": 16, "memory": 4096, "parallelism": 2}})
+    assert script.kdf == KdfConfig(KdfMode.MEMORY_HARD, work=16, memory=4096, parallelism=2)
+
+
+@pytest.mark.parametrize("kdf", [{"mode": "fast-hash", "work": 16}, {"work": 16}], ids=["fast-hash", "default-mode"])
+def test_a_scenario_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp_path, kdf):
+    script = {"groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2}], "kdf": kdf}
+    with pytest.raises(ValueError, match="^work is a memory-hard KDF setting; the fast-hash KDF takes none$"):
+        load_scenario(script)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert "hoot simulate: error: work is a memory-hard KDF setting" in err
+    # null is no setting, as a missing key is
+    assert load_scenario({**script, "kdf": dict.fromkeys(kdf, None) | {"mode": "fast-hash"}}).kdf == KdfConfig()
 
 
 def test_config_key_a_command_lacks_is_named(capsys, tmp_path):

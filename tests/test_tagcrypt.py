@@ -58,7 +58,7 @@ SHA1_VECTORS = {
 @pytest.mark.parametrize("text,digest", sorted(SHA1_VECTORS.items()))
 def test_fast_hash_matches_sha1_vectors(text, digest):
     long_tag = derive_long_tag(PlainTag(text), FAST_KDF)
-    assert long_tag.bits == 192
+    assert len(long_tag.data) == 24
     assert long_tag.data[:20].hex() == digest
 
 
@@ -74,7 +74,7 @@ def test_memory_hard_deterministic_and_distinct_from_fast():
     a = derive_long_tag(PlainTag("abc"), cfg)
     b = derive_long_tag(PlainTag("abc"), cfg)
     assert a == b
-    assert a.bits == 192
+    assert len(a.data) == 24
     assert a.data != derive_long_tag(PlainTag("abc"), FAST_KDF).data
 
 
@@ -98,7 +98,7 @@ def test_scrypt_parameter_mapping():
 def test_fast_hash_expansion_keeps_digest_prefix():
     digest = hashlib.sha1(b"abc").digest()
     wide = derive_long_tag(PlainTag("abc"), FAST_KDF)
-    assert wide == LongTag(digest + hashlib.sha1(digest + bytes(4)).digest()[:4], 192)
+    assert wide == LongTag(digest + hashlib.sha1(digest + bytes(4)).digest()[:4])
 
 
 def test_kdf_config_validation():
@@ -116,7 +116,7 @@ def test_split_k32_consumes_whole_digest():
 
 
 def test_split_k24_definitional_slice():
-    long_tag = LongTag(bytes(range(20)), 160)
+    long_tag = LongTag(bytes(range(24)))
     material = split_tag(long_tag, 24)
     assert material.short_tag.value == int.from_bytes(bytes(range(3)), "big")
     # tag key is bits 24..151: bytes 3..18 inclusive
@@ -125,7 +125,26 @@ def test_split_k24_definitional_slice():
 
 def test_split_insufficient_bits():
     with pytest.raises(ValueError):
-        split_tag(LongTag(bytes(15), 120), 24)
+        LongTag(bytes(15))
+
+
+def test_a_long_tag_is_its_24_bytes_alone():
+    assert [slot.name for slot in fields(LongTag)] == ["data"]
+    for size in (0, 23, 25):
+        with pytest.raises(ValueError, match=f"^a long tag is 24 bytes, not {size}$"):
+            LongTag(bytes(size))
+
+
+@given(data=st.binary(min_size=24, max_size=24))
+@example(data=bytes(24))
+@example(data=b"\xff" * 24)
+@example(data=bytes(range(24)))
+def test_split_tag_reads_the_leading_bits_of_the_long_tag(data):
+    bits = "".join(f"{byte:08b}" for byte in data)
+    for k in range(1, 65):
+        material = split_tag(LongTag(data), k)
+        assert material.short_tag == ShortTag(int(bits[:k], 2), k), k
+        assert material.tag_key == int(bits[k : k + 128], 2).to_bytes(16, "big"), k
 
 
 def test_split_bit_disjointness():
@@ -135,7 +154,7 @@ def test_split_bit_disjointness():
     for bit in range(0, k + 128, 7):
         flipped = bytearray(base.data)
         flipped[bit // 8] ^= 0x80 >> (bit % 8)
-        material = split_tag(LongTag(bytes(flipped), base.bits), k)
+        material = split_tag(LongTag(bytes(flipped)), k)
         if bit < k:
             assert material.short_tag != reference.short_tag
             assert material.tag_key == reference.tag_key
@@ -322,9 +341,9 @@ def test_short_tags_check_k_before_hashing():
             short_tag_positions([], cfg, k, 0)
         with pytest.raises(ValueError, match=re.escape(message)):
             split_tag(derive_long_tag(PlainTag("t"), cfg), k)
-    # a long tag a caller builds may still be too narrow for k
-    with pytest.raises(ValueError, match=re.escape("long tag has 160 bits; k=64 needs 192")):
-        split_tag(LongTag(bytes(20), 160), 64)
+    # a long tag too narrow for k=64 is refused when it is built
+    with pytest.raises(ValueError):
+        LongTag(bytes(20))
 
 
 def reference_long_tag(text: str, cfg: KdfConfig) -> bytes:
@@ -654,10 +673,6 @@ def test_lanes_under_fast_thread_switching_derive_each_tag_once(scrypt_calls, mo
     assert materials[0] is materials[40] is derive_tag_material(tags[0], _TINY_SCRYPT, 16)
     # eight cores still make two lanes, so a batch holds at most two scrypt buffers on any host
     assert len(lanes) == 2 and threading.current_thread().name in lanes
-    # without the material cache, only de-duplication spares a repeat dealt to the other lane its derivation
-    calls = []
-    assert tagcrypt._in_lanes(lambda item: calls.append(item) or 2 * item, [3, 1, 3, 2, 1]) == [6, 2, 6, 4, 2]
-    assert sorted(calls) == [1, 2, 3]
 
 
 def test_a_pooled_search_after_a_memory_hard_scenario_equals_the_serial_search():
@@ -1018,7 +1033,7 @@ def test_material_pickles_and_copies_after_use():
 SLOTTED_VALUES = [
     PlainTag("slotted"),
     ShortTag(5, 8),
-    LongTag(bytes(24), 192),
+    LongTag(bytes(24)),
     seal(b"slotted", [PlainTag("slotted")], rng=random.Random(1)),
     TagBucket(ShortTag(5, 8), "au", (("slotted", 2), ("other", 1)), 3),
     FeedPost(1, "alice", "#aaaaa AAAA"),
