@@ -206,11 +206,14 @@ def generate_powerlaw_corpus(n_tags: int, exponent: float, total: int, seed: int
         raise ValueError("need n_tags >= 1, exponent > 0, total >= 1")
     import numpy as np  # here only, so that importing hoot.analysis or hoot.cli never loads numpy
 
-    ranks = np.arange(1, n_tags + 1, dtype=np.float64)
-    weights = ranks**-exponent
-    probabilities = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(total, probabilities)
+    try:
+        ranks = np.arange(1, n_tags + 1, dtype=np.float64)
+        weights = ranks**-exponent
+        probabilities = weights / weights.sum()
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(total, probabilities)
+    except MemoryError:  # numpy's _ArrayMemoryError, for an array too large to allocate
+        raise ValueError(f"a corpus of {n_tags} tags does not fit in memory") from None
     width = len(str(n_tags))
     entries = tuple(
         (f"tag{rank:0{width}d}", int(count))

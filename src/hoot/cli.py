@@ -28,6 +28,7 @@ from .tagcrypt import (
     KDF_SETTINGS,
     Hoot,
     KdfConfig,
+    KdfMode,
     PlainTag,
     derive_tag_material,
     kdf_config,
@@ -103,6 +104,8 @@ def _gather_tags(args, *, need_many: bool) -> list[PlainTag]:
         texts = entered.split() if need_many else [entered]
     if not texts:
         raise UsageError(f"no plain tag given (use --tag, ${TAG_ENV_VAR}, or a terminal prompt)")
+    if len(texts) > 1 and not need_many:
+        raise UsageError(f"this command takes one plain tag, not {len(texts)}")
     return [PlainTag(t.lstrip("#")) for t in texts]
 
 
@@ -111,18 +114,12 @@ def _wire_params(args) -> wire.WireParams:
 
 
 def _kdf(args) -> KdfConfig:
-    """Build the KDF the flags name and log the command's effective configuration."""
+    """Build the KDF the flags name and log the effective configuration; only memory-hard reads settings."""
     kdf = kdf_config(args.kdf, **{name: getattr(args, f"kdf_{name}") for name in KDF_SETTINGS})
-    log.info(
-        "config: k=%d kdf=%s(work=%d, memory=%d, parallelism=%d) glyph_budget=%s seed=%s",
-        args.k,
-        kdf.mode.value,
-        kdf.work,
-        kdf.memory,
-        kdf.parallelism,
-        getattr(args, "glyph_budget", None),
-        getattr(args, "seed", None),
-    )
+    settings = ", ".join(f"{name}={getattr(kdf, name)}" for name in KDF_SETTINGS)
+    kdf_text = kdf.mode.value if kdf.mode is KdfMode.FAST_HASH else f"{kdf.mode.value}({settings})"
+    budget_and_seed = getattr(args, "glyph_budget", None), getattr(args, "seed", None)
+    log.info("config: k=%d kdf=%s glyph_budget=%s seed=%s", args.k, kdf_text, *budget_and_seed)
     return kdf
 
 
@@ -251,9 +248,12 @@ def _brute_force_lines(bits: float, rate: float, cores: int) -> str:
 
 def cmd_analyze(args) -> int:
     if args.report == "entropy":
+        if args.cores is not None and args.rate is None:
+            raise UsageError("--cores needs --rate")
         spec = analysis.NamespaceSpec(tuple(_parse_component(c) for c in args.component))
         bits = analysis.entropy_bits(spec)
-        brute_force = "" if args.rate is None else _brute_force_lines(bits, args.rate, args.cores)
+        cores = 1 if args.cores is None else args.cores
+        brute_force = "" if args.rate is None else _brute_force_lines(bits, args.rate, cores)
         sys.stdout.write(f"entropy_bits={bits:.4f}\n" + brute_force)
     elif args.report == "brute-force":
         sys.stdout.write(_brute_force_lines(args.bits, args.rate, args.cores))
@@ -368,7 +368,7 @@ def build_parser() -> _Parser:
     _add_k_and_kdf(p, "memory-hard")
     p.add_argument("--glyph-budget", type=int, default=wire.DEFAULT_GLYPH_BUDGET)
     p.add_argument("file", nargs="?", default="-", help="wire lines file, or '-' for stdin")
-    p.add_argument("--tag", action="append", help="plain tag")
+    p.add_argument("--tag", action="append", help="plain tag (once)")
     p.add_argument("--stats", action="store_true", help="print match counters to stderr")
     p.set_defaults(run=cmd_open)
 
@@ -395,7 +395,7 @@ def build_parser() -> _Parser:
     p = reports.add_parser("entropy")
     p.add_argument("--component", action="append", required=True, help="dict:N | digits:N | glyphs:SIZE:LEN")
     p.add_argument("--rate", type=float)
-    p.add_argument("--cores", type=int, default=1)
+    p.add_argument("--cores", type=int, default=None, help="with --rate only (default 1)")
     p = reports.add_parser("brute-force")
     p.add_argument("--bits", type=float, required=True)
     p.add_argument("--rate", type=float, required=True)

@@ -28,7 +28,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from collections import Counter, OrderedDict
+from collections import Counter
 
 from .errors import ParseError
 from .tagcrypt import (
@@ -92,11 +92,11 @@ Rule = BlockShortTag | BlockSender | WhitelistShortTag
 class CensorPolicy:
     rules: tuple[Rule, ...] = ()
 
-    def decide(self, hoot: Hoot, sender: str, kdf: KdfConfig, k: int) -> int | None:
+    def decide(self, hoot: Hoot, sender: str, kdf: KdfConfig) -> int | None:
         """Index of the first rule that blocks the post, or None.
 
-        A whitelist rule whose known tags open the post allows it
-        outright; later rules are not consulted.
+        A whitelist rule whose known tags, derived at its tag's k, open
+        the post allows it outright; later rules are not consulted.
         """
         for index, rule in enumerate(self.rules):
             if isinstance(rule, BlockShortTag):
@@ -109,7 +109,7 @@ class CensorPolicy:
                 if rule.tag not in hoot.short_tags:
                     continue
                 for known in rule.known_plain_tags:
-                    if open_with_material(hoot, derive_tag_material(known, kdf, k)) is not None:
+                    if open_with_material(hoot, derive_tag_material(known, kdf, rule.tag.k)) is not None:
                         return None
                 return index
         return None
@@ -121,27 +121,21 @@ def dedup_key(hoot: Hoot) -> bytes:
 
 
 class Feed:
-    """Single-writer feed; posts are totally ordered, reads see a prefix.
-
-    ``replay_horizon`` bounds the dedup index to the most recent N
-    accepted posts; unbounded by default, which is fine at desk scale.
-    """
+    """Single-writer feed that rejects every replay; posts are totally ordered, reads see a prefix."""
 
     def __init__(
         self,
         params: wire.WireParams = wire.DEFAULT_PARAMS,
         kdf: KdfConfig = FAST_KDF,
         policy: CensorPolicy = CensorPolicy(),
-        replay_horizon: int | None = None,
     ):
         self.params = params
         self.kdf = kdf
         self.policy = policy
-        self.replay_horizon = replay_horizon
         self._lock = threading.Lock()
         self._posts: list[FeedPost] = []
         self._by_tag: dict[ShortTag, list[int]] = {}
-        self._seen: OrderedDict[bytes, None] = OrderedDict()
+        self._seen: set[bytes] = set()
 
     def post(self, sender: str, wire_text: str) -> PostOutcome:
         try:
@@ -152,7 +146,7 @@ class Feed:
             key = dedup_key(hoot)
             if key in self._seen:
                 return PostOutcome(False, reason=RejectReason.REPLAY)
-            rule_index = self.policy.decide(hoot, sender, self.kdf, self.params.k)
+            rule_index = self.policy.decide(hoot, sender, self.kdf)
             if rule_index is not None:
                 return PostOutcome(False, reason=RejectReason.CENSORED, rule_index=rule_index)
             post_id = len(self._posts) + 1
@@ -160,10 +154,7 @@ class Feed:
             self._posts.append(entry)
             for tag in set(hoot.short_tags):
                 self._by_tag.setdefault(tag, []).append(post_id)
-            self._seen[key] = None
-            if self.replay_horizon is not None:
-                while len(self._seen) > self.replay_horizon:
-                    self._seen.popitem(last=False)
+            self._seen.add(key)
             return PostOutcome(True, post_id=post_id)
 
     def search(self, short_tag: ShortTag, since: int = 0) -> list[FeedPost]:
@@ -219,8 +210,8 @@ class ScenarioScript:
           ]
         }
 
-    Rules name tags either by a base32 short-tag token ("short_tag") or
-    by a plain tag the censor has learned ("plain_tag").
+    A rule names its tag once: by a base32 short-tag token ("short_tag")
+    or by a plain tag the censor has learned ("plain_tag").
     """
 
     groups: tuple[GroupSpec, ...]
@@ -250,7 +241,17 @@ def _typed(value, name: str, *json_types: type):
     return value
 
 
+def _known(raw: dict, name: str | None, *keys: str) -> None:
+    """Refuse by name the first key of ``raw`` (script field ``name``, or the script if None) not in ``keys``."""
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        where = "scenario script" if name is None else f"scenario script field {name!r}"
+        raise ValueError(f"{where} has the unknown key {unknown[0]!r}")
+
+
 def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
+    if "short_tag" in raw and "plain_tag" in raw:
+        raise ValueError(f"rule {raw!r} names its tag twice (use 'short_tag' or 'plain_tag', not both)")
     if "short_tag" in raw:
         return wire.decode_short_tag(_typed(raw["short_tag"], "short_tag", str).lstrip("#"), k)
     if "plain_tag" in raw:
@@ -269,48 +270,53 @@ def _objects(raw: dict, name: str, default: list | None = None) -> list[dict]:
 def load_scenario(source: str | dict) -> ScenarioScript:
     """Build a script from a JSON string or an already-decoded dict.
 
-    A missing field, a field of the wrong JSON type, a key of the
-    ``kdf`` object other than "mode" and ``KDF_SETTINGS``, or such a
-    setting under the fast hash is a ValueError.
+    A missing field, a field of the wrong JSON type, a key the loader
+    does not read (in the script, a group, a rule of its type or the
+    ``kdf`` object), a rule naming both "short_tag" and "plain_tag", or
+    a ``KDF_SETTINGS`` setting under the fast hash is a ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
         raise ValueError("scenario script must be a JSON object")
+    _known(raw, None, "seed", "k", "kdf", "glyph_budget", "target_group", "groups", "policy")
     given = raw.get("kdf", {})
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
-    unknown = sorted(set(given) - {"mode", *KDF_SETTINGS})
-    if unknown:
-        raise ValueError(f"scenario script field 'kdf' has the unknown key {unknown[0]!r}")
+    _known(given, "kdf", "mode", *KDF_SETTINGS)
     try:
         sizes = {key: _typed(given[key], key, int) for key in KDF_SETTINGS if given.get(key) is not None}
         kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
         k = _typed(raw.get("k", DEFAULT_K), "k", int)
-        groups = tuple(
-            GroupSpec(
-                name=_typed(g["name"], "name", str),
-                plain_tag=PlainTag(_typed(g["plain_tag"], "plain_tag", str)),
-                messages=_typed(g["messages"], "messages", int),
-                rate=_typed(g.get("rate", 1.0), "rate", int, float),
-                replays=_typed(g.get("replays", 0), "replays", int),
+        groups: list[GroupSpec] = []
+        for g in _objects(raw, "groups"):
+            _known(g, "groups", "name", "plain_tag", "messages", "rate", "replays")
+            groups.append(
+                GroupSpec(
+                    name=_typed(g["name"], "name", str),
+                    plain_tag=PlainTag(_typed(g["plain_tag"], "plain_tag", str)),
+                    messages=_typed(g["messages"], "messages", int),
+                    rate=_typed(g.get("rate", 1.0), "rate", int, float),
+                    replays=_typed(g.get("replays", 0), "replays", int),
+                )
             )
-            for g in _objects(raw, "groups")
-        )
         rules: list[Rule] = []
         for entry in _objects(raw, "policy", []):
             kind = entry["type"]
             if kind == "block-short-tag":
+                _known(entry, "policy", "type", "short_tag", "plain_tag")
                 rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
             elif kind == "block-sender":
+                _known(entry, "policy", "type", "sender")
                 rules.append(BlockSender(_typed(entry["sender"], "sender", str)))
             elif kind == "whitelist-short-tag":
+                _known(entry, "policy", "type", "short_tag", "plain_tag", "known_plain_tags")
                 texts = _typed(entry.get("known_plain_tags", []), "known_plain_tags", list)
                 known = tuple(PlainTag(_typed(text, "known_plain_tags", str)) for text in texts)
                 rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
             else:
                 raise ValueError(f"unknown rule type {kind!r}")
         return ScenarioScript(
-            groups=groups,
+            groups=tuple(groups),
             policy=CensorPolicy(tuple(rules)),
             seed=_typed(raw.get("seed", 0), "seed", int),
             k=k,

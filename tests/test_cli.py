@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from hoot import collider, wire
+from hoot import analysis, collider, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.feed import load_scenario
 from hoot.errors import ConfigError
@@ -360,6 +360,30 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
             )
             for known, kind in [("popstar", "str"), ({"popstar": 1}, "dict"), (["popstar", 7], "int")]
         ),
+        ({"groups": [], "glyph_budgett": 10}, "scenario script has the unknown key 'glyph_budgett'"),
+        (
+            {"groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2, "replay": 5}]},
+            "scenario script field 'groups' has the unknown key 'replay'",
+        ),
+        *(
+            ({"groups": [], "policy": [rule]}, f"scenario script field 'policy' has the unknown key {key!r}")
+            for rule, key in [
+                ({"type": "block-sender", "sender": "g", "plain_tag": "g-tag"}, "plain_tag"),
+                ({"type": "block-short-tag", "plain_tag": "g-tag", "known_plain_tags": []}, "known_plain_tags"),
+                ({"type": "whitelist-short-tag", "plain_tag": "g-tag", "sender": "g"}, "sender"),
+            ]
+        ),
+        *(
+            (
+                {"groups": [], "policy": [rule]},
+                f"rule {rule!r} names its tag twice (use 'short_tag' or 'plain_tag', not both)",
+            )
+            for rule in [
+                {"type": "block-short-tag", "short_tag": "abc", "plain_tag": "g-tag"},
+                {"type": "whitelist-short-tag", "short_tag": "abc", "plain_tag": "g-tag"},
+            ]
+        ),
+        ({"groups": [], "policy": [{"type": "mystery", "extra": 1}]}, "unknown rule type 'mystery'"),
     ],
     ids=[
         "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "kdf-typo", "kdf-output-bits",
@@ -367,6 +391,8 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
         "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "name-int", "k-float",
         "target-group-list", "sender-list", "short-tag-int",
         "known-tags-str", "known-tags-object", "known-tags-member",
+        "script-key", "group-key", "block-sender-key", "block-short-tag-key", "whitelist-key",
+        "block-short-tag-both-tags", "whitelist-both-tags", "unknown-type-with-extra-key",
     ],
 )
 def test_simulate_names_a_field_of_the_wrong_type_in_one_line(capsys, tmp_path, script, message):
@@ -697,6 +723,64 @@ def test_config_file_errors_exit_two(capsys, tmp_path):
 def test_effective_config_is_logged(capsys):
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
     assert "config:" in err and "k=24" in err
+
+
+def test_the_config_log_names_no_setting_for_the_fast_hash(capsys):
+    _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
+    assert "hoot: config: k=24 kdf=fast-hash glyph_budget=140 seed=1\n" in err
+    _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "memory-hard", "--kdf-work", "16", "--seed", "1")
+    assert "hoot: config: k=24 kdf=memory-hard(work=16, memory=1048576, parallelism=1) glyph_budget=140 seed=1\n" in err
+
+
+def test_open_takes_one_plain_tag(capsys, tmp_path, monkeypatch):
+    _, line, _ = run(capsys, "seal", "for b", "--tag", "b", "--kdf", "fast", "--seed", "1")
+    stream = tmp_path / "l.txt"
+    stream.write_text(line)
+    code, out, err = run(capsys, "open", str(stream), "--tag", "a", "--tag", "b", "--kdf", "fast", "--stats")
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith("hoot open: usage error: this command takes one plain tag, not 2\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tag": "a"}))
+    code, out, err = run(capsys, "open", str(stream), "--config", str(config), "--tag", "b", "--kdf", "fast")
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith("hoot open: usage error: this command takes one plain tag, not 2\n")
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"tag": "b"}))
+    for argv in (["--tag", "b"], ["--config", str(single)]):
+        code, out, _ = run(capsys, "open", str(stream), *argv, "--kdf", "fast")
+        assert code == EXIT_OK and out == "for b\n", argv
+    monkeypatch.setenv("HOOT_TAG", "b")
+    code, out, _ = run(capsys, "open", str(stream), "--kdf", "fast")
+    assert code == EXIT_OK and out == "for b\n"
+
+
+def test_entropy_reads_cores_only_with_a_rate(capsys):
+    code, out, err = run(capsys, "analyze", "entropy", "--component", "digits:7", "--cores", "8")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "hoot analyze: usage error: --cores needs --rate\n"
+    _, one_core, _ = run(capsys, "analyze", "entropy", "--component", "digits:7", "--rate", "1000", "--cores", "1")
+    code, out, _ = run(capsys, "analyze", "entropy", "--component", "digits:7", "--rate", "1000")
+    assert code == EXIT_OK and out == one_core
+    code, out, _ = run(capsys, "analyze", "entropy", "--component", "digits:7", "--rate", "1000", "--cores", "8")
+    assert code == EXIT_OK and out != one_core
+
+
+def test_gen_corpus_with_more_tags_than_fit_in_memory_is_a_data_error(capsys, tmp_path, monkeypatch):
+    # numpy's allocation fails as a MemoryError; no test asks for a huge array, which an
+    # overcommitting kernel could grant and the writes then exhaust
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(numpy, "arange", refuse)
+    with pytest.raises(ValueError, match="^a corpus of 100000000000 tags does not fit in memory$"):
+        analysis.generate_powerlaw_corpus(100_000_000_000, 1.0, 10)
+    out_file = tmp_path / "c.csv"
+    code, out, err = run(capsys, "analyze", "gen-corpus", "--tags", "100000000000", "--total", "10", "--out", str(out_file))
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot analyze: error: a corpus of 100000000000 tags does not fit in memory\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Feed semantics: replay defense, censor rules, scenario runs."""
 
+import inspect
 import json
 import random
 
@@ -93,14 +94,23 @@ def test_malformed_rejected():
     assert len(feed) == 0
 
 
-def test_replay_horizon_eviction():
-    feed = Feed(params=PARAMS, replay_horizon=2)
-    lines = [wire_line(f"m{i}".encode(), PlainTag("horizon"), 10 + i) for i in range(3)]
-    for line in lines:
-        assert feed.post("a", line).accepted
-    # the first key has been evicted, so its replay now passes
-    assert feed.post("a", lines[0]).accepted
-    assert not feed.post("a", lines[2]).accepted
+def test_a_feed_takes_no_replay_horizon():
+    with pytest.raises(TypeError):
+        Feed(params=PARAMS, replay_horizon=2)
+    assert isinstance(Feed(params=PARAMS)._seen, set)
+
+
+def test_replay_rejected_after_a_thousand_other_posts():
+    feed = Feed(params=PARAMS)
+    first = wire_line(b"early", PlainTag("old-post"), 1)
+    assert feed.post("a", first).accepted
+    rng = random.Random(2)
+    others = PlainTag("later-posts")
+    for i in range(1000):
+        assert feed.post("b", wire.encode(seal(f"m{i}".encode(), [others], k=K, rng=rng), PARAMS)).accepted
+    outcome = feed.post("a", first)
+    assert not outcome.accepted and outcome.reason is RejectReason.REPLAY
+    assert len(feed) == 1001
 
 
 def test_multi_tag_post_appears_in_both_searches():
@@ -170,6 +180,15 @@ def scenario_dict(policy, target="org", replays=0):
         ],
         "policy": policy,
     }
+
+
+def test_decide_derives_known_tags_at_the_rule_tag_k():
+    assert list(inspect.signature(CensorPolicy.decide).parameters) == ["self", "hoot", "sender", "kdf"]
+    fans, others = PlainTag("fans-at-k16"), PlainTag("others-at-k16")
+    hoot = seal(b"cover", [fans], k=16, rng=random.Random(4))
+    tag = derive_tag_material(fans, FAST_KDF, 16).short_tag
+    assert CensorPolicy((WhitelistShortTag(tag, (fans,)),)).decide(hoot, "s", FAST_KDF) is None
+    assert CensorPolicy((WhitelistShortTag(tag, (others,)),)).decide(hoot, "s", FAST_KDF) == 0
 
 
 def test_scenario_block_short_tag_is_heavy_handed():
