@@ -60,7 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold `--config file.json` (or `--config=file.json`) defaults in ahead of explicit flags."""
+    """Fold `--config file.json` (or `--config=file.json`) defaults in ahead of explicit flags.
+
+    A key whose flag the command line also gives is left out, so the explicit value stands alone.
+    """
     argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
@@ -81,9 +84,12 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         raise ConfigError(f"config file {path} holds a JSON {type(defaults).__name__}, not an object")
     if "config" in defaults:
         raise ConfigError(f"config file {path} names another config file")
+    given = {arg.partition("=")[0] for arg in rest if arg.startswith("--")}  # `--flag value` and `--flag=value`
     injected = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
+        if flag in given:  # an explicit flag replaces the file's value, even for a flag that appends
+            continue
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
@@ -142,10 +148,16 @@ def cmd_open(args) -> int:
     params = _wire_params(args)
     material = derive_tag_material(tag, kdf, params.k)
     stream = sys.stdin.buffer if args.file == "-" else open(args.file, "rb")
+    limit = 4 * params.glyph_budget + 2  # UTF-8 bytes of a line within the budget, then CR LF
     matched = skipped = 0
     malformed = Counter()
     try:
-        for raw in stream:
+        while raw := stream.readline(limit):
+            if len(raw) == limit and not raw.endswith(b"\n"):  # too long whatever it holds; skip to its end
+                while raw and not raw.endswith(b"\n"):
+                    raw = stream.readline(limit)
+                malformed["too-long"] += 1
+                continue
             line = raw.decode("utf-8", errors="replace").strip()  # wire.parse refuses what did not decode
             if not line:
                 continue

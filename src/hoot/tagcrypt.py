@@ -27,11 +27,14 @@ ciphertext; a MAC mismatch is the normal signal that the message
 belongs to a different group colliding on the same short tag. The MAC
 is RFC 2104's HMAC, computed as its two ``hashlib`` SHA-1 calls, which
 for a 16-byte key and a short ciphertext cost less than OpenSSL's
-one-shot HMAC: k_mac is zero-padded to SHA-1's 64-byte block, and two
-256-byte ``bytes.translate`` tables XOR that block with the ipad byte
-0x36 and the opad byte 0x5c. A reject unwraps k_mac alone: it is the
-second 16-byte block of the wrapped keys, so its keystream is the one
-AES block nonce||1; k_enc's block nonce||0 is computed only on a match.
+one-shot HMAC. ``_mac`` takes a key of any length to the int of its
+64-byte block, zero-padded (a key over 64 bytes is hashed first), and
+``_mac_of_block`` XORs that int with the ipad (0x36) and opad (0x5c)
+blocks and hashes. A reject unwraps k_mac alone: it is the second
+16-byte block of the wrapped keys, so its keystream is the one AES
+block nonce||1. The open path reads k_mac as one int, the key block's
+last 16 bytes XOR that keystream block, and enters ``_mac_of_block``
+with it; k_enc's block nonce||0 is computed only on a match.
 
 The 64-bit random nonce on each key block keeps the tag key's CTR
 keystream from repeating across messages of the same group; it travels
@@ -109,10 +112,14 @@ _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _workers = None  # the fork pool, started on first use and kept for the life of the process
 _workers_lock = threading.Lock()
 _LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
+_FAST_HASH_SETTING = "{} is a memory-hard KDF setting; the fast-hash KDF takes none"
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
-# bytes.translate tables taking each key byte to itself XOR RFC 2104's ipad and opad bytes
-_XOR_IPAD = bytes(byte ^ 0x36 for byte in range(256))
-_XOR_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+# RFC 2104's ipad and opad bytes over a whole block, as ints to XOR with a padded key's int
+_IPAD = int.from_bytes(b"\x36" * _SHA1_BLOCK, "big")
+_OPAD = int.from_bytes(b"\x5c" * _SHA1_BLOCK, "big")
+_MAC_KEY_PAD_BITS = 8 * (_SHA1_BLOCK - SESSION_KEY_BYTES)  # the zero bytes that pad k_mac to a block
+_WRAPPED_MAC_KEY_MASK = (1 << 8 * SESSION_KEY_BYTES) - 1  # a key block's last 16 bytes, its wrapped k_mac
+_MAC_KEY_COUNTER = (1).to_bytes(8, "big")  # k_mac's keystream block is nonce||1
 
 # Fixed derivation salt: every subscriber must reach the same long tag
 # from the plain tag alone, so the salt is a protocol constant and the
@@ -146,6 +153,10 @@ class KdfConfig:
                 raise ConfigError("memory-hard work factor must be a power of two >= 2")
             if self.memory < 1 or self.parallelism < 1:
                 raise ConfigError("memory and parallelism factors must be positive")
+        else:  # the fast hash reads no setting, so one off its default would only split the material cache
+            for setting in fields(self)[1:]:  # the settings, after the mode
+                if getattr(self, setting.name) != setting.default:
+                    raise ConfigError(_FAST_HASH_SETTING.format(setting.name))
 
     def scrypt_params(self) -> tuple[int, int, int]:
         """Map (work, memory, parallelism) onto scrypt's (n, r, p).
@@ -167,14 +178,14 @@ def kdf_config(mode: str, **sizes) -> KdfConfig:
 
     ``mode`` is a KdfMode value, or "fast" as the command line spells
     "fast-hash". A setting left as None keeps its KdfConfig default. The
-    settings size scrypt, so the fast hash takes none: given one, it
-    raises ConfigError naming the first.
+    settings size scrypt, so the fast hash takes none: given one, even
+    at its default, it raises ConfigError naming the first.
     """
     given = {name: int(value) for name, value in sizes.items() if value is not None}
-    cfg = KdfConfig(KdfMode("fast-hash" if mode == "fast" else mode), **given)
-    if given and cfg.mode is KdfMode.FAST_HASH:
-        raise ConfigError(f"{next(iter(given))} is a memory-hard KDF setting; the fast-hash KDF takes none")
-    return cfg
+    kdf_mode = KdfMode("fast-hash" if mode == "fast" else mode)
+    if given and kdf_mode is KdfMode.FAST_HASH:
+        raise ConfigError(_FAST_HASH_SETTING.format(next(iter(given))))
+    return KdfConfig(kdf_mode, **given)
 
 
 @dataclass(frozen=True, slots=True)
@@ -524,9 +535,13 @@ def _mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA1(key, data) per RFC 2104, as two SHA-1 calls."""
     if len(key) > _SHA1_BLOCK:
         key = hashlib.sha1(key).digest()
-    block = key.ljust(_SHA1_BLOCK, b"\0")
-    inner = hashlib.sha1(block.translate(_XOR_IPAD) + data).digest()
-    return hashlib.sha1(block.translate(_XOR_OPAD) + inner).digest()
+    return _mac_of_block(int.from_bytes(key, "big") << 8 * (_SHA1_BLOCK - len(key)), data)
+
+
+def _mac_of_block(block: int, data: bytes) -> bytes:
+    """HMAC-SHA1's two hashes, for a key given as the int of its zero-padded 64-byte block."""
+    inner = hashlib.sha1((block ^ _IPAD).to_bytes(_SHA1_BLOCK) + data).digest()  # big-endian, the default
+    return hashlib.sha1((block ^ _OPAD).to_bytes(_SHA1_BLOCK) + inner).digest()
 
 
 def _random_bytes(rng, n: int) -> bytes:
@@ -577,16 +592,20 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
     only k_mac: k_enc is unwrapped on a match.
     """
     ours = material.short_tag
-    for position, short_tag in enumerate(hoot.short_tags):
+    for short_tag, block in zip(hoot.short_tags, hoot.key_blocks):
         if short_tag.value != ours.value or short_tag.k != ours.k:  # two field reads, not the dataclass __eq__ call
             continue
         # wrap's length checks hold in every Hoot: nonce || wrapped k_enc || wrapped k_mac, 40 bytes
-        block = hoot.key_blocks[position]
         nonce = block[:KEY_BLOCK_NONCE_BYTES]
         ecb, lock = material._ecb
-        with lock:
-            k_mac = _keystream(ecb, nonce, block[_WRAPPED_MAC_KEY:], 1)  # the second CTR block
-        if hmac.compare_digest(_mac(k_mac, hoot.ciphertext), hoot.mac):
+        lock.acquire()  # with its try, cheaper than a with statement
+        try:
+            stream = ecb.update(nonce + _MAC_KEY_COUNTER)
+        finally:
+            lock.release()
+        # int.from_bytes reads big-endian by default; the block's last 16 bytes are the wrapped k_mac
+        k_mac = int.from_bytes(block) & _WRAPPED_MAC_KEY_MASK ^ int.from_bytes(stream)
+        if hmac.compare_digest(_mac_of_block(k_mac << _MAC_KEY_PAD_BITS, hoot.ciphertext), hoot.mac):
             with lock:
                 k_enc = _keystream(ecb, nonce, block[KEY_BLOCK_NONCE_BYTES:_WRAPPED_MAC_KEY])
             return _keystream(Cipher(algorithms.AES(k_enc), _ECB).encryptor(), bytes(8), hoot.ciphertext)

@@ -28,6 +28,7 @@ import binascii
 import functools
 import struct
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import CapacityError, ConfigError, ParseError
 from .tagcrypt import (
@@ -53,8 +54,14 @@ _BASE32_DIGITS = str.maketrans(
 )
 _BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_GLYPHS = frozenset(_BASE64_ALPHABET)
-# by payload length mod 4, the final glyphs whose unused low bits are zero: 4 bits at 2, 2 bits at 3
-_CANONICAL_FINAL = {2: frozenset(_BASE64_ALPHABET[::16]), 3: frozenset(_BASE64_ALPHABET[::4])}
+# by payload length mod 4: the padding strict base64 decoding needs, and the final glyphs whose unused low
+# bits are zero (4 bits at 2, 2 bits at 3, none at 0); strict decoding refuses a length of 1 however padded
+_PAYLOAD_TAILS = (
+    ("", _BASE64_GLYPHS),
+    ("===", frozenset()),
+    ("==", frozenset(_BASE64_ALPHABET[::16])),
+    ("=", frozenset(_BASE64_ALPHABET[::4])),
+)
 _TOKEN_CACHE_SIZE = 256  # (token, k) pairs decode_short_tag remembers
 
 DEFAULT_GLYPH_BUDGET = 140
@@ -192,8 +199,8 @@ def encode(hoot: Hoot, params: WireParams = DEFAULT_PARAMS) -> str:
 
 @functools.lru_cache(maxsize=8)
 def _key_blocks(n_tags: int) -> struct.Struct:
-    """Unpacks the leading ``n_tags`` 40-byte key blocks of a payload body as a tuple."""
-    return struct.Struct(f"{KEY_BLOCK_BYTES}s" * n_tags)
+    """Unpacks the leading ``n_tags`` 40-byte key blocks of a payload body and the 20-byte MAC after them as a tuple."""
+    return struct.Struct(f"{KEY_BLOCK_BYTES}s" * n_tags + f"{MAC_BYTES}s")
 
 
 def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
@@ -203,58 +210,68 @@ def parse(text: str, params: WireParams = DEFAULT_PARAMS) -> Hoot:
     ``params.glyph_budget``, checked before any decoding), "no-tag",
     "bad-tag", "payload-length", or "bad-alphabet".
 
-    A valid line is checked by C-level decoders: one ``int(·, 32)`` per
-    tag token not among ``decode_short_tag``'s remembered ones, and one
-    strict ``binascii.a2b_base64`` for the payload. Only a stage whose
-    decoder refuses its input runs the glyph-level checks that classify
-    the failure. A decoded payload is canonical when its final glyph's
-    unused low bits (4 when its length is 2 mod 4, 2 when it is 3) are
-    zero, which is when re-encoding the bytes gives the payload back.
+    A line is cut once, at its last space, into hashtag tokens and a
+    payload, and a line whose tokens lead with "#" and whose payload
+    holds no "=", as every valid line's do, is checked by C-level
+    decoders: one ``int(·, 32)`` per tag token not among
+    ``decode_short_tag``'s remembered ones, and one strict
+    ``binascii.a2b_base64`` for the payload. Only a line of another
+    shape, or one that a decoder refuses, goes to ``_refuse``, whose
+    glyph-level checks classify the failure. A decoded payload is
+    canonical when its final glyph's unused low bits (4 when its length
+    is 2 mod 4, 2 when it is 3) are zero, which is when re-encoding the
+    bytes gives the payload back.
     """
     text = text.strip()
     if len(text) > params.glyph_budget:
         raise ParseError(f"{len(text)} glyphs exceed the budget of {params.glyph_budget}", kind="too-long")
+    head, _, payload = text.rpartition(" ")  # a stripped line ends in no space, so the payload is not empty
+    # strict mode would take "AB=" as padded, where _refuse finds a glyph outside the alphabet
+    if head[:1] == "#" and "=" not in payload:
+        k, tags = params.k, ()
+        padding, finals = _PAYLOAD_TAILS[len(payload) % 4]
+        try:
+            # no decoded name holds a space, so every token of the head leads with "#"
+            for name in head[1:].split(" #"):
+                tags += (decode_short_tag(name, k),)
+            body = binascii.a2b_base64(payload + padding, strict_mode=True)  # strict_mode: Python 3.11+
+        except ValueError:  # a ParseError, a binascii.Error, or a payload that is not ASCII
+            pass
+        else:
+            if payload[-1] not in finals:
+                # non-zero trailing bits: a truncated or reframed payload
+                raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
+            layout = _key_blocks(len(tags))
+            try:
+                fields = layout.unpack_from(body)
+            except struct.error:  # a body shorter than the layout
+                raise ParseError(
+                    f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {layout.size}",
+                    kind="payload-length",
+                ) from None
+            # Hoot's checks hold already: a tag or more, one 40-byte block per tag, a 20-byte MAC
+            return _build_hoot(tags, fields[:-1], fields[-1], body[layout.size :])
+    _refuse(text, params)
+
+
+def _refuse(text: str, params: WireParams) -> NoReturn:
+    """Raise the ParseError that classifies a stripped line, within the budget, that parse's decoders did not take."""
     tokens = text.split(" ")
-    tags: list[ShortTag] = []
     index = 0
     while index < len(tokens) and tokens[index].startswith("#"):
-        tags.append(decode_short_tag(tokens[index][1:], params.k))
+        decode_short_tag(tokens[index][1:], params.k)
         index += 1
-    if not tags:
+    if index == 0:
         raise ParseError("no hashtag token found", kind="no-tag")
     if index == len(tokens) or tokens[index] == "":
         raise ParseError("missing payload after hashtag tokens", kind="payload-length")
     if len(tokens) - index > 1:
         raise ParseError("whitespace inside payload", kind="bad-alphabet")
-    payload = tokens[index]
-    padded = payload + "=" * (-len(payload) % 4)
-    body = None
-    if "=" not in payload:  # strict mode would take "AB=" as padded; the checks below call it bad-alphabet
-        try:
-            body = binascii.a2b_base64(padded, strict_mode=True)  # strict_mode: Python 3.11+
-        except ValueError:  # binascii.Error, or a str that is not ASCII
-            pass
-    if body is None:
-        bad = set(payload) - _BASE64_GLYPHS
-        if bad:
-            raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
-        # with no "=" and every glyph base64, strict mode refuses only a length of 1 (mod 4)
-        raise ParseError("payload length is not a valid unpadded base64 length", kind="payload-length")
-    final = _CANONICAL_FINAL.get(len(payload) % 4)
-    if final is not None and payload[-1] not in final:
-        # non-zero trailing bits: a truncated or reframed payload
-        raise ParseError("payload is not a canonical unpadded base64 encoding", kind="payload-length")
-    fixed = len(tags) * KEY_BLOCK_BYTES + MAC_BYTES
-    if len(body) < fixed:
-        raise ParseError(
-            f"payload holds {len(body)} bytes but {len(tags)} tag(s) require at least {fixed}",
-            kind="payload-length",
-        )
-    blocks = _key_blocks(len(tags)).unpack_from(body)
-    mac = body[fixed - MAC_BYTES : fixed]
-    ciphertext = body[fixed:]
-    # Hoot's checks hold already: a tag or more, one 40-byte block per tag, a 20-byte MAC
-    return _build_hoot(tuple(tags), blocks, mac, ciphertext)
+    bad = set(tokens[index]) - _BASE64_GLYPHS
+    if bad:
+        raise ParseError(f"payload glyphs {sorted(bad)!r} outside the base64 alphabet", kind="bad-alphabet")
+    # with no "=" and every glyph base64, strict mode refuses only a length of 1 (mod 4)
+    raise ParseError("payload length is not a valid unpadded base64 length", kind="payload-length")
 
 
 def seal_to_wire(

@@ -739,19 +739,61 @@ def test_open_takes_one_plain_tag(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "open", str(stream), "--tag", "a", "--tag", "b", "--kdf", "fast", "--stats")
     assert code == EXIT_USAGE and out == ""
     assert err.endswith("hoot open: usage error: this command takes one plain tag, not 2\n")
+    # a config file's "tag" yields to an explicit one
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"tag": "a"}))
-    code, out, err = run(capsys, "open", str(stream), "--config", str(config), "--tag", "b", "--kdf", "fast")
-    assert code == EXIT_USAGE and out == ""
-    assert err.endswith("hoot open: usage error: this command takes one plain tag, not 2\n")
     single = tmp_path / "single.json"
     single.write_text(json.dumps({"tag": "b"}))
-    for argv in (["--tag", "b"], ["--config", str(single)]):
+    for argv in (["--tag", "b"], ["--config", str(single)], ["--config", str(config), "--tag", "b"]):
         code, out, _ = run(capsys, "open", str(stream), *argv, "--kdf", "fast")
         assert code == EXIT_OK and out == "for b\n", argv
     monkeypatch.setenv("HOOT_TAG", "b")
     code, out, _ = run(capsys, "open", str(stream), "--kdf", "fast")
     assert code == EXIT_OK and out == "for b\n"
+
+
+def test_a_config_files_tag_yields_to_an_explicit_tag(capsys, tmp_path):
+    config = tmp_path / "a.json"
+    config.write_text(json.dumps({"tag": "a", "k": 12}))
+    _, alone, _ = run(capsys, "seal", "m", "--tag", "b", "--kdf", "fast", "--seed", "1", "--k", "12")
+    assert alone.count("#") == 1
+    for explicit in (["--tag", "b"], ["--tag=b"]):
+        code, out, _ = run(capsys, "seal", "m", "--config", str(config), *explicit, "--kdf", "fast", "--seed", "1")
+        assert code == EXIT_OK and out == alone, explicit
+    # a key the command line does not give still applies
+    _, from_file, _ = run(capsys, "seal", "m", "--config", str(config), "--kdf", "fast", "--seed", "1", "--k", "12")
+    assert from_file.count("#") == 1 and from_file != alone
+
+
+class _RecordingStream(io.BytesIO):
+    """A byte stream that records the most bytes one read returned."""
+
+    largest = 0
+
+    def _seen(self, chunk):
+        self.largest = max(self.largest, len(chunk))
+        return chunk
+
+    def readline(self, size=-1):
+        return self._seen(super().readline(size))
+
+    def __next__(self):
+        return self._seen(super().__next__())
+
+
+def test_open_reads_a_bounded_prefix_of_each_line(capsys, monkeypatch):
+    rng = random.Random(6)
+    first, last = (wire.encode(seal(body, [PlainTag("bounded")], rng=rng)) for body in (b"first", b"last"))
+    limit = 4 * 140 + 2  # UTF-8 bytes of 140 glyphs, then CR LF
+    at_limit = " " * (limit - 1 - len(first)) + first  # with its newline, exactly the limit: parsed
+    over = at_limit + " "  # one byte more: too long, whatever whitespace it holds
+    data = "\n".join([first, "A" * 100_000, at_limit, over, " " * limit, last]).encode()
+    stream = _RecordingStream(data)
+    monkeypatch.setattr("sys.stdin", type("Stdin", (), {"buffer": stream, "isatty": lambda self: False})())
+    code, out, err = run(capsys, "open", "-", "--tag", "bounded", "--kdf", "fast", "--stats")
+    assert code == EXIT_OK and out == "first\nfirst\nlast\n"
+    assert err.splitlines()[-1] == "matched=3 skipped=0 malformed=3 (too-long=3)"
+    assert 0 < stream.largest <= limit
 
 
 def test_entropy_reads_cores_only_with_a_rate(capsys):

@@ -108,6 +108,21 @@ def test_kdf_config_validation():
         KdfConfig(mode=KdfMode.MEMORY_HARD, parallelism=0)
 
 
+def test_kdf_config_refuses_a_fast_hash_setting_off_its_default():
+    for setting in tagcrypt.KDF_SETTINGS:
+        refusal = f"^{setting} is a memory-hard KDF setting; the fast-hash KDF takes none$"
+        with pytest.raises(ConfigError, match=refusal):
+            KdfConfig(KdfMode.FAST_HASH, **{setting: 3})
+    with pytest.raises(ConfigError, match="^memory is"):  # the first setting off its default is named
+        KdfConfig(parallelism=2, memory=4, work=2**15)
+    with pytest.raises(ConfigError, match="^work is"):
+        replace(FAST_KDF, work=3)
+    # a fast-hash config spelled out at its defaults is the fast-hash config, and derives the same material
+    spelled = KdfConfig(KdfMode.FAST_HASH, work=2**15, memory=2**20, parallelism=1)
+    assert spelled == FAST_KDF == KdfConfig() and hash(spelled) == hash(FAST_KDF)
+    assert derive_tag_material(PlainTag("abc"), spelled) is derive_tag_material(PlainTag("abc"), FAST_KDF)
+
+
 def test_split_k32_consumes_whole_digest():
     long_tag = derive_long_tag(PlainTag("abc"))
     material = split_tag(long_tag, 32)
@@ -1019,6 +1034,32 @@ def test_wrapping_context_joins_no_equality_hash_or_repr():
     open_with_material(seal(b"m", [PlainTag("abc")], rng=random.Random(1)), a)
     assert "_ecb" in vars(a) and "_ecb" not in vars(b)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_a_reject_runs_one_aes_block_and_a_match_one_more():
+    tag = PlainTag("counted-blocks")
+    material = split_tag(derive_long_tag(tag), 24)  # not the cached material, which other tests share
+    ecb, lock = material._ecb
+    blocks = []
+
+    class Recording:
+        def update(self, data):
+            blocks.append(data)
+            return ecb.update(data)
+
+    material.__dict__["_ecb"] = (Recording(), lock)
+    rng = random.Random(3)
+    ours = seal(b"ours", [tag], rng=rng)
+    cover = seal(b"cover", [PlainTag("counted-cover")], rng=rng)
+    cover = Hoot((material.short_tag,), cover.key_blocks, cover.mac, cover.ciphertext)
+    assert open_with_material(cover, material) is None
+    nonce = cover.key_blocks[0][: tagcrypt.KEY_BLOCK_NONCE_BYTES]
+    assert blocks == [nonce + (1).to_bytes(8, "big")]  # k_mac's keystream block alone
+    blocks.clear()
+    assert open_with_material(ours, material) == b"ours"
+    nonce = ours.key_blocks[0][: tagcrypt.KEY_BLOCK_NONCE_BYTES]
+    assert blocks == [nonce + (1).to_bytes(8, "big"), nonce + bytes(8)]  # then k_enc's
+    assert not lock.locked()
 
 
 def test_material_pickles_and_copies_after_use():

@@ -372,12 +372,12 @@ def hoots(draw, k=st.integers(1, 64), n_tags=st.integers(1, 3), max_budget=400):
 
 
 @st.composite
-def mutated_lines(draw):
+def mutated_lines(draw, k=st.integers(1, 32), n_tags=st.integers(1, 2), max_budget=200, edits=st.integers(1, 3)):
     """A valid line with a few glyphs replaced, inserted or deleted, often by a trap character."""
-    hoot, params = draw(hoots(k=st.integers(1, 32), n_tags=st.integers(1, 2), max_budget=200))
+    hoot, params = draw(hoots(k=k, n_tags=n_tags, max_budget=max_budget))
     line = list(encode(hoot, params))
     glyph = st.one_of(st.sampled_from(TRAPS), st.sampled_from(BASE32 + BASE64), st.characters())
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(edits)):
         at = draw(st.integers(0, len(line)))
         edit = draw(st.sampled_from(["replace", "insert", "delete"]))
         if edit == "insert" or at == len(line):
@@ -396,10 +396,16 @@ def near_budget(length):
     )
 
 
+MANY_TAGS = WireParams(k=12, glyph_budget=280)  # no line of two tags fits 140 glyphs at k=24
+TWO_TAGS = encode(sealed(tags=("one-group", "two-group"), k=12), MANY_TAGS)
+THREE_TAGS = encode(sealed(tags=("one-group", "two-group", "three-group"), k=12), MANY_TAGS)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     case=st.one_of(
         mutated_lines(),
+        mutated_lines(k=st.just(12), n_tags=st.integers(2, 3), max_budget=280, edits=st.integers(0, 3)),
         st.tuples(st.text(alphabet=st.sampled_from(TRAPS + BASE32 + BASE64), max_size=150), st.just(DEFAULT_PARAMS)),
         st.tuples(st.text(max_size=150), st.just(DEFAULT_PARAMS)),
         st.tuples(st.one_of(near_budget(140), near_budget(141)), st.just(WireParams(k=24, glyph_budget=140))),
@@ -409,6 +415,13 @@ def near_budget(length):
 @example(case=("#aaaaa AB==", DEFAULT_PARAMS))
 @example(case=("#aaa_a " + "A" * 80, DEFAULT_PARAMS))
 @example(case=("#\u212aaaaa " + "A" * 80, DEFAULT_PARAMS))
+@example(case=(TWO_TAGS, MANY_TAGS))
+@example(case=(THREE_TAGS, MANY_TAGS))
+@example(case=(TWO_TAGS[1:], MANY_TAGS))  # the first token without its "#"
+@example(case=(THREE_TAGS.replace(" #", " ", 1), MANY_TAGS))  # the second token without its "#"
+@example(case=(THREE_TAGS.replace(" #", "  #", 1), MANY_TAGS))  # an empty token between two tags
+@example(case=(THREE_TAGS.replace(" #", " ##", 1), MANY_TAGS))
+@example(case=(" #".join(TWO_TAGS.rsplit(" ", 1)), MANY_TAGS))  # a payload that leads with "#"
 def test_parse_agrees_with_the_classifying_oracle(case):
     text, params = case
     assert outcome(parse, text, params) == outcome(classifying_parse, text, params)
