@@ -38,6 +38,7 @@ from .tagcrypt import (
 from .wire import encode_short_tags
 
 SECONDS_PER_YEAR = 365.25 * 86400.0
+_SLOPE_RANKS = 1000  # powerlaw_slope fits this many ranks, from the top
 
 
 @dataclass(frozen=True)
@@ -229,9 +230,9 @@ def rank_frequency(corpus: Corpus) -> list[tuple[int, int]]:
     return list(enumerate(ordered, 1))
 
 
-def powerlaw_slope(pairs, max_rank: int = 1000) -> float | None:
-    """Least-squares slope of log(count) vs log(rank) over the top ranks."""
-    top = pairs[:max_rank]
+def powerlaw_slope(pairs) -> float | None:
+    """Least-squares slope of log(count) vs log(rank) over the top ``_SLOPE_RANKS`` ranks."""
+    top = pairs[:_SLOPE_RANKS]
     if len(top) < 2:
         return None
     ranks = [math.log(rank) for rank, _ in top]

@@ -31,7 +31,6 @@ from .tagcrypt import (
     KdfMode,
     PlainTag,
     derive_tag_material,
-    kdf_config,
     open_with_material,
     seal,
 )
@@ -63,6 +62,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     """Fold `--config file.json` (or `--config=file.json`) defaults in ahead of explicit flags.
 
     A key whose flag the command line also gives is left out, so the explicit value stands alone.
+    A null, array or object value is refused: no flag takes one.
     """
     argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
@@ -87,6 +87,9 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     given = {arg.partition("=")[0] for arg in rest if arg.startswith("--")}  # `--flag value` and `--flag=value`
     injected = []
     for key, value in defaults.items():
+        kind = {type(None): "null", list: "array", dict: "object"}.get(type(value))
+        if kind:  # no flag takes one, and str() would make it a value
+            raise ConfigError(f"config file {path}: key {key!r} holds a JSON {kind}, which no flag takes")
         flag = "--" + key.replace("_", "-")
         if flag in given:  # an explicit flag replaces the file's value, even for a flag that appends
             continue
@@ -121,7 +124,8 @@ def _wire_params(args) -> wire.WireParams:
 
 def _kdf(args) -> KdfConfig:
     """Build the KDF the flags name and log the effective configuration; only memory-hard reads settings."""
-    kdf = kdf_config(args.kdf, **{name: getattr(args, f"kdf_{name}") for name in KDF_SETTINGS})
+    mode = KdfMode.FAST_HASH if args.kdf == "fast" else KdfMode(args.kdf)
+    kdf = KdfConfig(mode, **{name: getattr(args, f"kdf_{name}") for name in KDF_SETTINGS})
     settings = ", ".join(f"{name}={getattr(kdf, name)}" for name in KDF_SETTINGS)
     kdf_text = kdf.mode.value if kdf.mode is KdfMode.FAST_HASH else f"{kdf.mode.value}({settings})"
     budget_and_seed = getattr(args, "glyph_budget", None), getattr(args, "seed", None)

@@ -37,11 +37,11 @@ from .tagcrypt import (
     KDF_SETTINGS,
     Hoot,
     KdfConfig,
+    KdfMode,
     PlainTag,
     ShortTag,
     derive_tag_material,
     derive_tag_materials,
-    kdf_config,
     open_with_material,
 )
 from . import wire
@@ -272,8 +272,8 @@ def load_scenario(source: str | dict) -> ScenarioScript:
 
     A missing field, a field of the wrong JSON type, a key the loader
     does not read (in the script, a group, a rule of its type or the
-    ``kdf`` object), a rule naming both "short_tag" and "plain_tag", or
-    a ``KDF_SETTINGS`` setting under the fast hash is a ValueError.
+    ``kdf`` object), a rule naming both "short_tag" and "plain_tag", a
+    mode no KdfMode has, or a setting under the fast hash is a ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
@@ -284,8 +284,8 @@ def load_scenario(source: str | dict) -> ScenarioScript:
         raise ValueError("scenario script field 'kdf' must be an object")
     _known(given, "kdf", "mode", *KDF_SETTINGS)
     try:
-        sizes = {key: _typed(given[key], key, int) for key in KDF_SETTINGS if given.get(key) is not None}
-        kdf = kdf_config(given.get("mode", "fast-hash"), **sizes)
+        sizes = {key: _typed(given.get(key), key, int, type(None)) for key in KDF_SETTINGS}  # null is no setting
+        kdf = KdfConfig(KdfMode(given.get("mode", "fast-hash")), **sizes)
         k = _typed(raw.get("k", DEFAULT_K), "k", int)
         groups: list[GroupSpec] = []
         for g in _objects(raw, "groups"):

@@ -134,29 +134,36 @@ class KdfMode(enum.Enum):
 
 @dataclass(frozen=True)
 class KdfConfig:
-    """How plain tags are stretched into long tags.
+    """How plain tags are stretched into long tags; the one place a KDF's settings are filled in and checked.
 
     Fast-hash mode is a SHA-1 digest, extended past its 160 bits by the
     first 32 bits of SHA-1(digest || four zero bytes). Memory-hard mode
     uses scrypt with ``work`` as the CPU/memory cost, ``memory`` as a
-    floor on bytes of state, and ``parallelism`` lanes.
+    floor on bytes of state, and ``parallelism`` lanes. A setting left
+    None is not given. The fast hash takes none: one that is not None
+    raises ConfigError naming the first in field order. A memory-hard
+    config fills each None setting with its ``_MEMORY_HARD_DEFAULTS``
+    value, then checks the settings' ranges.
     """
 
     mode: KdfMode = KdfMode.FAST_HASH
-    work: int = 2**15
-    memory: int = 2**20
-    parallelism: int = 1
+    work: int | None = None
+    memory: int | None = None
+    parallelism: int | None = None
 
     def __post_init__(self):
-        if self.mode is KdfMode.MEMORY_HARD:
-            if self.work < 2 or self.work & (self.work - 1):
-                raise ConfigError("memory-hard work factor must be a power of two >= 2")
-            if self.memory < 1 or self.parallelism < 1:
-                raise ConfigError("memory and parallelism factors must be positive")
-        else:  # the fast hash reads no setting, so one off its default would only split the material cache
-            for setting in fields(self)[1:]:  # the settings, after the mode
-                if getattr(self, setting.name) != setting.default:
-                    raise ConfigError(_FAST_HASH_SETTING.format(setting.name))
+        if self.mode is not KdfMode.MEMORY_HARD:  # a setting the fast hash would ignore is refused
+            for name in KDF_SETTINGS:
+                if getattr(self, name) is not None:
+                    raise ConfigError(_FAST_HASH_SETTING.format(name))
+            return
+        for name, default in _MEMORY_HARD_DEFAULTS.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)  # frozen, so set as dataclass's own __init__ does
+        if self.work < 2 or self.work & (self.work - 1):
+            raise ConfigError("memory-hard work factor must be a power of two >= 2")
+        if self.memory < 1 or self.parallelism < 1:
+            raise ConfigError("memory and parallelism factors must be positive")
 
     def scrypt_params(self) -> tuple[int, int, int]:
         """Map (work, memory, parallelism) onto scrypt's (n, r, p).
@@ -166,26 +173,10 @@ class KdfConfig:
         return self.work, max(1, self.memory // (128 * self.work)), self.parallelism
 
 
+KDF_SETTINGS = tuple(setting.name for setting in fields(KdfConfig) if setting.name != "mode")  # the sizes of scrypt
+_MEMORY_HARD_DEFAULTS = {"work": 2**15, "memory": 2**20, "parallelism": 1}  # keyed by KDF_SETTINGS
 FAST_KDF = KdfConfig()
 MEMORY_HARD_KDF = KdfConfig(mode=KdfMode.MEMORY_HARD)
-
-
-KDF_SETTINGS = tuple(setting.name for setting in fields(KdfConfig) if setting.name != "mode")  # the sizes of scrypt
-
-
-def kdf_config(mode: str, **sizes) -> KdfConfig:
-    """Build a KdfConfig from a mode name and optional integer settings, named as in KDF_SETTINGS.
-
-    ``mode`` is a KdfMode value, or "fast" as the command line spells
-    "fast-hash". A setting left as None keeps its KdfConfig default. The
-    settings size scrypt, so the fast hash takes none: given one, even
-    at its default, it raises ConfigError naming the first.
-    """
-    given = {name: int(value) for name, value in sizes.items() if value is not None}
-    kdf_mode = KdfMode("fast-hash" if mode == "fast" else mode)
-    if given and kdf_mode is KdfMode.FAST_HASH:
-        raise ConfigError(_FAST_HASH_SETTING.format(next(iter(given))))
-    return KdfConfig(kdf_mode, **given)
 
 
 @dataclass(frozen=True, slots=True)
@@ -520,14 +511,14 @@ def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: 
 
 
 @functools.lru_cache(maxsize=8)  # holds every counter range of a wire line's body and of a key block
-def _counter_suffixes(first: int, blocks: int) -> tuple[bytes, ...]:
-    return (b"", *(i.to_bytes(8, "big") for i in range(first, first + blocks)))
+def _counter_suffixes(blocks: int) -> tuple[bytes, ...]:
+    return (b"", *(i.to_bytes(8, "big") for i in range(blocks)))
 
 
-def _keystream(ecb, prefix: bytes, data: bytes, first: int = 0) -> bytes:
-    """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||first, prefix||first+1..."""
+def _keystream(ecb, prefix: bytes, data: bytes) -> bytes:
+    """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||0, prefix||1..."""
     n = len(data)
-    stream = ecb.update(prefix.join(_counter_suffixes(first, (n + 15) // 16)))
+    stream = ecb.update(prefix.join(_counter_suffixes((n + 15) // 16)))
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 

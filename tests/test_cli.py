@@ -12,8 +12,7 @@ import pytest
 from hoot import analysis, collider, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.feed import load_scenario
-from hoot.errors import ConfigError
-from hoot.tagcrypt import KDF_SETTINGS, KdfConfig, KdfMode, PlainTag, kdf_config, seal
+from hoot.tagcrypt import KDF_SETTINGS, KdfConfig, KdfMode, PlainTag, seal
 
 
 def run(capsys, *argv):
@@ -588,15 +587,18 @@ def test_kdf_settings_are_one_list_in_every_place():
         assert getattr(script.kdf, setting) == 4, setting
 
 
-def test_kdf_config_refuses_a_setting_for_the_fast_hash():
-    assert kdf_config("fast", **dict.fromkeys(KDF_SETTINGS)) == KdfConfig()
-    for mode in ("fast", "fast-hash"):
-        for setting in KDF_SETTINGS:
-            with pytest.raises(ConfigError, match=f"^{setting} is a memory-hard KDF setting"):
-                kdf_config(mode, **{setting: 16})
-    # the first setting given is the one named
-    with pytest.raises(ConfigError, match="^parallelism is"):
-        kdf_config("fast", work=None, parallelism=2, memory=4)
+def test_kdf_config_refuses_a_setting_for_the_fast_hash(capsys):
+    # a flag left unset reaches KdfConfig as None, which is no setting
+    assert KdfConfig(KdfMode.FAST_HASH, **dict.fromkeys(KDF_SETTINGS)) == KdfConfig()
+    argv = ["seal", "m", "--tag", "t", "--seed", "1", "--kdf", "fast"]
+    # the first setting in field order is the one named, whatever the order of the flags
+    code, out, err = run(capsys, *argv, "--kdf-parallelism", "2", "--kdf-memory", "4")
+    assert code == EXIT_DATA and out == ""
+    assert err.endswith("hoot seal: error: memory is a memory-hard KDF setting; the fast-hash KDF takes none\n")
+    # a setting at its memory-hard default is still a setting
+    code, out, err = run(capsys, *argv, "--kdf-work", "32768")
+    assert code == EXIT_DATA and out == ""
+    assert err.endswith("hoot seal: error: work is a memory-hard KDF setting; the fast-hash KDF takes none\n")
 
 
 def _kdf_commands(tmp_path) -> dict[str, list[str]]:
@@ -653,6 +655,19 @@ def test_a_scenario_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp_pa
     assert "hoot simulate: error: work is a memory-hard KDF setting" in err
     # null is no setting, as a missing key is
     assert load_scenario({**script, "kdf": dict.fromkeys(kdf, None) | {"mode": "fast-hash"}}).kdf == KdfConfig()
+
+
+def test_a_scenario_spells_the_fast_hash_in_full(capsys, tmp_path):
+    script = {"groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2}], "kdf": {"mode": "fast"}}
+    with pytest.raises(ValueError, match="^'fast' is not a valid KdfMode$"):
+        load_scenario(script)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run(capsys, "simulate", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot simulate: error: 'fast' is not a valid KdfMode\n"
+    path.write_text(json.dumps({**script, "kdf": {"mode": "fast-hash"}}))
+    assert run(capsys, "simulate", str(path))[0] == EXIT_OK
 
 
 def test_config_key_a_command_lacks_is_named(capsys, tmp_path):
@@ -718,6 +733,18 @@ def test_config_file_errors_exit_two(capsys, tmp_path):
         assert code == EXIT_DATA, name
         assert out == "" and err.startswith(f"hoot: error: config file {tmp_path / name}"), name
         assert len(err.splitlines()) == 1, name
+
+
+@pytest.mark.parametrize("value,kind", [(["rally"], "array"), (None, "null"), ({"text": "rally"}, "object")])
+def test_a_config_files_array_object_or_null_value_is_refused(capsys, tmp_path, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tag": value}))
+    code, out, err = run(capsys, "seal", "m", "--kdf", "fast", "--seed", "1", "--config", str(config))
+    assert code == EXIT_DATA and out == ""
+    assert err == f"hoot: error: config file {config}: key 'tag' holds a JSON {kind}, which no flag takes\n"
+    # refused even where an explicit flag would replace the value
+    code, out, _ = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1", "--config", str(config))
+    assert code == EXIT_DATA and out == ""
 
 
 def test_effective_config_is_logged(capsys):

@@ -108,19 +108,54 @@ def test_kdf_config_validation():
         KdfConfig(mode=KdfMode.MEMORY_HARD, parallelism=0)
 
 
-def test_kdf_config_refuses_a_fast_hash_setting_off_its_default():
+def test_kdf_config_refuses_every_fast_hash_setting():
     for setting in tagcrypt.KDF_SETTINGS:
         refusal = f"^{setting} is a memory-hard KDF setting; the fast-hash KDF takes none$"
         with pytest.raises(ConfigError, match=refusal):
             KdfConfig(KdfMode.FAST_HASH, **{setting: 3})
-    with pytest.raises(ConfigError, match="^memory is"):  # the first setting off its default is named
+        with pytest.raises(ConfigError, match=refusal):  # even at its memory-hard default
+            KdfConfig(KdfMode.FAST_HASH, **{setting: getattr(MEMORY_HARD_KDF, setting)})
+    with pytest.raises(ConfigError, match="^work is"):  # the first setting in field order is named
         KdfConfig(parallelism=2, memory=4, work=2**15)
+    with pytest.raises(ConfigError, match="^memory is"):
+        KdfConfig(parallelism=1, memory=2**20)
     with pytest.raises(ConfigError, match="^work is"):
         replace(FAST_KDF, work=3)
-    # a fast-hash config spelled out at its defaults is the fast-hash config, and derives the same material
-    spelled = KdfConfig(KdfMode.FAST_HASH, work=2**15, memory=2**20, parallelism=1)
-    assert spelled == FAST_KDF == KdfConfig() and hash(spelled) == hash(FAST_KDF)
-    assert derive_tag_material(PlainTag("abc"), spelled) is derive_tag_material(PlainTag("abc"), FAST_KDF)
+    # None is no setting
+    unset = KdfConfig(KdfMode.FAST_HASH, **dict.fromkeys(tagcrypt.KDF_SETTINGS))
+    assert unset == FAST_KDF == KdfConfig() and hash(unset) == hash(FAST_KDF)
+
+
+def test_a_memory_hard_config_fills_in_each_unset_setting():
+    assert tuple(tagcrypt._MEMORY_HARD_DEFAULTS) == tagcrypt.KDF_SETTINGS
+    assert (MEMORY_HARD_KDF.work, MEMORY_HARD_KDF.memory, MEMORY_HARD_KDF.parallelism) == (2**15, 2**20, 1)
+    spelled = KdfConfig(KdfMode.MEMORY_HARD, work=2**15, memory=2**20, parallelism=1)
+    nulls = KdfConfig(KdfMode.MEMORY_HARD, **dict.fromkeys(tagcrypt.KDF_SETTINGS))
+    assert spelled == nulls == MEMORY_HARD_KDF and hash(spelled) == hash(nulls) == hash(MEMORY_HARD_KDF)
+    assert KdfConfig(KdfMode.MEMORY_HARD, work=2**4) == KdfConfig(KdfMode.MEMORY_HARD, 2**4, 2**20, 1)
+    with pytest.raises(ConfigError, match="positive"):  # unset settings are filled in before the range checks
+        KdfConfig(KdfMode.MEMORY_HARD, memory=None, parallelism=0)
+
+
+def test_a_filled_memory_hard_config_survives_pickle_copy_and_replace():
+    cfg = KdfConfig(KdfMode.MEMORY_HARD, work=2**4)
+    twins = [pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg), replace(cfg)]
+    for twin in twins:
+        assert twin == cfg and hash(twin) == hash(cfg) and twin.scrypt_params() == cfg.scrypt_params()
+    moved = replace(MEMORY_HARD_KDF, work=16)
+    assert moved == KdfConfig(KdfMode.MEMORY_HARD, work=16) and (moved.memory, moved.parallelism) == (2**20, 1)
+    # a search carries its config to the pool workers in a pickled SearchSpec
+    spec = SearchSpec(prefix="p-", target=PlainTag("t"), suffix_length=2, kdf=cfg, k=4)
+    assert pickle.loads(pickle.dumps(spec)).kdf == cfg
+
+
+def test_a_memory_hard_config_at_its_defaults_shares_the_cached_material(scrypt_calls):
+    tag = PlainTag("default-kdf")
+    spelled = KdfConfig(KdfMode.MEMORY_HARD, work=2**15, memory=2**20, parallelism=1)
+    material = derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD))
+    assert derive_tag_material(tag, spelled) is material
+    assert derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD, memory=2**20)) is material
+    assert len(scrypt_calls) == 1
 
 
 def test_split_k32_consumes_whole_digest():
