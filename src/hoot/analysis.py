@@ -203,7 +203,7 @@ def generate_powerlaw_corpus(n_tags: int, exponent: float, total: int, seed: int
     probability proportional to rank^-exponent; tags that draw zero
     volume are dropped (the realized corpus may hold fewer tags).
     """
-    if n_tags < 1 or exponent <= 0 or total < 1:
+    if n_tags < 1 or not exponent > 0 or total < 1:  # a NaN exponent fails too
         raise ValueError("need n_tags >= 1, exponent > 0, total >= 1")
     import numpy as np  # here only, so that importing hoot.analysis or hoot.cli never loads numpy
 

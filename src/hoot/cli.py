@@ -115,7 +115,7 @@ def _gather_tags(args, *, need_many: bool) -> list[PlainTag]:
         raise UsageError(f"no plain tag given (use --tag, ${TAG_ENV_VAR}, or a terminal prompt)")
     if len(texts) > 1 and not need_many:
         raise UsageError(f"this command takes one plain tag, not {len(texts)}")
-    return [PlainTag(t.lstrip("#")) for t in texts]
+    return [PlainTag(t.removeprefix("#")) for t in texts]
 
 
 def _wire_params(args) -> wire.WireParams:
@@ -133,15 +133,12 @@ def _kdf(args) -> KdfConfig:
     return kdf
 
 
-def _rng(args) -> random.Random | None:
-    return random.Random(args.seed) if args.seed is not None else None
-
-
 def cmd_seal(args) -> int:
     kdf = _kdf(args)
     tags = _gather_tags(args, need_many=True)
     message = sys.stdin.buffer.read() if args.message == "-" else args.message.encode("utf-8")
-    line = wire.seal_to_wire(message, tags, kdf, _wire_params(args), rng=_rng(args))
+    rng = random.Random(args.seed) if args.seed is not None else None
+    line = wire.seal_to_wire(message, tags, kdf, _wire_params(args), rng=rng)
     print(line)
     return EXIT_OK
 

@@ -25,16 +25,12 @@ class PlainTagError(HootError, ValueError):
 class CapacityError(HootError, ValueError):
     """Rendering a message would exceed the glyph budget.
 
-    Attributes:
-        needed: glyphs the rendering would take.
-        budget: the configured glyph limit.
-        capacity: largest message byte count that would fit.
+    ``capacity`` holds the largest message byte count that would fit;
+    the message also states the glyphs needed and the budget.
     """
 
-    def __init__(self, message: str, *, needed: int, budget: int, capacity: int):
+    def __init__(self, message: str, *, capacity: int):
         super().__init__(message)
-        self.needed = needed
-        self.budget = budget
         self.capacity = capacity
 
 

@@ -1,8 +1,8 @@
 """In-memory microblogging feed with censor policies and replay defense.
 
 The feed accepts wire lines, rejects malformed or replayed posts,
-applies an ordered censor rule list, and serves tag searches. Replay
-detection hashes the key blocks and MAC, the per-post random material a
+applies an ordered censor rule list, and serves tag searches. The replay
+key is the bytes of the key blocks and MAC, the per-post random material a
 non-decrypting server can see, so a byte-identical repost is dropped
 while a re-seal of the same plaintext (fresh session keys) passes.
 
@@ -21,7 +21,6 @@ statistics, deterministically for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import sys
@@ -32,7 +31,6 @@ from collections import Counter
 
 from .errors import ParseError
 from .tagcrypt import (
-    DEFAULT_K,
     FAST_KDF,
     KDF_SETTINGS,
     Hoot,
@@ -115,11 +113,6 @@ class CensorPolicy:
         return None
 
 
-def dedup_key(hoot: Hoot) -> bytes:
-    """Replay nonce as the server sees it: hash of key blocks and MAC."""
-    return hashlib.sha1(b"".join(hoot.key_blocks) + hoot.mac).digest()
-
-
 class Feed:
     """Single-writer feed that rejects every replay; posts are totally ordered, reads see a prefix."""
 
@@ -135,7 +128,7 @@ class Feed:
         self._lock = threading.Lock()
         self._posts: list[FeedPost] = []
         self._by_tag: dict[ShortTag, list[int]] = {}
-        self._seen: set[bytes] = set()
+        self._seen: set[bytes] = set()  # each accepted post's key blocks and MAC, joined
 
     def post(self, sender: str, wire_text: str) -> PostOutcome:
         try:
@@ -143,7 +136,7 @@ class Feed:
         except ParseError as exc:
             return PostOutcome(False, reason=RejectReason.MALFORMED, detail=exc.kind)
         with self._lock:
-            key = dedup_key(hoot)
+            key = b"".join(hoot.key_blocks) + hoot.mac
             if key in self._seen:
                 return PostOutcome(False, reason=RejectReason.REPLAY)
             rule_index = self.policy.decide(hoot, sender, self.kdf)
@@ -211,15 +204,15 @@ class ScenarioScript:
         }
 
     A rule names its tag once: by a base32 short-tag token ("short_tag")
-    or by a plain tag the censor has learned ("plain_tag").
+    or by a plain tag the censor has learned ("plain_tag"). The "k" and
+    "glyph_budget" keys make up ``params``.
     """
 
     groups: tuple[GroupSpec, ...]
     policy: CensorPolicy = CensorPolicy()
     seed: int = 0
-    k: int = DEFAULT_K
+    params: wire.WireParams = wire.DEFAULT_PARAMS
     kdf: KdfConfig = FAST_KDF
-    glyph_budget: int = wire.DEFAULT_GLYPH_BUDGET
     target_group: str | None = None
 
     def __post_init__(self):
@@ -228,10 +221,6 @@ class ScenarioScript:
             raise ValueError("group names must be unique")
         if self.target_group is not None and self.target_group not in names:
             raise ValueError(f"target group {self.target_group!r} is not defined")
-
-    @property
-    def wire_params(self) -> wire.WireParams:
-        return wire.WireParams(k=self.k, glyph_budget=self.glyph_budget)
 
 
 def _typed(value, name: str, *json_types: type):
@@ -253,7 +242,7 @@ def _rule_tag(raw: dict, kdf: KdfConfig, k: int) -> ShortTag:
     if "short_tag" in raw and "plain_tag" in raw:
         raise ValueError(f"rule {raw!r} names its tag twice (use 'short_tag' or 'plain_tag', not both)")
     if "short_tag" in raw:
-        return wire.decode_short_tag(_typed(raw["short_tag"], "short_tag", str).lstrip("#"), k)
+        return wire.decode_short_tag(_typed(raw["short_tag"], "short_tag", str).removeprefix("#"), k)
     if "plain_tag" in raw:
         return derive_tag_material(PlainTag(_typed(raw["plain_tag"], "plain_tag", str)), kdf, k).short_tag
     raise ValueError(f"rule {raw!r} names no tag (use 'short_tag' or 'plain_tag')")
@@ -273,7 +262,8 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     A missing field, a field of the wrong JSON type, a key the loader
     does not read (in the script, a group, a rule of its type or the
     ``kdf`` object), a rule naming both "short_tag" and "plain_tag", a
-    mode no KdfMode has, or a setting under the fast hash is a ValueError.
+    mode no KdfMode has, a setting under the fast hash, or a k or glyph
+    budget that WireParams refuses is a ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
@@ -285,8 +275,11 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     _known(given, "kdf", "mode", *KDF_SETTINGS)
     try:
         sizes = {key: _typed(given.get(key), key, int, type(None)) for key in KDF_SETTINGS}  # null is no setting
-        kdf = KdfConfig(KdfMode(given.get("mode", "fast-hash")), **sizes)
-        k = _typed(raw.get("k", DEFAULT_K), "k", int)
+        mode = _typed(given.get("mode", "fast-hash"), "mode", str)
+        if mode not in {m.value for m in KdfMode}:
+            raise ValueError(f"scenario script field 'mode' must be 'fast-hash' or 'memory-hard', not {mode!r}")
+        kdf = KdfConfig(KdfMode(mode), **sizes)
+        params = wire.WireParams(**{key: _typed(raw[key], key, int) for key in ("k", "glyph_budget") if key in raw})
         groups: list[GroupSpec] = []
         for g in _objects(raw, "groups"):
             _known(g, "groups", "name", "plain_tag", "messages", "rate", "replays")
@@ -304,7 +297,7 @@ def load_scenario(source: str | dict) -> ScenarioScript:
             kind = entry["type"]
             if kind == "block-short-tag":
                 _known(entry, "policy", "type", "short_tag", "plain_tag")
-                rules.append(BlockShortTag(_rule_tag(entry, kdf, k)))
+                rules.append(BlockShortTag(_rule_tag(entry, kdf, params.k)))
             elif kind == "block-sender":
                 _known(entry, "policy", "type", "sender")
                 rules.append(BlockSender(_typed(entry["sender"], "sender", str)))
@@ -312,16 +305,15 @@ def load_scenario(source: str | dict) -> ScenarioScript:
                 _known(entry, "policy", "type", "short_tag", "plain_tag", "known_plain_tags")
                 texts = _typed(entry.get("known_plain_tags", []), "known_plain_tags", list)
                 known = tuple(PlainTag(_typed(text, "known_plain_tags", str)) for text in texts)
-                rules.append(WhitelistShortTag(_rule_tag(entry, kdf, k), known))
+                rules.append(WhitelistShortTag(_rule_tag(entry, kdf, params.k), known))
             else:
                 raise ValueError(f"unknown rule type {kind!r}")
         return ScenarioScript(
             groups=tuple(groups),
             policy=CensorPolicy(tuple(rules)),
             seed=_typed(raw.get("seed", 0), "seed", int),
-            k=k,
+            params=params,
             kdf=kdf,
-            glyph_budget=_typed(raw.get("glyph_budget", wire.DEFAULT_GLYPH_BUDGET), "glyph_budget", int),
             target_group=_typed(raw.get("target_group"), "target_group", str, type(None)),
         )
     except KeyError as exc:
@@ -410,8 +402,7 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
     resulting statistics are all deterministic for a fixed script.
     """
     rng = random.Random(script.seed)
-    params = script.wire_params
-    feed = Feed(params=params, kdf=script.kdf, policy=script.policy)
+    feed = Feed(params=script.params, kdf=script.kdf, policy=script.policy)
 
     events: list[tuple[float, str, int, GroupSpec]] = []
     for group in script.groups:
@@ -423,14 +414,14 @@ def run_scenario(script: ScenarioScript) -> FeedStats:
 
     # One batch derives every group's tag, memory-hard ones in lanes, so sealing takes the
     # materials from the cache; a whitelist derives its known tags only when a post needs them.
-    materials = derive_tag_materials([g.plain_tag for g in script.groups], script.kdf, script.k)
+    materials = derive_tag_materials([g.plain_tag for g in script.groups], script.kdf, script.params.k)
     token_of = {g.name: wire.encode_short_tag(material.short_tag) for g, material in zip(script.groups, materials)}
 
     outcomes = {g.name: Counter() for g in script.groups}  # each group's submissions by PostOutcome.reason
     sent_wires: dict[str, list[str]] = {g.name: [] for g in script.groups}
     for _, name, i, group in events:
         body = f"{name} dispatch {i:04d}".encode("utf-8")
-        line = wire.seal_to_wire(body, [group.plain_tag], script.kdf, params, rng=rng)
+        line = wire.seal_to_wire(body, [group.plain_tag], script.kdf, script.params, rng=rng)
         sent_wires[name].append(line)
         outcomes[name][feed.post(name, line).reason] += 1
 

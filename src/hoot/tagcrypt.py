@@ -111,7 +111,7 @@ _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived 
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _workers = None  # the fork pool, started on first use and kept for the life of the process
 _workers_lock = threading.Lock()
-_LEADING64 = struct.Struct(">Q12x")  # a SHA-1 digest's leading 64 bits; iter_unpack walks joined digests
+_LEADING64 = struct.Struct(">Q12x")  # a 20-byte long-tag head's leading 64 bits; iter_unpack walks joined heads
 _FAST_HASH_SETTING = "{} is a memory-hard KDF setting; the fast-hash KDF takes none"
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
 # RFC 2104's ipad and opad bytes over a whole block, as ints to XOR with a padded key's int
@@ -471,40 +471,41 @@ def derive_tag_materials(plain_tags: list[PlainTag], cfg: KdfConfig, k: int) -> 
     return [found[tag] for tag in plain_tags]
 
 
+def _long_tag_heads(plain_tags: list[bytes], cfg: KdfConfig) -> bytes:
+    """The first 20 long-tag bytes of each UTF-8 plain tag, joined; memory-hard tags are derived serially, uncached."""
+    if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
+        return b"".join([derive_long_tag(PlainTag(tag.decode("utf-8")), cfg).data[:20] for tag in plain_tags])
+    sha1 = hashlib.sha1  # a fast-hash long tag starts with the SHA-1 digest
+    return b"".join([sha1(tag).digest() for tag in plain_tags])
+
+
 def short_tags(plain_tags: list[bytes], cfg: KdfConfig, k: int) -> list[int]:
     """``derive_tag_material(PlainTag(t), cfg, k).short_tag.value`` for each UTF-8 plain tag t.
 
-    k is checked first. Memory-hard tags bypass the material cache; fast-hash
-    tags are hashed with hashlib and read from the joined digests at once.
+    k is checked first; the values are read from the joined long-tag heads at once.
     """
     check_k_range(k)
-    if cfg.mode is KdfMode.MEMORY_HARD:  # scrypt dwarfs the rest of a derivation
-        return [split_tag(derive_long_tag(PlainTag(tag.decode("utf-8")), cfg), k).short_tag.value for tag in plain_tags]
-    sha1, shift = hashlib.sha1, 64 - k
-    digests = b"".join([sha1(tag).digest() for tag in plain_tags])
-    return [leading >> shift for (leading,) in _LEADING64.iter_unpack(digests)]
+    shift = 64 - k
+    return [leading >> shift for (leading,) in _LEADING64.iter_unpack(_long_tag_heads(plain_tags, cfg))]
 
 
 def short_tag_positions(plain_tags: list[bytes], cfg: KdfConfig, k: int, value: int) -> list[int]:
     """The positions i, in order, of the UTF-8 plain tags whose k-bit short tag is ``value``.
 
     Equal to ``[i for i, v in enumerate(short_tags(plain_tags, cfg, k)) if v == value]``,
-    and k is checked first. A fast-hash batch is scanned in C: one
-    ``translate`` marks each digest whose first byte agrees with the
-    value's leading min(k, 8) bits, and only the marked digests are read
+    and k is checked first. The batch's long-tag heads are scanned in C:
+    one ``translate`` marks each head whose first byte agrees with the
+    value's leading min(k, 8) bits, and only the marked heads are read
     further.
     """
     check_k_range(k)
-    if cfg.mode is KdfMode.MEMORY_HARD:
-        return [i for i, tag_value in enumerate(short_tags(plain_tags, cfg, k)) if tag_value == value]
-    sha1, shift = hashlib.sha1, 64 - k
-    digests = b"".join([sha1(tag).digest() for tag in plain_tags])
+    heads, shift = _long_tag_heads(plain_tags, cfg), 64 - k
     spread = 1 << (8 - min(k, 8))  # first bytes that share the value's leading bits run from low to low + spread
     low = (value << shift >> 56) & 0xFF  # a value outside k bits marks bytes no confirmation passes
-    marks = digests[::20].translate(bytes(low) + b"\x01" * spread + bytes(256 - low - spread))
+    marks = heads[::20].translate(bytes(low) + b"\x01" * spread + bytes(256 - low - spread))
     positions, at = [], marks.find(1)
     while at >= 0:
-        if _LEADING64.unpack_from(digests, 20 * at)[0] >> shift == value:
+        if _LEADING64.unpack_from(heads, 20 * at)[0] >> shift == value:
             positions.append(at)
         at = marks.find(1, at + 1)
     return positions

@@ -179,8 +179,6 @@ def _check_fits(params: WireParams, n_tags: int, message_len: int) -> None:
         raise CapacityError(
             f"message of {message_len} bytes needs {needed} glyphs, over the budget of "
             f"{params.glyph_budget}; capacity {limit} bytes for {n_tags} tag(s)",
-            needed=needed,
-            budget=params.glyph_budget,
             capacity=limit,
         )
 

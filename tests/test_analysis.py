@@ -167,6 +167,12 @@ def test_generate_powerlaw_corpus_is_deterministic():
     assert a.total == 1000
 
 
+@pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan")])
+def test_corpus_refuses_an_exponent_that_is_not_positive(exponent):
+    with pytest.raises(ValueError, match="^need n_tags >= 1, exponent > 0, total >= 1$"):
+        generate_powerlaw_corpus(10, exponent, 5)
+
+
 def test_generate_single_tag_carries_total():
     corpus = generate_powerlaw_corpus(1, 1.0, 777, seed=0)
     assert corpus.entries == (("tag1", 777),)

@@ -90,6 +90,23 @@ def test_tag_from_environment(capsys, monkeypatch):
     assert out.strip() == expected
 
 
+def test_a_tag_loses_one_leading_hash_only(capsys):
+    _, plain, _ = run(capsys, "seal", "m", "--tag", "x", "--kdf", "fast", "--seed", "1")
+    assert run(capsys, "seal", "m", "--tag", "#x", "--kdf", "fast", "--seed", "1")[:2] == (EXIT_OK, plain)
+    code, out, err = run(capsys, "seal", "m", "--tag", "##x", "--kdf", "fast", "--seed", "1")
+    assert code == EXIT_DATA and out == ""
+    assert err.endswith("hoot seal: error: plain tag is written without the leading '#'\n")
+
+
+def test_gen_corpus_refuses_a_nan_exponent(capsys, tmp_path):
+    out_file = tmp_path / "c.csv"
+    argv = "analyze", "gen-corpus", "--tags", "10", "--total", "5", "--exponent", "nan", "--out", str(out_file)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot analyze: error: need n_tags >= 1, exponent > 0, total >= 1\n"
+    assert not out_file.exists()
+
+
 def test_open_filters_cover_traffic_preserving_order(capsys, monkeypatch):
     rng = random.Random(9)
     ours, theirs = PlainTag("ours-cli"), PlainTag("theirs-cli")
@@ -659,13 +676,13 @@ def test_a_scenario_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp_pa
 
 def test_a_scenario_spells_the_fast_hash_in_full(capsys, tmp_path):
     script = {"groups": [{"name": "g", "plain_tag": "g-tag", "messages": 2}], "kdf": {"mode": "fast"}}
-    with pytest.raises(ValueError, match="^'fast' is not a valid KdfMode$"):
+    with pytest.raises(ValueError, match="^scenario script field 'mode' must be 'fast-hash' or 'memory-hard', not 'fast'$"):
         load_scenario(script)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(script))
     code, out, err = run(capsys, "simulate", str(path))
     assert code == EXIT_DATA and out == ""
-    assert err == "hoot simulate: error: 'fast' is not a valid KdfMode\n"
+    assert err == "hoot simulate: error: scenario script field 'mode' must be 'fast-hash' or 'memory-hard', not 'fast'\n"
     path.write_text(json.dumps({**script, "kdf": {"mode": "fast-hash"}}))
     assert run(capsys, "simulate", str(path))[0] == EXIT_OK
 

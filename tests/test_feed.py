@@ -83,6 +83,22 @@ def test_fresh_seal_of_same_plaintext_accepted():
     assert len(feed) == 2
 
 
+def test_replay_key_is_the_key_blocks_and_mac():
+    # a repost with re-cased tag tokens carries the same key blocks and MAC, so it is
+    # a replay; a re-seal of the same message draws fresh ones and is accepted
+    feed = Feed(params=PARAMS)
+    ours = PlainTag("recased-post")
+    line = wire_line(b"same text", ours, 6)
+    tokens, payload = line.rsplit(" ", 1)
+    recased = f"{tokens.upper()} {payload}"
+    assert recased != line and wire.parse(recased, PARAMS).short_tags == (tag_of(ours),)
+    assert feed.post("a", line).accepted
+    outcome = feed.post("b", recased)
+    assert not outcome.accepted and outcome.reason is RejectReason.REPLAY
+    assert feed.post("a", wire_line(b"same text", ours, 7)).accepted
+    assert len(feed) == 2
+
+
 def test_malformed_rejected():
     feed = Feed(params=PARAMS)
     outcome = feed.post("a", "not a wire line")
@@ -389,3 +405,34 @@ def test_load_scenario_lets_a_fault_of_the_program_surface(monkeypatch):
     raw = {"groups": [], "policy": [{"type": "block-short-tag", "plain_tag": "some-tag"}]}
     with pytest.raises(TypeError, match="a fault in the derivation"):
         load_scenario(json.dumps(raw))
+
+
+def test_load_scenario_refuses_wire_settings_wire_params_refuses():
+    groups = [{"name": "g", "plain_tag": "g-tag", "messages": 1}]
+    with pytest.raises(ValueError, match="^glyph budget must be positive$"):
+        load_scenario({"groups": groups, "glyph_budget": 0})
+    with pytest.raises(ValueError, match="^k=65 outside supported range 1..64$"):
+        load_scenario({"groups": groups, "k": 65})
+    script = load_scenario({"groups": groups, "k": K, "glyph_budget": 280})
+    assert script.params == wire.WireParams(k=K, glyph_budget=280)
+    assert load_scenario({"groups": groups}).params == wire.DEFAULT_PARAMS
+
+
+def test_a_rule_token_loses_one_leading_hash_only():
+    token = wire.encode_short_tag(tag_of(PlainTag("hash-rule")))
+    rule = {"type": "block-short-tag", "short_tag": f"##{token}"}
+    with pytest.raises(ValueError, match=f"^short tag token needs 3 glyphs for k={K}, got 4$"):
+        load_scenario({"groups": [], "k": K, "policy": [rule]})
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        (5, "^scenario script field 'mode' has the wrong JSON type \\(int\\)$"),
+        (None, "^scenario script field 'mode' has the wrong JSON type \\(NoneType\\)$"),
+        ("FAST-HASH", "^scenario script field 'mode' must be 'fast-hash' or 'memory-hard', not 'FAST-HASH'$"),
+    ],
+)
+def test_a_bad_kdf_mode_is_refused_by_name(mode, message):
+    with pytest.raises(ValueError, match=message):
+        load_scenario({"groups": [], "kdf": {"mode": mode}})

@@ -211,6 +211,18 @@ def test_capacity_exactly_matches_encoder(k, n_tags):
     assert err.value.capacity == limit
 
 
+def test_a_capacity_error_carries_the_capacity_and_states_need_and_budget():
+    params = WireParams(k=12, glyph_budget=100)
+    limit = capacity(params, 1)
+    with pytest.raises(CapacityError) as err:
+        encode(sealed(message=b"y" * (limit + 5), tags=["cap-state"], k=12), params)
+    assert err.value.capacity == limit
+    assert str(err.value) == (
+        f"message of {limit + 5} bytes needs {total_glyphs(params, 1, limit + 5)} glyphs, over the budget of 100; "
+        f"capacity {limit} bytes for 1 tag(s)"
+    )
+
+
 def test_default_budget_cannot_hold_two_tags():
     # two 320-bit key blocks plus the MAC already exceed 140 glyphs
     assert capacity(DEFAULT_PARAMS, 2) == 0
