@@ -47,20 +47,20 @@ class DictionaryWords:
 
     size: int
 
-    def cardinality(self) -> int:
+    def bits(self) -> float:
         if self.size < 1:
             raise ValueError("dictionary size must be >= 1")
-        return self.size
+        return math.log2(self.size)
 
 
 @dataclass(frozen=True)
 class DecimalDigits:
     count: int
 
-    def cardinality(self) -> int:
+    def bits(self) -> float:
         if self.count < 1:
             raise ValueError("digit count must be >= 1")
-        return 10**self.count
+        return self.count * math.log2(10)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ class GlyphString:
     alphabet_size: int
     length: int
 
-    def cardinality(self) -> int:
+    def bits(self) -> float:
         if self.alphabet_size < 2 or self.length < 1:
             raise ValueError("glyph component needs alphabet >= 2 and length >= 1")
-        return self.alphabet_size**self.length
+        return self.length * math.log2(self.alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class NamespaceSpec:
 
 
 def entropy_bits(spec: NamespaceSpec) -> float:
-    """log2 of the namespace cardinality."""
-    return sum(math.log2(c.cardinality()) for c in spec.components)
+    """log2 of the namespace cardinality: the sum of each component's log2, so no cardinality is built."""
+    return sum(c.bits() for c in spec.components)
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,20 @@ def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceT
 
 
 def collision_probability(alphabet_size: int, short_tag_glyphs: int, suffix_glyphs: int) -> float:
-    """P(at least one collision) for |A|^L tries against a c-glyph tag.
+    """P(at least one collision) for N = |A|^L tries against a c-glyph tag.
 
-    Evaluates 1 - (1 - |A|^-c)^(|A|^L) in log space so extreme
-    parameters neither overflow nor lose the tiny-probability regime.
+    With p = |A|^-c, evaluates 1 - (1 - p)^N = -expm1(-exp(ln N + ln(-log1p(-p)))).
+    Below p = 2^-53, -log1p(-p) rounds to p, so ln p = -c ln|A| stands
+    in and a p that underflows does no harm. The exponent is clamped at
+    709, just below where exp overflows; the answer there is 1.0.
     """
     if alphabet_size < 2 or short_tag_glyphs < 1 or suffix_glyphs < 0:
         raise ValueError("need alphabet size >= 2, tag glyphs >= 1, suffix glyphs >= 0")
     ln_a = math.log(alphabet_size)
-    single = math.exp(-short_tag_glyphs * ln_a)
-    trials_ln = suffix_glyphs * ln_a
-    if single == 0.0:
-        # per-try probability underflowed; first-order union bound in logs
-        return math.exp(min(0.0, trials_ln - short_tag_glyphs * ln_a))
-    log_miss = math.log1p(-single)
-    try:
-        exponent = -math.exp(trials_ln + math.log(-log_miss))
-    except OverflowError:
-        return 1.0
-    return -math.expm1(exponent)
+    ln_p = -short_tag_glyphs * ln_a
+    p = math.exp(ln_p)
+    ln_rate = ln_p if p < 2.0**-53 else math.log(-math.log1p(-p))
+    return -math.expm1(-math.exp(min(709.0, suffix_glyphs * ln_a + ln_rate)))
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,8 @@ class BandwidthBudget:
 def bandwidth_budget(total_rate: float, k: int, link_bits_per_second: float, message_bits: float) -> BandwidthBudget:
     """Per-short-tag rate under a uniform split, and what a link carries."""
     check_k_range(k)
-    if not (total_rate >= 0 and link_bits_per_second > 0 and message_bits > 0):  # a NaN fails too
-        raise ValueError("rates and sizes must be positive")
+    if not (0 <= total_rate < math.inf and 0 < link_bits_per_second < math.inf and 0 < message_bits < math.inf):
+        raise ValueError("rates and sizes must be positive and finite")  # a NaN fails the comparisons too
     per_tag = total_rate / 2.0**k
     return BandwidthBudget(per_tag, per_tag * 60.0, link_bits_per_second / message_bits)
 

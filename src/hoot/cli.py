@@ -239,15 +239,12 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_component(text: str):
-    kind, _, rest = text.partition(":")
-    if kind == "dict":
-        return analysis.DictionaryWords(int(rest))
-    if kind == "digits":
-        return analysis.DecimalDigits(int(rest))
-    if kind == "glyphs":
-        size, _, length = rest.partition(":")
-        return analysis.GlyphString(int(size), int(length))
-    raise HootError(f"unknown namespace component {text!r} (use dict:N, digits:N, glyphs:SIZE:LEN)")
+    kind, *numbers = text.split(":")
+    kinds = {"dict": analysis.DictionaryWords, "digits": analysis.DecimalDigits, "glyphs": analysis.GlyphString}
+    try:
+        return kinds[kind](*map(int, numbers))
+    except (KeyError, ValueError, TypeError):  # an unknown kind, a number that is not one, or too few or too many
+        raise HootError(f"unknown namespace component {text!r} (use dict:N, digits:N, glyphs:SIZE:LEN)") from None
 
 
 def _brute_force_lines(bits: float, rate: float, cores: int) -> str:

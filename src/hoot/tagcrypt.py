@@ -138,8 +138,10 @@ class KdfConfig:
 
     Fast-hash mode is a SHA-1 digest, extended past its 160 bits by the
     first 32 bits of SHA-1(digest || four zero bytes). Memory-hard mode
-    uses scrypt with ``work`` as the CPU/memory cost, ``memory`` as a
-    floor on bytes of state, and ``parallelism`` lanes. A setting left
+    uses scrypt with ``work`` as its cost n, ``memory`` as the bytes of
+    state, rounded down to a multiple of 128*n and at least 128*n, and
+    ``parallelism`` as its p, which OpenSSL computes one block after
+    another, so p multiplies the time and adds no lanes. A setting left
     None is not given. The fast hash takes none: one that is not None
     raises ConfigError naming the first in field order. A memory-hard
     config fills each None setting with its ``_MEMORY_HARD_DEFAULTS``
@@ -168,7 +170,9 @@ class KdfConfig:
     def scrypt_params(self) -> tuple[int, int, int]:
         """Map (work, memory, parallelism) onto scrypt's (n, r, p).
 
-        r is sized so 128*r*n covers the requested memory, floored at 1.
+        r = memory // (128*n), at least 1, so the 128*r*n bytes of state
+        are ``memory`` rounded down to a multiple of 128*n, and never
+        less than 128*n: 5 MiB at n = 2**15 gives r = 1, 4 MiB.
         """
         return self.work, max(1, self.memory // (128 * self.work)), self.parallelism
 

@@ -62,6 +62,27 @@ def test_entropy_glyph_component_and_validation():
         entropy_bits(NamespaceSpec((DictionaryWords(0),)))
 
 
+def test_component_bits_are_closed_forms_at_any_size():
+    # 62**(10**9) would take minutes and gigabytes to build; its log2 takes a multiplication
+    assert GlyphString(62, 10**9).bits() == 10**9 * math.log2(62)
+    assert DecimalDigits(10**9).bits() == 10**9 * math.log2(10)
+    assert DictionaryWords(40_000).bits() == math.log2(40_000)
+
+
+@pytest.mark.parametrize(
+    "component, message",
+    [
+        (DictionaryWords(0), "dictionary size must be >= 1"),
+        (DecimalDigits(0), "digit count must be >= 1"),
+        (GlyphString(1, 3), "glyph component needs alphabet >= 2 and length >= 1"),
+        (GlyphString(62, 0), "glyph component needs alphabet >= 2 and length >= 1"),
+    ],
+)
+def test_a_component_out_of_range_is_refused(component, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entropy_bits(NamespaceSpec((component,)))
+
+
 def test_brute_force_week_scale():
     budget = brute_force_time(47, 2**18, 2**10)
     assert budget.full_seconds == pytest.approx(2**19, rel=0.01)
@@ -117,6 +138,23 @@ def test_collision_probability_extremes_are_stable():
     assert collision_probability(62, 200, 100) == pytest.approx(62.0**-100, rel=1e-6)
 
 
+@pytest.mark.parametrize("a, c, L, expected", [
+    (2, 1100, 1100, -math.expm1(-1.0)),
+    (32, 300, 300, -math.expm1(-1.0)),
+    (2, 1100, 1099, -math.expm1(-0.5)),
+])
+def test_collision_probability_holds_where_the_per_try_probability_underflows(a, c, L, expected):
+    # p = |A|^-c is 0.0 as a float, yet |A|^L tries make N*p = 1 or 1/2: the answer is 1 - e^-(N*p)
+    assert a ** -float(c) == 0.0
+    assert collision_probability(a, c, L) == pytest.approx(expected, rel=1e-12)
+
+
+def test_collision_probability_refuses_an_alphabet_of_one_glyph():
+    for args in ((1, 2, 3), (2, 0, 3), (2, 2, -1)):
+        with pytest.raises(ValueError, match="^need alphabet size >= 2, tag glyphs >= 1, suffix glyphs >= 0$"):
+            collision_probability(*args)
+
+
 def test_collision_probability_against_simulation():
     # small-space Monte Carlo cross-check
     a, c, L = 4, 2, 2
@@ -141,7 +179,7 @@ def test_bandwidth_zero_rate():
     for k in (0, 65):
         with pytest.raises(ValueError):
             bandwidth_budget(1, k, 1, 1)
-    for rates in ((math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan)):
+    for rates in ((math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan), (math.inf, 1, 1), (1, math.inf, 1), (1, 1, math.inf)):
         with pytest.raises(ValueError):
             bandwidth_budget(rates[0], 18, *rates[1:])
 
@@ -470,3 +508,11 @@ def test_load_corpus_locates_a_bad_count(tmp_path):
     with pytest.raises(ValueError) as refusal:
         load_corpus(path)
     assert str(refusal.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
+
+
+def test_load_corpus_locates_a_line_without_a_comma(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_text("hashtag,count\nfoo,3\nbar\n")
+    with pytest.raises(ValueError) as refusal:
+        load_corpus(path)
+    assert str(refusal.value) == f"{path}:3: expected 'hashtag,count'"

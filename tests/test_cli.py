@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from hoot import analysis, collider, wire
+from hoot import analysis, collider, feed, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.feed import load_scenario
 from hoot.tagcrypt import KDF_SETTINGS, KdfConfig, KdfMode, PlainTag, seal
@@ -143,6 +143,14 @@ def test_open_empty_stream(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
     code, out, _ = run(capsys, "open", "-", "--tag", "t", "--kdf", "fast")
     assert code == EXIT_OK and out == ""
+
+
+def test_open_counts_a_blank_line_as_nothing(capsys, monkeypatch):
+    line = wire.encode(seal(b"only", [PlainTag("blank-group")], rng=random.Random(2)))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f"\n{line}\n  \n\r\n".encode())))
+    code, out, err = run(capsys, "open", "-", "--tag", "blank-group", "--kdf", "fast", "--stats")
+    assert code == EXIT_OK and out == "only\n"
+    assert err.splitlines()[-1] == "matched=1 skipped=0 malformed=0"
 
 
 def test_open_counts_a_non_utf8_line_as_malformed_from_a_path_and_stdin(capsys, monkeypatch, tmp_path):
@@ -280,6 +288,20 @@ def test_simulate_text_and_json(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", str(path), "--json")
     stats = json.loads(out)
     assert stats["target_blocked"] == 4
+
+
+def test_simulate_seed_flag_stands_for_the_scripts_seed(capsys, tmp_path, monkeypatch):
+    script = {"groups": [{"name": "a", "plain_tag": "seed-a", "messages": 3}, {"name": "b", "plain_tag": "seed-b", "messages": 2}]}
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    plain.write_text(json.dumps(script))
+    seeded.write_text(json.dumps({**script, "seed": 7}))
+    ran = []
+    real = feed.run_scenario
+    monkeypatch.setattr(feed, "run_scenario", lambda script: ran.append(script) or real(script))
+    from_flag = run(capsys, "simulate", str(plain), "--seed", "7")
+    from_script = run(capsys, "simulate", str(seeded))
+    assert from_flag == from_script and from_flag[0] == EXIT_OK
+    assert ran[0] == ran[1] and ran[0].seed == 7
 
 
 def test_simulate_over_capacity_names_the_limit(capsys, tmp_path):
@@ -764,6 +786,30 @@ def test_a_config_files_array_object_or_null_value_is_refused(capsys, tmp_path, 
     assert code == EXIT_DATA and out == ""
 
 
+def test_a_trailing_config_flag_without_a_path_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--config")
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1] == "hoot: error: --config needs a file path"
+
+
+def test_a_config_files_true_turns_a_switch_on(capsys, tmp_path, monkeypatch):
+    line = wire.encode(seal(b"hi", [PlainTag("switch-group")], rng=random.Random(1)))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f"{line}\n".encode())))
+    config = tmp_path / "open.json"
+    config.write_text(json.dumps({"stats": True, "kdf": "fast"}))
+    code, out, err = run(capsys, "open", "-", "--tag", "switch-group", "--config", str(config))
+    assert code == EXIT_OK and out == "hi\n"
+    assert err.splitlines()[-1] == "matched=1 skipped=0 malformed=0"
+    script = tmp_path / "scenario.json"
+    script.write_text(json.dumps({"groups": [{"name": "g", "plain_tag": "switch-g", "messages": 2}]}))
+    config.write_text(json.dumps({"json": True}))
+    code, out, _ = run(capsys, "simulate", str(script), "--config", str(config))
+    assert code == EXIT_OK and json.loads(out)["submitted"] == 2
+    config.write_text(json.dumps({"json": False}))
+    code, out, _ = run(capsys, "simulate", str(script), "--config", str(config))
+    assert code == EXIT_OK and out.startswith("submitted = 2\n")
+
+
 def test_effective_config_is_logged(capsys):
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
     assert "config:" in err and "k=24" in err
@@ -838,6 +884,15 @@ def test_open_reads_a_bounded_prefix_of_each_line(capsys, monkeypatch):
     assert code == EXIT_OK and out == "first\nfirst\nlast\n"
     assert err.splitlines()[-1] == "matched=3 skipped=0 malformed=3 (too-long=3)"
     assert 0 < stream.largest <= limit
+
+
+@pytest.mark.parametrize("component", ["glyphs:62", "glyphs:62:x", "glyphs:62:3:1", "dict:1:2", "digits", "words:3", ""])
+def test_entropy_names_a_malformed_or_unknown_component(capsys, component):
+    code, out, err = run(capsys, "analyze", "entropy", "--component", "digits:7", "--component", component)
+    assert code == EXIT_DATA and out == ""
+    assert err == (
+        f"hoot analyze: error: unknown namespace component {component!r} (use dict:N, digits:N, glyphs:SIZE:LEN)\n"
+    )
 
 
 def test_entropy_reads_cores_only_with_a_rate(capsys):

@@ -617,3 +617,12 @@ def test_runtime_scales_with_alphabet_per_suffix_glyph():
         times.append(min(find_tag(spec).elapsed for _ in range(3)))
     assert 4 <= times[1] / times[0] <= 64
     assert 4 <= times[2] / times[1] <= 64
+
+
+def test_a_negative_suffix_length_and_a_zero_hash_rate_are_refused():
+    with pytest.raises(ValueError, match="^suffix length must be >= 0$"):
+        SearchSpec(prefix="p-", target=ShortTag(0, 8), suffix_length=-1, k=8)
+    spec = SearchSpec(prefix="p-", target=ShortTag(0, 8), suffix_length=2, k=8)
+    for rate, cores in ((0, 1), (-1.0, 1), (1e6, 0)):
+        with pytest.raises(ValueError, match="^hash rate and cores must be positive$"):
+            estimate_runtime(spec, rate, cores)

@@ -436,3 +436,15 @@ def test_a_rule_token_loses_one_leading_hash_only():
 def test_a_bad_kdf_mode_is_refused_by_name(mode, message):
     with pytest.raises(ValueError, match=message):
         load_scenario({"groups": [], "kdf": {"mode": mode}})
+
+
+@pytest.mark.parametrize("counts", [{"messages": -1}, {"messages": 1, "replays": -1}])
+def test_a_negative_message_or_replay_count_is_refused(counts):
+    with pytest.raises(ValueError, match="^message and replay counts must be >= 0$"):
+        GroupSpec("a", PlainTag("t"), **{"messages": 0, **counts})
+
+
+def test_a_rule_that_names_no_tag_is_refused():
+    rule = {"type": "block-short-tag"}
+    with pytest.raises(ValueError, match=r"^rule \{'type': 'block-short-tag'\} names no tag \(use 'short_tag' or 'plain_tag'\)$"):
+        load_scenario({"groups": [], "policy": [rule]})

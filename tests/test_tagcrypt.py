@@ -1222,3 +1222,15 @@ def test_a_refused_plain_tag_carries_its_text_outside_the_message():
         with pytest.raises(PlainTagError) as refusal:
             encode_plain_tags(["ok", text])
         assert (str(refusal.value), refusal.value.text) == (message, text)
+
+
+def test_the_checked_constructors_refuse_a_wide_value_a_short_key_and_a_spare_key_block():
+    with pytest.raises(ValueError, match="^short tag value 256 does not fit in 8 bits$"):
+        ShortTag(256, 8)
+    with pytest.raises(ValueError, match="^short tag value -1 does not fit in 8 bits$"):
+        ShortTag(-1, 8)
+    with pytest.raises(ValueError, match="^tag key must be 128 bits$"):
+        TagMaterial(ShortTag(0, 8), bytes(15))
+    hoot = seal(b"m", [PlainTag("spare-block")], k=8, rng=random.Random(1))
+    with pytest.raises(ValueError, match="^one key block per short tag$"):
+        Hoot(hoot.short_tags, hoot.key_blocks * 2, hoot.mac, hoot.ciphertext)

@@ -565,3 +565,10 @@ def test_encode_short_tags_refuses_what_no_short_tag_holds():
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             encode_short_tags(values, k)
+
+
+def test_capacity_and_seal_to_wire_need_a_tag():
+    with pytest.raises(ValueError, match="^capacity needs at least one tag$"):
+        capacity(DEFAULT_PARAMS, 0)
+    with pytest.raises(ValueError, match="^seal needs at least one plain tag$"):
+        seal_to_wire(b"m", [])
