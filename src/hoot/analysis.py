@@ -18,7 +18,6 @@ rigorous tail estimator.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -106,7 +105,7 @@ def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceT
     """
     if not (entropy >= 0 and 0 < rate < math.inf) or cores < 1:  # a NaN fails both comparisons
         raise ValueError("entropy, rate, and cores must be positive, and the rate finite")
-    full = (2.0**entropy if entropy < sys.float_info.max_exp else math.inf) / (rate * cores)
+    full = (2.0**entropy if entropy < sys.float_info.max_exp else math.inf) / rate / cores  # rate * cores may overflow
     return BruteForceTime(full, full / 2.0)
 
 
@@ -139,8 +138,10 @@ def bandwidth_budget(total_rate: float, k: int, link_bits_per_second: float, mes
     check_k_range(k)
     if not (0 <= total_rate < math.inf and 0 < link_bits_per_second < math.inf and 0 < message_bits < math.inf):
         raise ValueError("rates and sizes must be positive and finite")  # a NaN fails the comparisons too
-    per_tag = total_rate / 2.0**k
-    return BandwidthBudget(per_tag, per_tag * 60.0, link_bits_per_second / message_bits)
+    per_tag, per_link = total_rate / 2.0**k, link_bits_per_second / message_bits
+    if max(per_tag * 60.0, per_link) == math.inf:  # finite inputs whose quotient or product overflows
+        raise ValueError("rates and sizes give a budget too large for a float")
+    return BandwidthBudget(per_tag, per_tag * 60.0, per_link)
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,7 @@ def rank_frequency(corpus: Corpus) -> list[tuple[int, int]]:
 
 def powerlaw_slope(pairs) -> float | None:
     """Least-squares slope of log(count) vs log(rank) over the top ``_SLOPE_RANKS`` ranks."""
+    import statistics  # here only, so that importing hoot.analysis or loading a corpus never loads it
     top = pairs[:_SLOPE_RANKS]
     if len(top) < 2:
         return None

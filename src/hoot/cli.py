@@ -394,7 +394,8 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_collide)
 
     p = sub.add_parser("simulate", help="run a feed/censor scenario script")
-    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sets the script's seed: it orders the posts and draws session keys; no printed figure depends on it")
     p.add_argument("script", help="scenario JSON file")
     p.add_argument("--json", action="store_true", help="emit stats as JSON")
     p.set_defaults(run=cmd_simulate)

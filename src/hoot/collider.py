@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import logging
 import string
 import struct
 import time
@@ -45,8 +44,6 @@ from .tagcrypt import (
     short_tags,
 )
 from .tagcrypt import _cores, _drop_pool, _pool
-
-log = logging.getLogger(__name__)
 
 ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
@@ -293,7 +290,8 @@ def find_tag(spec: SearchSpec) -> SearchResult:
 
     fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, _cores()
     if not fast:
-        log.warning(
+        import logging  # here only, so that importing hoot or setting up a search never loads it
+        logging.getLogger(__name__).warning(
             "searching with a non-trivial KDF: each of up to %d candidates pays the full derivation cost",
             spec.space_size,
         )

@@ -42,8 +42,8 @@ in the clear as the first 8 bytes of the 40-byte key block.
 
 Both keystreams are NIST SP 800-38A's: AES-ECB over the counter blocks
 c||0, c||1, ..., with c the nonce or eight zero bytes. Each TagMaterial
-builds its AES-ECB context once, on first use, and reuses it, under a
-lock, for every key block it wraps or unwraps.
+builds its AES-ECB context (``_ecb_context``) once, on first use, and
+reuses it, under a lock, for every key block it wraps or unwraps.
 
 The module owns one least-recently-used cache of the last 64 tag
 materials by (plain tag, KDF config, k), so repeat callers share one
@@ -65,6 +65,11 @@ long as the process. Fork safety: a lock another thread holds at a fork
 stays held in the child. So no lane outlives a call (the caller is the
 first lane and joins the rest), and a pool worker takes no lock: it
 hashes candidates for a resolved ``ShortTag`` and looks up no material.
+Six modules load on first use, not with hoot, so that importing hoot
+stays cheap: multiprocessing and concurrent.futures with the pool,
+cryptography with the first AES context (never in a lane or a pool
+worker), numpy at a search's first step, logging where a memory-hard
+search warns, and statistics in ``analysis.powerlaw_slope``.
 
 The protocol's values are frozen slotted dataclasses: PlainTag,
 ShortTag, LongTag and Hoot here, analysis.TagBucket, and feed.FeedPost
@@ -84,12 +89,9 @@ import functools
 import hashlib
 import hmac
 import os
-import secrets
 import struct
 import threading
 from dataclasses import dataclass, field, fields
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import ConfigError, PlainTagError
 
@@ -106,7 +108,7 @@ KEY_BLOCK_NONCE_BYTES = 8
 KEY_BLOCK_BYTES = KEY_BLOCK_NONCE_BYTES + 2 * SESSION_KEY_BYTES
 _WRAPPED_MAC_KEY = KEY_BLOCK_NONCE_BYTES + SESSION_KEY_BYTES  # where a key block's wrapped k_mac starts
 
-_ECB = modes.ECB()
+_aes_ecb = None  # cryptography's Cipher, AES and one ECB mode, imported when the first AES context is built
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _workers = None  # the fork pool, started on first use and kept for the life of the process
@@ -279,7 +281,7 @@ class TagMaterial:
     def _ecb(self):
         # cryptography's cipher contexts raise "Already borrowed" when two
         # threads call update at once, so each use holds the lock.
-        return Cipher(algorithms.AES(self.tag_key), _ECB).encryptor(), threading.Lock()
+        return _ecb_context(self.tag_key), threading.Lock()
 
     def __getstate__(self):
         # the cipher context and its lock cannot be pickled; a copy builds its own
@@ -520,6 +522,16 @@ def _counter_suffixes(blocks: int) -> tuple[bytes, ...]:
     return (b"", *(i.to_bytes(8, "big") for i in range(blocks)))
 
 
+def _ecb_context(key: bytes):
+    """A new AES-ECB encryptor under ``key``; the first call imports cryptography (see the module docstring)."""
+    global _aes_ecb
+    if _aes_ecb is None:  # two threads may both import; each stores the same classes
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+        _aes_ecb = Cipher, algorithms.AES, modes.ECB()
+    cipher, aes, ecb = _aes_ecb
+    return cipher(aes(key), ecb).encryptor()
+
+
 def _keystream(ecb, prefix: bytes, data: bytes) -> bytes:
     """``data`` XOR the AES-CTR keystream: AES-ECB ``ecb`` over the 16-byte blocks prefix||0, prefix||1..."""
     n = len(data)
@@ -541,9 +553,7 @@ def _mac_of_block(block: int, data: bytes) -> bytes:
 
 
 def _random_bytes(rng, n: int) -> bytes:
-    if rng is None:
-        return secrets.token_bytes(n)
-    return rng.randbytes(n)
+    return os.urandom(n) if rng is None else rng.randbytes(n)
 
 
 def seal(
@@ -568,7 +578,7 @@ def seal(
         raise ValueError("seal needs at least one plain tag")
     materials = derive_tag_materials(plain_tags, cfg, k)
     keys = _random_bytes(rng, 2 * SESSION_KEY_BYTES)  # k_enc || k_mac
-    ciphertext = _keystream(Cipher(algorithms.AES(keys[:SESSION_KEY_BYTES]), _ECB).encryptor(), bytes(8), message)
+    ciphertext = _keystream(_ecb_context(keys[:SESSION_KEY_BYTES]), bytes(8), message)
     mac = _mac(keys[SESSION_KEY_BYTES:], ciphertext)
     short_tags = []
     key_blocks = []
@@ -604,7 +614,7 @@ def open_with_material(hoot: Hoot, material: TagMaterial) -> bytes | None:
         if hmac.compare_digest(_mac_of_block(k_mac << _MAC_KEY_PAD_BITS, hoot.ciphertext), hoot.mac):
             with lock:
                 k_enc = _keystream(ecb, nonce, block[KEY_BLOCK_NONCE_BYTES:_WRAPPED_MAC_KEY])
-            return _keystream(Cipher(algorithms.AES(k_enc), _ECB).encryptor(), bytes(8), hoot.ciphertext)
+            return _keystream(_ecb_context(k_enc), bytes(8), hoot.ciphertext)
     return None
 
 

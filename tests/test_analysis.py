@@ -115,6 +115,12 @@ def test_brute_force_scaling_and_validation():
     assert brute_force_time(2000, 1e6, 1).full_seconds == math.inf
 
 
+def test_brute_force_time_holds_where_rate_times_cores_overflows():
+    budget = brute_force_time(10, 1e308, 2)  # 1e308 * 2 is inf, and 1024 / inf would read 0 seconds
+    assert budget.full_seconds == 1024 / 1e308 / 2 > 0
+    assert budget.expected_seconds == budget.full_seconds / 2
+
+
 def test_collision_probability_single_trial():
     # a zero-length suffix means |A|^L = 1 try: p collapses to 1/|A|^c
     for a, c in ((2, 3), (10, 2), (62, 1), (62, 2)):
@@ -182,6 +188,9 @@ def test_bandwidth_zero_rate():
     for rates in ((math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan), (math.inf, 1, 1), (1, math.inf, 1), (1, 1, math.inf)):
         with pytest.raises(ValueError):
             bandwidth_budget(rates[0], 18, *rates[1:])
+    for rates in ((1e308, 1e308, 8e-300), (1e308, 1, 1), (1, 1e308, 1e-10)):  # finite, but the budget overflows
+        with pytest.raises(ValueError, match="^rates and sizes give a budget too large for a float$"):
+            bandwidth_budget(rates[0], 1, *rates[1:])
 
 
 def test_corpus_validation_and_io(tmp_path):

@@ -502,6 +502,17 @@ def test_analyze_collision_and_bandwidth(capsys):
         assert err == f"hoot analyze: error: k={k} outside supported range 1..64\n", k
 
 
+def test_analyze_times_an_overflowing_rate_times_cores_and_refuses_an_overflowing_budget(capsys):
+    code, out, err = run(capsys, "analyze", "entropy", "--component", "digits:4", "--rate", "1e308", "--cores", "2")
+    assert code == EXIT_OK and err == ""
+    assert "full_seconds=5e-305\n" in out
+    code, out, err = run(
+        capsys, "analyze", "bandwidth", "--total-rate", "1e308", "--k", "1", "--link-bps", "1e308", "--msg-bytes", "1e-300",
+    )
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot analyze: error: rates and sizes give a budget too large for a float\n"
+
+
 def test_analyze_corpus_pipeline(capsys, tmp_path):
     corpus_path = tmp_path / "tags.csv"
     rank_path = tmp_path / "rank.csv"

@@ -46,6 +46,7 @@ from hoot.tagcrypt import (
     split_tag,
 )
 from hoot.wire import DEFAULT_PARAMS, WireParams, capacity, seal_to_wire
+from test_wire import README_WIRE
 
 # Published SHA-1 test vectors.
 SHA1_VECTORS = {
@@ -462,50 +463,99 @@ def run_fresh(code: str) -> str:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
 
 
-def numpy_loaded_after(code: str) -> bool:
-    out = run_fresh(code + "\nimport sys; print('numpy' in sys.modules)")
-    return {"True": True, "False": False}[out.strip()]
-
-
-def test_importing_hoot_leaves_numpy_unloaded():
-    # numpy is imported when a search starts, so that importing hoot stays cheap
-    assert not numpy_loaded_after("import hoot, hoot.collider, hoot.tagcrypt")
-
-
-@pytest.mark.parametrize(
-    "code",
-    [
-        "import hoot.cli",
+# Each large module hoot uses loads on first use, so that importing hoot stays cheap.
+LAZY_MODULES = ("numpy", "cryptography", "logging", "statistics", "secrets", "multiprocessing", "concurrent.futures")
+_SEARCH_SET_UP = (
+    "from hoot import PlainTag\n"
+    "from hoot.collider import SearchMode, SearchSpec, resolve_target\n"
+    "for seed in (0, 1):\n"
+    "    resolve_target(SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=3, mode=SearchMode.{}, k=16, seed=seed))"
+)
+# Each entry path, as a fresh interpreter runs it, and the modules it may load: importing hoot, the command
+# line, each benchmark workload's one-time set-up, a corpus report and a search too small to fan out.
+ENTRY_PATHS = {
+    "import-hoot": ("import hoot, hoot.analysis, hoot.collider, hoot.feed, hoot.tagcrypt, hoot.wire", ()),
+    "cli": ("import hoot.cli", ("logging",)),  # the command line configures logging
+    "memory-hard-material": (
+        "import hoot\nhoot.derive_tag_material(hoot.PlainTag('garden-party-1'), hoot.MEMORY_HARD_KDF, 16)",
+        (),
+    ),
+    "whitelist-scenario": (
+        "from hoot.feed import load_scenario\n"
+        "load_scenario({'seed': 1, 'k': 16, 'kdf': {'mode': 'memory-hard', 'work': 2**14}, 'target_group': 'a',"
+        " 'groups': [{'name': 'a', 'plain_tag': 'light-a', 'messages': 2}, {'name': 'b', 'plain_tag': 'light-b',"
+        " 'messages': 2}], 'policy': [{'type': 'whitelist-short-tag', 'short_tag': 'aaaq',"
+        " 'known_plain_tags': ['light-b']}, {'type': 'block-sender', 'sender': 'a'}]})",
+        (),
+    ),
+    "first-n-target": (_SEARCH_SET_UP.format("FIRST_N"), ()),
+    "exhaustive-target": (_SEARCH_SET_UP.format("EXHAUSTIVE"), ()),
+    "load-corpus": (
+        "import os, tempfile\n"
+        "from hoot.analysis import load_corpus\n"
+        "with tempfile.TemporaryDirectory() as folder:\n"
+        "    path = os.path.join(folder, 'tags.csv')\n"
+        "    with open(path, 'w') as handle:\n"
+        "        handle.write('hashtag,count\\none,5\\ntwo,2\\n')\n"
+        "    assert load_corpus(path).total == 7",
+        (),
+    ),
+    "anonymity-report": (  # only a search and generate_powerlaw_corpus import numpy
         "from hoot.analysis import Corpus, anonymity_report\n"
         "report = anonymity_report(Corpus((('one', 5), ('two', 2), ('three', 1))), 8)\n"
         "assert report.total_volume == 8 and report.slope is not None",
-    ],
-    ids=["cli", "anonymity-report"],
-)
-def test_the_command_line_and_a_corpus_report_leave_numpy_unloaded(code):
-    # only a search and generate_powerlaw_corpus import numpy
-    assert not numpy_loaded_after(code)
-
-
-def test_setting_up_a_first_n_search_leaves_numpy_unloaded():
-    # numpy is imported on the first first-n step, not when a search is built and its target resolved
-    assert not numpy_loaded_after(
-        "from hoot import PlainTag\n"
-        "from hoot.collider import SearchMode, SearchSpec, resolve_target\n"
-        "resolve_target(SearchSpec(prefix='p-', target=PlainTag('t'), suffix_length=3, mode=SearchMode.FIRST_N, k=16))"
-    )
-
-
-def test_a_search_below_the_fan_out_size_leaves_the_process_pool_unloaded():
-    # 4^6 = 4,096 candidates make shards of 2,048, too few to fan out; the pool's imports wait until one does
-    out = run_fresh(
-        "import sys\n"
+        ("statistics",),
+    ),
+    "small-search": (  # 4^6 = 4,096 candidates make shards of 2,048, too few to fan out into the pool
         "import hoot\n"
         "from hoot.collider import SearchSpec, find_tag_sharded\n"
-        "find_tag_sharded(SearchSpec(prefix='p-', target=hoot.PlainTag('t'), suffix_length=6, alphabet='abcd', k=8), 2)\n"
-        "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+        "find_tag_sharded(SearchSpec(prefix='p-', target=hoot.PlainTag('t'), suffix_length=6, alphabet='abcd', k=8), 2)",
+        ("numpy",),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ENTRY_PATHS))
+def test_entry_paths_leave_unused_modules_unloaded(path):
+    code, used = ENTRY_PATHS[path]
+    out = run_fresh(f"{code}\nimport sys\nprint(*[name for name in {LAZY_MODULES!r} if name in sys.modules])")
+    assert out.split() == [name for name in LAZY_MODULES if name in used]
+
+
+def test_a_fresh_interpreters_first_aes_context_seals_the_readme_example():
+    out = run_fresh(
+        "import random, sys\n"
+        "import hoot\n"
+        "print('cryptography' in sys.modules)\n"
+        "tag = hoot.PlainTag('garden-party-x7')\n"
+        "line = hoot.seal_to_wire(b'meet at dawn', [tag], hoot.FAST_KDF, rng=random.Random(42))\n"
+        "print('cryptography' in sys.modules, line, hoot.open_hoot(hoot.parse(line), tag, hoot.FAST_KDF).decode())"
     )
-    assert out.split() == ["False", "False"]
+    assert out.split("\n", 2)[:2] == ["False", f"True {README_WIRE} meet at dawn"]
+
+
+def test_two_threads_building_the_first_aes_contexts_at_once_both_seal_and_open():
+    # a barrier releases both threads into their first seal, so both may reach _ecb_context before cryptography loads
+    out = run_fresh(
+        "import sys, threading\n"
+        "from hoot import tagcrypt\n"
+        "from hoot.tagcrypt import PlainTag, open_hoot, seal\n"
+        "assert tagcrypt._aes_ecb is None\n"
+        "start, opened = threading.Barrier(2), {}\n"
+        "def run(name):\n"
+        "    tag, message = PlainTag(name), name.encode() * 3\n"
+        "    start.wait()\n"
+        "    opened[name] = [open_hoot(seal(message, [tag]), tag) == message for _ in range(50)]\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=run, args=(name,)) for name in ('first-thread', 'second-thread')]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(timeout=60)\n"
+        "    assert not thread.is_alive()\n"
+        "print(sorted(opened), all(opened['first-thread'] + opened['second-thread']))"
+    )
+    assert out.strip() == "['first-thread', 'second-thread'] True"
 
 
 def test_a_fast_hash_scenario_starts_no_thread_and_leaves_concurrent_futures_unloaded():
