@@ -80,12 +80,33 @@ def test_memory_hard_deterministic_and_distinct_from_fast():
 
 
 def test_memory_hard_agrees_with_independent_scrypt():
-    # Cross-check the scrypt invocation (parameter mapping, fixed salt,
-    # output length) against a second library's implementation.
-    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**14, memory=2**21, parallelism=1)
-    n, r, p = cfg.scrypt_params()
-    expected = Scrypt(salt=b"hoot.tag.v1", length=24, n=n, r=r, p=p).derive(b"abc")
+    # Cross-check the scrypt invocation (parameters, fixed salt, output
+    # length) against a second library's implementation.
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**14)
+    expected = Scrypt(salt=b"hoot.tag.v1", length=24, n=2**14, r=1, p=1).derive(b"abc")
     assert derive_long_tag(PlainTag("abc"), cfg).data == expected
+
+
+# Long tags of "garden-party-x7" by memory-hard work; None is the default, 2**15
+PINNED_MEMORY_HARD = {
+    None: "b15a42ea6053f6e8459adcdf990ed00b34e39c8d8e94d9d2",
+    2**15: "b15a42ea6053f6e8459adcdf990ed00b34e39c8d8e94d9d2",
+    2**14: "8978229016f27c136ef20643ff054be32c3b9e5e39aae0fd",
+    2**13: "c50325119ca39f58f93ca4cf045d3de0d9789476ccf7b911",
+    2**12: "80917c54de410b3347adc37fe93521b93740686b2b77910b",
+    2**10: "80bee02ab25f4e89ca30c6f6819fb6e35206fd84474300e7",
+    16: "d37842b3719df79ca3eec0eabc545c3b4a4c1ef96c7c3a02",
+    2: "6c6a6ef20ffbcdb694bb9c1e2d2fe9badf17a712a7eb12ef",
+}
+
+
+@pytest.mark.parametrize("work", list(PINNED_MEMORY_HARD))
+def test_memory_hard_is_scrypt_with_at_least_a_mebibyte_of_state(work):
+    # scrypt's state is 128*r*n bytes; r rises from 1 until it reaches 1 MiB
+    n = work or 2**15
+    expected = Scrypt(salt=b"hoot.tag.v1", length=24, n=n, r=max(1, 8192 // n), p=1).derive(b"garden-party-x7")
+    assert expected.hex() == PINNED_MEMORY_HARD[work]
+    assert derive_long_tag(PlainTag("garden-party-x7"), KdfConfig(KdfMode.MEMORY_HARD, work=work)).data == expected
 
 
 def test_scrypt_parameter_mapping():
