@@ -106,6 +106,8 @@ def brute_force_time(entropy: float, rate: float, cores: int = 1) -> BruteForceT
     if not (entropy >= 0 and 0 < rate < math.inf) or cores < 1:  # a NaN fails both comparisons
         raise ValueError("entropy, rate, and cores must be positive, and the rate finite")
     full = (2.0**entropy if entropy < sys.float_info.max_exp else math.inf) / rate / cores  # rate * cores may overflow
+    if full / 2.0 == 0:  # a space of at least one tag takes some time; the quotient underflowed
+        raise ValueError("rate and cores give a sweep time too small for a float")
     return BruteForceTime(full, full / 2.0)
 
 

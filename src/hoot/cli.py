@@ -25,7 +25,6 @@ from .errors import ConfigError, HootError, ParseError
 from .tagcrypt import (
     DEFAULT_K,
     FAST_KDF,
-    KDF_SETTINGS,
     Hoot,
     KdfConfig,
     KdfMode,
@@ -123,11 +122,10 @@ def _wire_params(args) -> wire.WireParams:
 
 
 def _kdf(args) -> KdfConfig:
-    """Build the KDF the flags name and log the effective configuration; only memory-hard reads settings."""
+    """Build the KDF the flags name and log the effective configuration; only memory-hard reads a work."""
     mode = KdfMode.FAST_HASH if args.kdf == "fast" else KdfMode(args.kdf)
-    kdf = KdfConfig(mode, **{name: getattr(args, f"kdf_{name}") for name in KDF_SETTINGS})
-    settings = ", ".join(f"{name}={getattr(kdf, name)}" for name in KDF_SETTINGS)
-    kdf_text = kdf.mode.value if kdf.mode is KdfMode.FAST_HASH else f"{kdf.mode.value}({settings})"
+    kdf = KdfConfig(mode, args.kdf_work)
+    kdf_text = kdf.mode.value if kdf.mode is KdfMode.FAST_HASH else f"{kdf.mode.value}(work={kdf.work})"
     budget_and_seed = getattr(args, "glyph_budget", None), getattr(args, "seed", None)
     log.info("config: k=%d kdf=%s glyph_budget=%s seed=%s", args.k, kdf_text, *budget_and_seed)
     return kdf
@@ -357,8 +355,7 @@ def cmd_bench(args) -> int:
 def _add_k_and_kdf(parser: _Parser, default_kdf: str):
     parser.add_argument("--k", type=int, default=DEFAULT_K, help="short tag bits (default %(default)s)")
     parser.add_argument("--kdf", choices=["fast", "memory-hard"], default=default_kdf)
-    for name in KDF_SETTINGS:
-        parser.add_argument(f"--kdf-{name}", type=int, default=None, help="memory-hard KDF only")
+    parser.add_argument("--kdf-work", type=int, default=None, help="memory-hard KDF only")
 
 
 def build_parser() -> _Parser:

@@ -32,7 +32,6 @@ from collections import Counter
 from .errors import ParseError
 from .tagcrypt import (
     FAST_KDF,
-    KDF_SETTINGS,
     Hoot,
     KdfConfig,
     KdfMode,
@@ -261,9 +260,10 @@ def load_scenario(source: str | dict) -> ScenarioScript:
 
     A missing field, a field of the wrong JSON type, a key the loader
     does not read (in the script, a group, a rule of its type or the
-    ``kdf`` object), a rule naming both "short_tag" and "plain_tag", a
-    mode no KdfMode has, a setting under the fast hash, or a k or glyph
-    budget that WireParams refuses is a ValueError.
+    ``kdf`` object, whose keys are "mode" and "work"), a rule naming both
+    "short_tag" and "plain_tag", a mode no KdfMode has, a work under the
+    fast hash or outside KdfConfig's range, or a k or glyph budget that
+    WireParams refuses is a ValueError.
     """
     raw = json.loads(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
@@ -272,13 +272,12 @@ def load_scenario(source: str | dict) -> ScenarioScript:
     given = raw.get("kdf", {})
     if not isinstance(given, dict):
         raise ValueError("scenario script field 'kdf' must be an object")
-    _known(given, "kdf", "mode", *KDF_SETTINGS)
+    _known(given, "kdf", "mode", "work")
     try:
-        sizes = {key: _typed(given.get(key), key, int, type(None)) for key in KDF_SETTINGS}  # null is no setting
         mode = _typed(given.get("mode", "fast-hash"), "mode", str)
         if mode not in {m.value for m in KdfMode}:
             raise ValueError(f"scenario script field 'mode' must be 'fast-hash' or 'memory-hard', not {mode!r}")
-        kdf = KdfConfig(KdfMode(mode), **sizes)
+        kdf = KdfConfig(KdfMode(mode), _typed(given.get("work"), "work", int, type(None)))  # null is no work
         params = wire.WireParams(**{key: _typed(raw[key], key, int) for key in ("k", "glyph_budget") if key in raw})
         groups: list[GroupSpec] = []
         for g in _objects(raw, "groups"):

@@ -5,9 +5,11 @@ string. A key derivation function stretches the plain tag into a long
 tag; the first k bits become the short tag (the public, searchable group
 identifier, deliberately collision-prone) and the next 128 bits become
 the tag key. Every long tag has the k + 128 bits the largest k needs,
-and a short tag and tag key read only its leading bits. A fast-hash
-short tag is the leading k bits of SHA-1; ``short_tags`` is the batched
-form, one hashlib call per tag and one unpack of the joined digests, and
+and a short tag and tag key read only its leading bits. The KDF is
+SHA-1 or memory-hard scrypt, whose one setting, ``work``, sets both its
+time and its state (``KdfConfig``). A fast-hash short tag is the
+leading k bits of SHA-1; ``short_tags`` is the batched form, one
+hashlib call per tag and one unpack of the joined digests, and
 ``short_tag_positions`` finds one short tag in a batch with a byte scan
 of the joined digests in place of the unpack. Each sealed message
 carries fresh random session keys wrapped under the tag key of every
@@ -114,7 +116,6 @@ _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _workers = None  # the fork pool, started on first use and kept for the life of the process
 _workers_lock = threading.Lock()
 _LEADING64 = struct.Struct(">Q12x")  # a 20-byte long-tag head's leading 64 bits; iter_unpack walks joined heads
-_FAST_HASH_SETTING = "{} is a memory-hard KDF setting; the fast-hash KDF takes none"
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
 # RFC 2104's ipad and opad bytes over a whole block, as ints to XOR with a padded key's int
 _IPAD = int.from_bytes(b"\x36" * _SHA1_BLOCK, "big")
@@ -136,51 +137,33 @@ class KdfMode(enum.Enum):
 
 @dataclass(frozen=True)
 class KdfConfig:
-    """How plain tags are stretched into long tags; the one place a KDF's settings are filled in and checked.
+    """How plain tags are stretched into long tags; the one place a KDF's setting is filled in and checked.
 
     Fast-hash mode is a SHA-1 digest, extended past its 160 bits by the
     first 32 bits of SHA-1(digest || four zero bytes). Memory-hard mode
-    uses scrypt with ``work`` as its cost n, ``memory`` as the bytes of
-    state, rounded down to a multiple of 128*n and at least 128*n, and
-    ``parallelism`` as its p, which OpenSSL computes one block after
-    another, so p multiplies the time and adds no lanes. A setting left
-    None is not given. The fast hash takes none: one that is not None
-    raises ConfigError naming the first in field order. A memory-hard
-    config fills each None setting with its ``_MEMORY_HARD_DEFAULTS``
-    value, then checks the settings' ranges.
+    is scrypt with ``work`` as its cost n, r = max(1, 8192 // n) and
+    p = 1. Its state, 128*r*n bytes, is the larger of 128*n and 1 MiB,
+    and its time grows with r*n, so ``work`` sets both. ``work`` left
+    None is not given. The fast hash takes none, and refuses one that is
+    not None with ConfigError. A memory-hard config fills None with
+    2**15, then checks that work is a power of two from 2 to 2**22, the
+    largest whose scrypt hashlib can run (``maxmem`` stays under 2**31).
     """
 
     mode: KdfMode = KdfMode.FAST_HASH
     work: int | None = None
-    memory: int | None = None
-    parallelism: int | None = None
 
     def __post_init__(self):
         if self.mode is not KdfMode.MEMORY_HARD:  # a setting the fast hash would ignore is refused
-            for name in KDF_SETTINGS:
-                if getattr(self, name) is not None:
-                    raise ConfigError(_FAST_HASH_SETTING.format(name))
+            if self.work is not None:
+                raise ConfigError("work is a memory-hard KDF setting; the fast-hash KDF takes none")
             return
-        for name, default in _MEMORY_HARD_DEFAULTS.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default)  # frozen, so set as dataclass's own __init__ does
-        if self.work < 2 or self.work & (self.work - 1):
-            raise ConfigError("memory-hard work factor must be a power of two >= 2")
-        if self.memory < 1 or self.parallelism < 1:
-            raise ConfigError("memory and parallelism factors must be positive")
-
-    def scrypt_params(self) -> tuple[int, int, int]:
-        """Map (work, memory, parallelism) onto scrypt's (n, r, p).
-
-        r = memory // (128*n), at least 1, so the 128*r*n bytes of state
-        are ``memory`` rounded down to a multiple of 128*n, and never
-        less than 128*n: 5 MiB at n = 2**15 gives r = 1, 4 MiB.
-        """
-        return self.work, max(1, self.memory // (128 * self.work)), self.parallelism
+        if self.work is None:
+            object.__setattr__(self, "work", 2**15)  # frozen, so set as dataclass's own __init__ does
+        if not 2 <= self.work <= 2**22 or self.work & (self.work - 1):
+            raise ConfigError("memory-hard work factor must be a power of two from 2 to 2^22")
 
 
-KDF_SETTINGS = tuple(setting.name for setting in fields(KdfConfig) if setting.name != "mode")  # the sizes of scrypt
-_MEMORY_HARD_DEFAULTS = {"work": 2**15, "memory": 2**20, "parallelism": 1}  # keyed by KDF_SETTINGS
 FAST_KDF = KdfConfig()
 MEMORY_HARD_KDF = KdfConfig(mode=KdfMode.MEMORY_HARD)
 
@@ -356,10 +339,8 @@ def derive_long_tag(plain_tag: PlainTag, cfg: KdfConfig = FAST_KDF) -> LongTag:
         digest = hashlib.sha1(secret).digest()
         data = digest + hashlib.sha1(digest + bytes(4)).digest()[:4]
     else:
-        n, r, p = cfg.scrypt_params()
-        data = hashlib.scrypt(
-            secret, salt=_KDF_SALT, n=n, r=r, p=p, maxmem=256 * r * n * p + (1 << 20), dklen=LONG_TAG_BYTES
-        )
+        n, r = cfg.work, max(1, 8192 // cfg.work)  # 128*r*n bytes of state, at least 1 MiB
+        data = hashlib.scrypt(secret, salt=_KDF_SALT, n=n, r=r, p=1, maxmem=256 * r * n + (1 << 20), dklen=LONG_TAG_BYTES)
     return LongTag(data)
 
 

@@ -121,6 +121,14 @@ def test_brute_force_time_holds_where_rate_times_cores_overflows():
     assert budget.expected_seconds == budget.full_seconds / 2
 
 
+def test_brute_force_time_refuses_a_sweep_time_that_underflows():
+    # 1 / 1e308 / 1e20 is below the smallest float; at 2e15 cores the sweep is 5e-324 and its half 0
+    for entropy, rate, cores in ((0, 1e308, 10**20), (0, 1e308, 2 * 10**15), (1, 1e308, 2**1000)):
+        with pytest.raises(ValueError, match="^rate and cores give a sweep time too small for a float$"):
+            brute_force_time(entropy, rate, cores)
+    assert brute_force_time(0, 1e308, 10**15).expected_seconds == 5e-324
+
+
 def test_collision_probability_single_trial():
     # a zero-length suffix means |A|^L = 1 try: p collapses to 1/|A|^c
     for a, c in ((2, 3), (10, 2), (62, 1), (62, 2)):

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: flags, streams, exit codes."""
 
-import dataclasses
 import io
 import json
 import logging
@@ -12,7 +11,7 @@ import pytest
 from hoot import analysis, collider, feed, wire
 from hoot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_bench
 from hoot.feed import load_scenario
-from hoot.tagcrypt import KDF_SETTINGS, KdfConfig, KdfMode, PlainTag, seal
+from hoot.tagcrypt import KdfConfig, KdfMode, PlainTag, seal
 
 
 def run(capsys, *argv):
@@ -363,6 +362,10 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
             {"groups": [], "kdf": {"mode": "fast-hash", "output_bits": 192}},
             "scenario script field 'kdf' has the unknown key 'output_bits'",
         ),
+        *(
+            ({"groups": [], "kdf": {"mode": "memory-hard", key: 1}}, f"scenario script field 'kdf' has the unknown key {key!r}")
+            for key in ("memory", "parallelism")
+        ),
         (
             {"groups": [], "policy": [{"type": "whitelist-short-tag", "short_tag": "ab", "known_plain_tags": 3}]},
             "scenario script field 'known_plain_tags' has the wrong JSON type (int)",
@@ -425,7 +428,7 @@ def test_simulate_names_a_missing_script_field_in_one_line(capsys, tmp_path, scr
     ],
     ids=[
         "groups", "policy", "kdf", "top-level", "scalar", "plain-tag", "kdf-field", "kdf-typo", "kdf-output-bits",
-        "known-tags",
+        "kdf-memory", "kdf-parallelism", "known-tags",
         "messages-float", "messages-bool", "messages-str", "replays-float", "rate-bool", "name-int", "k-float",
         "target-group-list", "sender-list", "short-tag-int",
         "known-tags-str", "known-tags-object", "known-tags-member",
@@ -511,6 +514,9 @@ def test_analyze_times_an_overflowing_rate_times_cores_and_refuses_an_overflowin
     )
     assert code == EXIT_DATA and out == ""
     assert err == "hoot analyze: error: rates and sizes give a budget too large for a float\n"
+    code, out, err = run(capsys, "analyze", "brute-force", "--bits", "0", "--rate", "1e308", "--cores", str(10**20))
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot analyze: error: rate and cores give a sweep time too small for a float\n"
 
 
 def test_analyze_corpus_pipeline(capsys, tmp_path):
@@ -622,33 +628,36 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path):
         assert out == "" and "unrecognized arguments" in err
 
 
-def test_kdf_settings_are_one_list_in_every_place():
-    # a setting added to one of these and not the others would be silently ignored there
-    settings = {field.name for field in dataclasses.fields(KdfConfig)} - {"mode"}
-    assert settings == {"work", "memory", "parallelism"}
+def _kdf_flags(parser) -> list[str]:
+    return [flag for action in parser._actions for flag in action.option_strings if flag.startswith("--kdf-")]
+
+
+def test_every_kdf_command_registers_only_kdf_work():
     commands = build_parser()._subparsers._group_actions[0].choices
-    parsers = {name: commands[name] for name in ("seal", "open", "collide")}
-    parsers["analyze report"] = commands["analyze"]._subparsers._group_actions[0].choices["report"]
+    reports = commands["analyze"]._subparsers._group_actions[0].choices
+    parsers = {name: commands[name] for name in ("seal", "open", "collide")} | {"analyze report": reports["report"]}
     for name, parser in parsers.items():
-        flags = {flag for action in parser._actions for flag in action.option_strings}
-        assert {flag[len("--kdf-"):].replace("-", "_") for flag in flags if flag.startswith("--kdf-")} == settings, name
-    for setting in settings:
-        script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", setting: 4}})
-        assert getattr(script.kdf, setting) == 4, setting
+        assert _kdf_flags(parser) == ["--kdf-work"], name
+    every = [*commands.values(), *reports.values()]
+    assert sum(len(_kdf_flags(parser)) for parser in every) == 4
+    assert load_scenario({"groups": [], "kdf": {"mode": "memory-hard", "work": 4}}).kdf.work == 4
 
 
 def test_kdf_config_refuses_a_setting_for_the_fast_hash(capsys):
     # a flag left unset reaches KdfConfig as None, which is no setting
-    assert KdfConfig(KdfMode.FAST_HASH, **dict.fromkeys(KDF_SETTINGS)) == KdfConfig()
-    argv = ["seal", "m", "--tag", "t", "--seed", "1", "--kdf", "fast"]
-    # the first setting in field order is the one named, whatever the order of the flags
-    code, out, err = run(capsys, *argv, "--kdf-parallelism", "2", "--kdf-memory", "4")
-    assert code == EXIT_DATA and out == ""
-    assert err.endswith("hoot seal: error: memory is a memory-hard KDF setting; the fast-hash KDF takes none\n")
-    # a setting at its memory-hard default is still a setting
-    code, out, err = run(capsys, *argv, "--kdf-work", "32768")
+    assert KdfConfig(KdfMode.FAST_HASH, None) == KdfConfig()
+    # a work at its memory-hard default is still a setting
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--kdf", "fast", "--kdf-work", "32768")
     assert code == EXIT_DATA and out == ""
     assert err.endswith("hoot seal: error: work is a memory-hard KDF setting; the fast-hash KDF takes none\n")
+
+
+def test_a_work_that_scrypt_cannot_run_is_refused_before_the_config_is_logged(capsys):
+    # 2^24 needs a maxmem past 2^31, which hashlib refuses; 2^22 is the largest it runs
+    for work in ("16777216", "8388608", "3", "1"):
+        code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--kdf-work", work)
+        assert code == EXIT_DATA and out == "", work
+        assert err == "hoot seal: error: memory-hard work factor must be a power of two from 2 to 2^22\n", work
 
 
 def _kdf_commands(tmp_path) -> dict[str, list[str]]:
@@ -665,32 +674,41 @@ def _kdf_commands(tmp_path) -> dict[str, list[str]]:
     }
 
 
-@pytest.mark.parametrize("setting", KDF_SETTINGS)
+@pytest.mark.parametrize("setting", ["work", "memory", "parallelism"])
 @pytest.mark.parametrize("command", ["seal", "open", "collide", "analyze"])
 def test_every_command_refuses_a_kdf_setting_for_the_fast_hash(capsys, tmp_path, command, setting):
     argv = _kdf_commands(tmp_path)[command]
     assert run(capsys, *argv, "--kdf", "fast")[0] == EXIT_OK
-    code, out, err = run(capsys, *argv, "--kdf", "fast", f"--kdf-{setting.replace('_', '-')}", "16")
-    assert code == EXIT_DATA and out == ""
-    assert f"hoot {command}: error: {setting} is a memory-hard KDF setting; the fast-hash KDF takes none\n" in err
+    code, out, err = run(capsys, *argv, "--kdf", "fast", f"--kdf-{setting}", "16")
+    if setting == "work":
+        assert code == EXIT_DATA and out == ""
+        assert f"hoot {command}: error: work is a memory-hard KDF setting; the fast-hash KDF takes none\n" in err
+        return
+    # memory and parallelism are constants of the memory-hard KDF, not flags of either
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(f"unrecognized arguments: --kdf-{setting} 16\n")
+    assert run(capsys, *argv, "--kdf", "memory-hard", f"--kdf-{setting}", "16")[:2] == (EXIT_USAGE, "")
 
 
-@pytest.mark.parametrize("setting", KDF_SETTINGS)
+@pytest.mark.parametrize("setting", ["work", "memory", "parallelism"])
 def test_a_config_file_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp_path, setting):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kdf": "fast", f"kdf_{setting}": 16}))
     code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--config", str(config))
-    assert code == EXIT_DATA and out == ""
-    assert f"hoot seal: error: {setting} is a memory-hard KDF setting" in err
+    if setting == "work":
+        assert code == EXIT_DATA and out == ""
+        assert "hoot seal: error: work is a memory-hard KDF setting" in err
+    else:  # no flag takes it, under either KDF
+        assert code == EXIT_USAGE and out == ""
+        assert f"hoot: error: unrecognized arguments: --kdf-{setting} " in err
 
 
-def test_memory_hard_takes_every_kdf_setting(capsys):
-    sizes = ["--kdf-work", "16", "--kdf-memory", "4096", "--kdf-parallelism", "2"]
-    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--kdf", "memory-hard", *sizes)
+def test_memory_hard_takes_a_kdf_work(capsys):
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--kdf", "memory-hard", "--kdf-work", "16")
     assert code == EXIT_OK and out.startswith("#")
-    assert "kdf=memory-hard(work=16, memory=4096, parallelism=2)" in err
-    script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", "work": 16, "memory": 4096, "parallelism": 2}})
-    assert script.kdf == KdfConfig(KdfMode.MEMORY_HARD, work=16, memory=4096, parallelism=2)
+    assert "hoot: config: k=24 kdf=memory-hard(work=16) glyph_budget=140 seed=1\n" in err
+    script = load_scenario({"groups": [], "kdf": {"mode": "memory-hard", "work": 16}})
+    assert script.kdf == KdfConfig(KdfMode.MEMORY_HARD, work=16)
 
 
 @pytest.mark.parametrize("kdf", [{"mode": "fast-hash", "work": 16}, {"work": 16}], ids=["fast-hash", "default-mode"])
@@ -830,7 +848,7 @@ def test_the_config_log_names_no_setting_for_the_fast_hash(capsys):
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "fast", "--seed", "1")
     assert "hoot: config: k=24 kdf=fast-hash glyph_budget=140 seed=1\n" in err
     _, _, err = run(capsys, "seal", "m", "--tag", "t", "--kdf", "memory-hard", "--kdf-work", "16", "--seed", "1")
-    assert "hoot: config: k=24 kdf=memory-hard(work=16, memory=1048576, parallelism=1) glyph_budget=140 seed=1\n" in err
+    assert "hoot: config: k=24 kdf=memory-hard(work=16) glyph_budget=140 seed=1\n" in err
 
 
 def test_open_takes_one_plain_tag(capsys, tmp_path, monkeypatch):

@@ -527,7 +527,7 @@ def test_target_k_mismatch_rejected():
 
 
 def test_memory_hard_search_verifies():
-    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**8, memory=2**15)
+    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**13)
     target = PlainTag("slow-target")
     spec = SearchSpec(prefix="slow-", target=target, suffix_length=2, alphabet="abcd", k=2, kdf=cfg)
     result = find_tag(spec)

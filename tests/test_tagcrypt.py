@@ -109,12 +109,18 @@ def test_memory_hard_is_scrypt_with_at_least_a_mebibyte_of_state(work):
     assert derive_long_tag(PlainTag("garden-party-x7"), KdfConfig(KdfMode.MEMORY_HARD, work=work)).data == expected
 
 
-def test_scrypt_parameter_mapping():
-    cfg = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**10, memory=2**20, parallelism=2)
-    assert cfg.scrypt_params() == (2**10, 8, 2)
-    # memory below one block floors r at 1
-    small = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**15, memory=2**20)
-    assert small.scrypt_params() == (2**15, 1, 1)
+def test_scrypt_parameter_mapping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hashlib, "scrypt", lambda secret, **kwargs: calls.append(kwargs) or bytes(24))
+    for work in (2, 2**10, 2**13, 2**15):
+        derive_long_tag(PlainTag("abc"), KdfConfig(KdfMode.MEMORY_HARD, work=work))
+    # r rises until the 128*r*n bytes of state reach 1 MiB; maxmem covers twice the state and 1 MiB more
+    assert [(c["n"], c["r"], c["p"], c["maxmem"]) for c in calls] == [
+        (2, 4096, 1, 3 << 20),
+        (2**10, 8, 1, 3 << 20),
+        (2**13, 1, 1, 3 << 20),
+        (2**15, 1, 1, 9 << 20),
+    ]
 
 
 def test_fast_hash_expansion_keeps_digest_prefix():
@@ -124,48 +130,43 @@ def test_fast_hash_expansion_keeps_digest_prefix():
 
 
 def test_kdf_config_validation():
-    with pytest.raises(ConfigError):
-        KdfConfig(mode=KdfMode.MEMORY_HARD, work=1000)  # not a power of two
-    with pytest.raises(ConfigError):
-        KdfConfig(mode=KdfMode.MEMORY_HARD, parallelism=0)
+    refusal = "^memory-hard work factor must be a power of two from 2 to 2\\^22$"
+    for work in (1000, 0, 1, -2, 2**23, 2**24, True):  # True is 1
+        with pytest.raises(ConfigError, match=refusal):
+            KdfConfig(mode=KdfMode.MEMORY_HARD, work=work)
+    assert KdfConfig(KdfMode.MEMORY_HARD, work=2**22).work == 2**22  # built, not derived: its scrypt takes 512 MiB
+    assert [field.name for field in fields(KdfConfig)] == ["mode", "work"]
+    for name in ("memory", "parallelism"):
+        with pytest.raises(TypeError):
+            KdfConfig(KdfMode.MEMORY_HARD, **{name: 1})
 
 
 def test_kdf_config_refuses_every_fast_hash_setting():
-    for setting in tagcrypt.KDF_SETTINGS:
-        refusal = f"^{setting} is a memory-hard KDF setting; the fast-hash KDF takes none$"
+    refusal = "^work is a memory-hard KDF setting; the fast-hash KDF takes none$"
+    for work in (3, MEMORY_HARD_KDF.work):  # even at its memory-hard default
         with pytest.raises(ConfigError, match=refusal):
-            KdfConfig(KdfMode.FAST_HASH, **{setting: 3})
-        with pytest.raises(ConfigError, match=refusal):  # even at its memory-hard default
-            KdfConfig(KdfMode.FAST_HASH, **{setting: getattr(MEMORY_HARD_KDF, setting)})
-    with pytest.raises(ConfigError, match="^work is"):  # the first setting in field order is named
-        KdfConfig(parallelism=2, memory=4, work=2**15)
-    with pytest.raises(ConfigError, match="^memory is"):
-        KdfConfig(parallelism=1, memory=2**20)
-    with pytest.raises(ConfigError, match="^work is"):
+            KdfConfig(KdfMode.FAST_HASH, work)
+    with pytest.raises(ConfigError, match=refusal):
         replace(FAST_KDF, work=3)
     # None is no setting
-    unset = KdfConfig(KdfMode.FAST_HASH, **dict.fromkeys(tagcrypt.KDF_SETTINGS))
+    unset = KdfConfig(KdfMode.FAST_HASH, None)
     assert unset == FAST_KDF == KdfConfig() and hash(unset) == hash(FAST_KDF)
 
 
 def test_a_memory_hard_config_fills_in_each_unset_setting():
-    assert tuple(tagcrypt._MEMORY_HARD_DEFAULTS) == tagcrypt.KDF_SETTINGS
-    assert (MEMORY_HARD_KDF.work, MEMORY_HARD_KDF.memory, MEMORY_HARD_KDF.parallelism) == (2**15, 2**20, 1)
-    spelled = KdfConfig(KdfMode.MEMORY_HARD, work=2**15, memory=2**20, parallelism=1)
-    nulls = KdfConfig(KdfMode.MEMORY_HARD, **dict.fromkeys(tagcrypt.KDF_SETTINGS))
-    assert spelled == nulls == MEMORY_HARD_KDF and hash(spelled) == hash(nulls) == hash(MEMORY_HARD_KDF)
-    assert KdfConfig(KdfMode.MEMORY_HARD, work=2**4) == KdfConfig(KdfMode.MEMORY_HARD, 2**4, 2**20, 1)
-    with pytest.raises(ConfigError, match="positive"):  # unset settings are filled in before the range checks
-        KdfConfig(KdfMode.MEMORY_HARD, memory=None, parallelism=0)
+    assert MEMORY_HARD_KDF.work == 2**15
+    spelled = KdfConfig(KdfMode.MEMORY_HARD, work=2**15)
+    null = KdfConfig(KdfMode.MEMORY_HARD, None)
+    assert spelled == null == MEMORY_HARD_KDF and hash(spelled) == hash(null) == hash(MEMORY_HARD_KDF)
 
 
 def test_a_filled_memory_hard_config_survives_pickle_copy_and_replace():
     cfg = KdfConfig(KdfMode.MEMORY_HARD, work=2**4)
     twins = [pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg), replace(cfg)]
     for twin in twins:
-        assert twin == cfg and hash(twin) == hash(cfg) and twin.scrypt_params() == cfg.scrypt_params()
-    moved = replace(MEMORY_HARD_KDF, work=16)
-    assert moved == KdfConfig(KdfMode.MEMORY_HARD, work=16) and (moved.memory, moved.parallelism) == (2**20, 1)
+        assert twin == cfg and hash(twin) == hash(cfg) and twin.work == 2**4
+    assert replace(MEMORY_HARD_KDF, work=16) == KdfConfig(KdfMode.MEMORY_HARD, work=16)
+    assert replace(cfg, work=None) == MEMORY_HARD_KDF
     # a search carries its config to the pool workers in a pickled SearchSpec
     spec = SearchSpec(prefix="p-", target=PlainTag("t"), suffix_length=2, kdf=cfg, k=4)
     assert pickle.loads(pickle.dumps(spec)).kdf == cfg
@@ -173,10 +174,9 @@ def test_a_filled_memory_hard_config_survives_pickle_copy_and_replace():
 
 def test_a_memory_hard_config_at_its_defaults_shares_the_cached_material(scrypt_calls):
     tag = PlainTag("default-kdf")
-    spelled = KdfConfig(KdfMode.MEMORY_HARD, work=2**15, memory=2**20, parallelism=1)
     material = derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD))
-    assert derive_tag_material(tag, spelled) is material
-    assert derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD, memory=2**20)) is material
+    assert derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD, work=2**15)) is material
+    assert derive_tag_material(tag, KdfConfig(KdfMode.MEMORY_HARD, None)) is material
     assert len(scrypt_calls) == 1
 
 
@@ -353,18 +353,18 @@ def test_derive_tag_material_convenience():
 _plain_texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=256).map(
     lambda text: "".join(c for c in text if not c.isspace()).lstrip("#").encode()[:256].decode("utf-8", "ignore") or "x"
 )
-_TINY_SCRYPT = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)
+_CHEAPEST_SCRYPT = KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**13)  # the cheapest memory-hard KDF: r = 1, 1 MiB
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(_plain_texts, min_size=1, max_size=12),
     st.integers(1, 64),
-    st.sampled_from([FAST_KDF, _TINY_SCRYPT]),
+    st.sampled_from([FAST_KDF, _CHEAPEST_SCRYPT]),
 )
 @example(["a", "ä€𝄞", "é" * 128, "x" * 256], 64, FAST_KDF)
-@example(["grp", "ä€𝄞"], 24, _TINY_SCRYPT)
-@example(["grp", "z" * 200], 64, KdfConfig(mode=KdfMode.MEMORY_HARD, work=4, memory=512))
+@example(["grp", "ä€𝄞"], 24, _CHEAPEST_SCRYPT)
+@example(["grp", "z" * 200], 64, _CHEAPEST_SCRYPT)
 def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
     tags = [text.encode("utf-8") for text in texts]
     expected = [derive_tag_material(PlainTag(text), cfg, k).short_tag.value for text in texts]
@@ -375,7 +375,7 @@ def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
 @given(
     texts=st.lists(_plain_texts, max_size=40),
     k=st.integers(1, 64),
-    cfg=st.sampled_from([FAST_KDF, _TINY_SCRYPT]),
+    cfg=st.sampled_from([FAST_KDF, _CHEAPEST_SCRYPT]),
     pick=st.one_of(st.sampled_from(["zero", "ones"]), st.integers(0, 2**64 - 1), st.tuples(st.just("of"), st.integers(0, 99))),
 )
 @example([], 8, FAST_KDF, "zero")
@@ -385,7 +385,7 @@ def test_short_tags_equal_per_tag_derivation(texts, k, cfg):
 @example([f"step-{i}" for i in range(4096)], 8, FAST_KDF, ("of", 11))
 @example([f"step-{i}" for i in range(4096)], 3, FAST_KDF, "ones")
 @example([f"step-{i}" for i in range(4096)], 12, FAST_KDF, ("of", 4095))
-@example(["grp", "ä€𝄞", "grp"], 5, _TINY_SCRYPT, ("of", 0))
+@example(["grp", "ä€𝄞", "grp"], 5, _CHEAPEST_SCRYPT, ("of", 0))
 def test_short_tag_positions_equal_the_short_tags_filter(texts, k, cfg, pick):
     tags = [text.encode("utf-8") for text in texts]
     values = short_tags(tags, cfg, k)
@@ -403,9 +403,9 @@ def test_short_tag_positions_equal_the_short_tags_filter(texts, k, cfg, pick):
 def test_short_tags_check_k_before_hashing():
     for cfg, k, message in [
         (FAST_KDF, 0, "k=0 outside supported range 1..64"),
-        (_TINY_SCRYPT, 0, "k=0 outside supported range 1..64"),
+        (_CHEAPEST_SCRYPT, 0, "k=0 outside supported range 1..64"),
         (FAST_KDF, 65, "k=65 outside supported range 1..64"),
-        (_TINY_SCRYPT, 65, "k=65 outside supported range 1..64"),
+        (_CHEAPEST_SCRYPT, 65, "k=65 outside supported range 1..64"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             short_tags([], cfg, k)
@@ -423,8 +423,8 @@ def reference_long_tag(text: str, cfg: KdfConfig) -> bytes:
     if cfg.mode is KdfMode.FAST_HASH:
         digest = hashlib.sha1(text.encode()).digest()
         return digest + hashlib.sha1(digest + bytes(4)).digest()[:4]
-    n, r, p = cfg.scrypt_params()
-    return hashlib.scrypt(text.encode(), salt=b"hoot.tag.v1", n=n, r=r, p=p, dklen=24)
+    n = cfg.work
+    return hashlib.scrypt(text.encode(), salt=b"hoot.tag.v1", n=n, r=max(1, 8192 // n), p=1, dklen=24)
 
 
 def reference_material(text: str, cfg: KdfConfig, k: int) -> tuple[int, bytes]:
@@ -435,8 +435,8 @@ def reference_material(text: str, cfg: KdfConfig, k: int) -> tuple[int, bytes]:
 
 PINNED_TAGS = ("abc", "free-egypt-9rqt", "ä€𝄞")
 # SHA-256 over short tag (8 bytes) || tag key for k = 1..64 and each pinned tag, and the materials of
-# "abc" at a few k, as KdfConfig(output_bits=max(160, k + 128)) derived them before the long tag's
-# width was fixed at 192 bits
+# "abc" at a few k: the fast hash's as KdfConfig(output_bits=max(160, k + 128)) derived them before the
+# long tag's width was fixed at 192 bits
 PINNED_MATERIALS = {
     "fast": (
         "d1a3ae9801d3fd9adbad9876e2d3b79003936514f1ce153c09d7ccf0da96ec90",
@@ -448,14 +448,14 @@ PINNED_MATERIALS = {
             64: (0xA9993E364706816A, "ba3e25717850c26c9cd0d89d9544fc1a"),
         },
     ),
-    "tiny-scrypt": (
-        "0659980cfba664132cbb4836429e3fc8f4eaeba196d639da728189dad4feff31",
+    "cheapest-scrypt": (  # from cryptography's Scrypt(n=8192, r=1, p=1)
+        "3f36d318b804dd514d9471cb3b68f21f9b49a1734e9cd851298ba918488ce91e",
         {
-            1: (0x1, "2efebe23d0114c48e425152ddaa4ef88"),
-            24: (0x977F5F, "11e808a62472128a96ed5277c44ac5b5"),
-            33: (0x12EFEBE23, "d0114c48e425152ddaa4ef88958b6b6a"),
-            40: (0x977F5F11E8, "08a62472128a96ed5277c44ac5b5b543"),
-            64: (0x977F5F11E808A624, "72128a96ed5277c44ac5b5b5432dcd55"),
+            1: (0x0, "a6f4a1d3acdf3532888f2c069397cb6e"),
+            24: (0x537A50, "e9d66f9a994447960349cbe5b72658f1"),
+            33: (0xA6F4A1D3, "acdf3532888f2c069397cb6e4cb1e37b"),
+            40: (0x537A50E9D6, "6f9a994447960349cbe5b72658f1bdc3"),
+            64: (0x537A50E9D66F9A99, "4447960349cbe5b72658f1bdc3a06444"),
         },
     ),
 }
@@ -463,7 +463,7 @@ PINNED_MATERIALS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_MATERIALS))
 def test_every_k_derives_the_pinned_material_of_the_reference_long_tag(name):
-    cfg = {"fast": FAST_KDF, "tiny-scrypt": _TINY_SCRYPT}[name]
+    cfg = {"fast": FAST_KDF, "cheapest-scrypt": _CHEAPEST_SCRYPT}[name]
     pinned_digest, pinned = PINNED_MATERIALS[name]
     digest = hashlib.sha256()
     for k in range(1, 65):
@@ -673,17 +673,17 @@ def test_sharded_memory_hard_search_resolves_its_target_from_the_cache(scrypt_ca
     assert len(scrypt_calls) == result.candidates_tried + 1
     # shards of 85 candidates evict the target from the 64-entry material cache, so no shard may derive it again
     scrypt_calls.clear()
-    result = find_tag_sharded(replace(spec, alphabet="abcdefghijklmnop", kdf=_TINY_SCRYPT), 3)
+    result = find_tag_sharded(replace(spec, alphabet="abcdefghijklmnop", kdf=_CHEAPEST_SCRYPT), 3)
     assert result.candidates_tried == 256
     assert len(scrypt_calls) == result.candidates_tried + 1
 
 
 def test_a_memory_hard_search_keeps_the_material_cache(scrypt_calls):
-    ours = derive_tag_material(PlainTag("our-group"), _TINY_SCRYPT)
-    spec = SearchSpec(prefix="mh-", target=PlainTag("target-tag"), suffix_length=2, alphabet="abcdefghij", k=8, kdf=_TINY_SCRYPT)
+    ours = derive_tag_material(PlainTag("our-group"), _CHEAPEST_SCRYPT)
+    spec = SearchSpec(prefix="mh-", target=PlainTag("target-tag"), suffix_length=2, alphabet="abcdefghij", k=8, kdf=_CHEAPEST_SCRYPT)
     assert find_tag(spec).candidates_tried == 100
     # the search derives its target and 100 candidates without evicting our material
-    assert derive_tag_material(PlainTag("our-group"), _TINY_SCRYPT) is ours
+    assert derive_tag_material(PlainTag("our-group"), _CHEAPEST_SCRYPT) is ours
     assert len(scrypt_calls) == 102
     assert derive_tag_material.cache_info().hits == 1
 
@@ -710,7 +710,7 @@ def lane_script(k: int = 16) -> dict:
     return {
         "seed": 7,
         "k": k,
-        "kdf": {"mode": "memory-hard", "work": 2, "memory": 256},
+        "kdf": {"mode": "memory-hard", "work": 2**13},
         "target_group": "org",
         "groups": [
             {"name": "org", "plain_tag": "lane-org", "messages": 6, "replays": 2},
@@ -774,24 +774,24 @@ def test_a_failing_lane_raises_what_the_serial_loop_raises(scrypt_calls, monkeyp
         with_cores(monkeypatch, count)
         derive_tag_material.cache_clear()
         with pytest.raises(ValueError, match="^refused bad-1$"):
-            derive_tag_materials(tags, _TINY_SCRYPT, 16)
+            derive_tag_materials(tags, _CHEAPEST_SCRYPT, 16)
 
 
 def test_lanes_under_fast_thread_switching_derive_each_tag_once(scrypt_calls, monkeypatch):
     tags = [PlainTag(f"switch-{i % 40}") for i in range(100)]
-    serial = [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
+    serial = [split_tag(derive_long_tag(tag, _CHEAPEST_SCRYPT), 16) for tag in tags]
     scrypt_calls.clear()
     lanes = scrypt_lanes(monkeypatch)
     with_cores(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        materials = derive_tag_materials(tags, _TINY_SCRYPT, 16)
+        materials = derive_tag_materials(tags, _CHEAPEST_SCRYPT, 16)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(scrypt_calls) == sorted({tag.encoded() for tag in tags})
     assert materials == serial
-    assert materials[0] is materials[40] is derive_tag_material(tags[0], _TINY_SCRYPT, 16)
+    assert materials[0] is materials[40] is derive_tag_material(tags[0], _CHEAPEST_SCRYPT, 16)
     # eight cores still make two lanes, so a batch holds at most two scrypt buffers on any host
     assert len(lanes) == 2 and threading.current_thread().name in lanes
 
@@ -818,19 +818,19 @@ def test_seal_derives_a_hoots_new_memory_hard_tags_in_lanes(scrypt_calls, monkey
         derive_tag_material.cache_clear()
         scrypt_calls.clear()
         lanes = scrypt_lanes(monkeypatch)
-        lines.append(seal_to_wire(b"two groups", tags, _TINY_SCRYPT, WireParams(k=12, glyph_budget=280), rng=random.Random(5)))
+        lines.append(seal_to_wire(b"two groups", tags, _CHEAPEST_SCRYPT, WireParams(k=12, glyph_budget=280), rng=random.Random(5)))
         assert sorted(scrypt_calls) == [tag.encoded() for tag in tags]
         assert len(lanes) == count
     assert lines[0] == lines[1]  # one core is the serial loop
     started = []
     monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
     derive_tag_material.cache_clear()
-    seal(b"one group", [PlainTag("seal-lane-c")], _TINY_SCRYPT, k=12, rng=random.Random(5))
+    seal(b"one group", [PlainTag("seal-lane-c")], _CHEAPEST_SCRYPT, k=12, rng=random.Random(5))
     assert started == []
     # a hoot whose tags are all cached starts no lane and asks for no core count
     asked = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: asked.append(pid) or {0, 1})
-    seal(b"cached group", [PlainTag("seal-lane-c")] * 2, _TINY_SCRYPT, k=12, rng=random.Random(5))
+    seal(b"cached group", [PlainTag("seal-lane-c")] * 2, _CHEAPEST_SCRYPT, k=12, rng=random.Random(5))
     assert started == [] and asked == []
 
 
@@ -867,13 +867,13 @@ def test_only_the_calling_thread_touches_the_material_cache(scrypt_calls, monkey
     with_cores(monkeypatch, 2)
     lanes = scrypt_lanes(monkeypatch)
     tags = [PlainTag(f"insert-{i % 6}") for i in range(10)]
-    materials = derive_tag_materials(tags, _TINY_SCRYPT, 16)
+    materials = derive_tag_materials(tags, _CHEAPEST_SCRYPT, 16)
     assert len(lanes) == 2  # the batch ran on two lanes
     me = threading.current_thread().name
     # one lookup and one insert per distinct tag, all in this thread, the inserts in batch order
     assert inserters == [me] * 6 and takers == [me] * 12
     assert [key[0] for key in tagcrypt._materials] == [tag.text for tag in tags[:6]]
-    assert materials == [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
+    assert materials == [split_tag(derive_long_tag(tag, _CHEAPEST_SCRYPT), 16) for tag in tags]
 
 
 def test_the_material_cache_reports_and_resets_as_lru_cache_does(scrypt_calls):
@@ -895,7 +895,7 @@ def test_threads_deriving_overlapping_batches_share_each_material(scrypt_calls, 
     results = {}
 
     def derive(n):
-        results[n] = derive_tag_materials(batches[n], _TINY_SCRYPT, 16)
+        results[n] = derive_tag_materials(batches[n], _CHEAPEST_SCRYPT, 16)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -908,11 +908,11 @@ def test_threads_deriving_overlapping_batches_share_each_material(scrypt_calls, 
     finally:
         sys.setswitchinterval(interval)
     for n, batch in enumerate(batches):
-        assert results[n] == [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in batch]
+        assert results[n] == [split_tag(derive_long_tag(tag, _CHEAPEST_SCRYPT), 16) for tag in batch]
     # the 30 tags stay among the cache's last 64, so each key is one object, in both batches and later
     assert all(ours is theirs for ours, theirs in zip(results[0][10:], results[1][:10]))
     for tag, material in zip(batches[0] + batches[1], results[0] + results[1]):
-        assert derive_tag_material(tag, _TINY_SCRYPT, 16) is material
+        assert derive_tag_material(tag, _CHEAPEST_SCRYPT, 16) is material
 
 
 def test_a_pooled_search_forked_while_the_material_cache_is_locked_equals_the_serial_search():
@@ -953,18 +953,18 @@ def test_searches_seals_and_lanes_without_an_affinity_mask_equal_the_serial_loop
     tags, params = [PlainTag("no-mask-a"), PlainTag("no-mask-b")], WireParams(k=12, glyph_budget=280)
     with_cores(monkeypatch, 1)
     search = find_tag(spec)
-    serial = [split_tag(derive_long_tag(tag, _TINY_SCRYPT), 16) for tag in tags]
-    line = seal_to_wire(b"two groups", tags, _TINY_SCRYPT, params, rng=random.Random(5))
+    serial = [split_tag(derive_long_tag(tag, _CHEAPEST_SCRYPT), 16) for tag in tags]
+    line = seal_to_wire(b"two groups", tags, _CHEAPEST_SCRYPT, params, rng=random.Random(5))
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     lanes = scrypt_lanes(monkeypatch)
     result = find_tag(spec)
     assert (result.matches, result.candidates_tried) == (search.matches, search.candidates_tried)
     derive_tag_material.cache_clear()
-    assert derive_tag_materials(tags, _TINY_SCRYPT, 16) == serial
+    assert derive_tag_materials(tags, _CHEAPEST_SCRYPT, 16) == serial
     assert len(lanes) == (count or 1)
     derive_tag_material.cache_clear()
-    assert seal_to_wire(b"two groups", tags, _TINY_SCRYPT, params, rng=random.Random(5)) == line
+    assert seal_to_wire(b"two groups", tags, _CHEAPEST_SCRYPT, params, rng=random.Random(5)) == line
 
 
 def test_one_core_count_sizes_both_the_lanes_and_the_pool():
@@ -978,14 +978,14 @@ def test_one_core_count_sizes_both_the_lanes_and_the_pool():
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda thread: started.append(thread.name) or start(thread)\n"
         "spec = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
-        "tags, tiny = [PlainTag('cores-a'), PlainTag('cores-b')], KdfConfig(mode=KdfMode.MEMORY_HARD, work=2, memory=256)\n"
+        "tags, cheapest = [PlainTag('cores-a'), PlainTag('cores-b')], KdfConfig(mode=KdfMode.MEMORY_HARD, work=2**13)\n"
         "for cores in ({0}, {0, 1}):\n"
         "    os.sched_getaffinity = lambda pid: cores\n"
         "    matches = find_tag(spec).matches\n"
         "    workers = 0 if tagcrypt._workers is None else tagcrypt._workers._max_workers\n"
         "    derive_tag_material.cache_clear()\n"
         "    started.clear()\n"
-        "    derive_tag_materials(tags, tiny, 16)\n"
+        "    derive_tag_materials(tags, cheapest, 16)\n"
         "    print(len(matches), workers, len(multiprocessing.active_children()), ','.join(started) or '-')\n"
     )
     one, two = (line.split() for line in out.splitlines())
