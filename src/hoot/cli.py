@@ -96,7 +96,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
             if value:
                 injected.append(flag)
         else:
-            injected.extend([flag, str(value)])
+            injected.append(f"{flag}={value}")  # one token, so that a flag no command takes keeps its value
     # command words (`analyze` takes a report name too) first, then config-file defaults, then explicit flags
     words = 2 if rest[:1] == ["analyze"] else 1
     return rest[:words] + injected + rest[words:]

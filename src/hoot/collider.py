@@ -7,27 +7,27 @@ scans the whole space; first-n mode visits candidates in a seeded
 pseudo-random order without repetition and stops after n matches, so a
 found suffix gives an observer no information about where the search
 started. ``find_tag`` spreads a large fast-hash search over the cores:
-it searches position ranges in ``tagcrypt``'s process pool and merges
-them in visit order, so its result is the serial search's. Candidates
-are hashed a step at a time with hashlib, and
-``tagcrypt.short_tag_positions`` finds a step's matches with one byte
-scan of the joined digests. Every search builds its steps with numpy:
-a step's positions map to candidate indices (in exhaustive mode the
-positions themselves, so a range starts at its position directly; in
-first-n mode a uint64 Feistel permutation, whose rounds are table
-lookups when a Feistel half is small), then to one byte matrix of
-their tags, cut by one ``struct`` unpack when every glyph has the same
-UTF-8 width. numpy loads when a search starts, so importing hoot never
-loads it. Positions are uint64, so a space holds at most 2^64
-candidates.
+one task per core in ``tagcrypt``'s process pool claims steps in visit
+order from a shared counter, and the steps merge in that order, so its
+result is the serial search's. Candidates are hashed a step at a time
+with hashlib, and ``tagcrypt.short_tag_positions`` finds a step's
+matches with one byte scan of the joined digests. Every search builds
+its steps with numpy: a step's positions map to candidate indices (in
+exhaustive mode the positions themselves, so a range starts at its
+position directly; in first-n mode a uint64 Feistel permutation, whose
+rounds are table lookups when a Feistel half is small), then to one
+byte matrix of their tags, cut by one ``struct`` unpack when every
+glyph has the same UTF-8 width. numpy loads when a search starts, so
+importing hoot never loads it. Positions are uint64, so a space holds
+at most 2^64 candidates.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import string
 import struct
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -43,13 +43,14 @@ from .tagcrypt import (
     short_tag_positions,
     short_tags,
 )
-from .tagcrypt import _cores, _drop_pool, _pool
+from . import tagcrypt
 
 ALPHANUMERIC = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
 _MASK64 = (1 << 64) - 1
 FAST_HASH_STEP = 1 << 12  # candidates per fast-hash step, few enough that first-n hashes little past its last match
 _FAN_OUT_STEPS = 4  # steps per core a search is expected to hash before the pool pays for its round trips
+_fan_outs = threading.Lock()  # one fan-out at a time resets and uses the pool's claim counter
 
 
 class SearchMode(Enum):
@@ -117,7 +118,7 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-@functools.lru_cache(maxsize=8)  # so that a lasting pool worker builds a search's round tables once, not per range
+@functools.lru_cache(maxsize=8)  # so that a lasting pool worker builds a search's round tables once, not per step
 def _permutation(size: int, seed: int):
     """Seeded bijection on [0, size <= 2^64) via a cycle-walked Feistel network, over uint64 arrays.
 
@@ -217,57 +218,60 @@ def _gather(spec: SearchSpec, pieces) -> tuple[list[tuple[int, bytes]], int]:
     return matches, tried
 
 
-def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, bytes]], int]:
-    """The serial search of the position range ``span``, a step at a time: ``_gather``'s matches and tries.
-
-    ``span`` lies within ``[0, spec.space_size)``, so that a range needs
-    no spec of its own. This is the pool's task for one range, and it
-    never fans out.
-    """
+def _pieces(spec: SearchSpec, span: tuple[int, int]):
+    """``_gather``'s pieces of the position range ``span``, one per step: each step's matches and its length."""
     step = FAST_HASH_STEP if spec.kdf.mode is KdfMode.FAST_HASH else 1  # memory-hard steps are single candidates
-    pieces = (
-        ([(i, batch[i]) for i in short_tag_positions(batch, spec.kdf, spec.k, spec.target.value)], len(batch))
-        for batch in _steps(spec, span, step)
-    )
-    return _gather(spec, pieces)
+    for batch in _steps(spec, span, step):
+        yield [(i, batch[i]) for i in short_tag_positions(batch, spec.kdf, spec.k, spec.target.value)], len(batch)
+
+
+def _walk(spec: SearchSpec, span: tuple[int, int]) -> tuple[list[tuple[int, bytes]], int]:
+    """The serial search of the position range ``span``, within the space, a step at a time: ``_gather``'s result."""
+    return _gather(spec, _pieces(spec, span))
+
+
+def _claim(spec: SearchSpec) -> list[tuple[int, list[tuple[int, bytes]], int]]:
+    """The pool's task: (step, matches, length) of each fast-hash step it claims from ``tagcrypt._claims``.
+
+    Under the counter's lock it counts its last step's matches and claims
+    the next step, until the space ends or, in first-n mode, ``spec.count``
+    matches are counted. Steps are claimed in increasing order, so the
+    first ``spec.count`` matches of the visit order lie in claimed steps.
+    """
+    lock, counter = tagcrypt._claims.get_lock(), tagcrypt._claims.get_obj()  # the next step, the matches found
+    pieces, hits = [], []
+    while True:
+        with lock:
+            counter[1] += len(hits)
+            step = counter[0]
+            if step * FAST_HASH_STEP >= spec.space_size or spec.mode is SearchMode.FIRST_N and counter[1] >= spec.count:
+                return pieces
+            counter[0] = step + 1
+        [(hits, length)] = _pieces(spec, (step * FAST_HASH_STEP, min((step + 1) * FAST_HASH_STEP, spec.space_size)))
+        pieces.append((step, hits, length))
 
 
 def _fan_out(spec: SearchSpec, cores: int) -> tuple[list[tuple[int, bytes]], int]:
-    """``_walk(spec, (0, spec.space_size))``'s result, from position ranges searched in ``tagcrypt``'s process pool.
+    """``_walk(spec, (0, spec.space_size))``'s result, from ``cores`` ``_claim`` tasks in ``tagcrypt``'s process pool.
 
-    First-n mode submits one ``FAST_HASH_STEP`` per range, exhaustive
-    mode one range per core. Ranges are submitted in visit order, at most
-    ``cores + 2`` ahead of the one being merged, so that no worker idles
-    while the merge waits. Before returning or raising, the ranges not
-    started are cancelled and those started are waited for, so that no
-    work outlives the search.
+    It waits for every task before returning or raising, so that none claims from the next search's counter.
     """
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    workers = _pool()
-    size = spec.space_size
-    width = FAST_HASH_STEP if spec.mode is SearchMode.FIRST_N else -(-size // cores)
-    ranges = ((at, min(at + width, size)) for at in range(0, size, width))
-    pending = collections.deque()
-
-    def results():
-        for span in ranges:
-            pending.append(workers.submit(_walk, spec, span))
-            if len(pending) == cores + 2:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-    try:
-        return _gather(spec, results())
-    except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
-        _drop_pool(workers)
-        raise
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
+    with _fan_outs:
+        workers, claims = tagcrypt._pool()
+        claims[:] = [0, 0]
+        tasks = []
+        try:
+            tasks = [workers.submit(_claim, spec) for _ in range(cores)]  # a failed submit means a broken pool
+            pieces = sorted(piece for task in tasks for piece in task.result())  # steps are distinct
+        except BrokenProcessPool:  # a worker was killed; the next fan-out starts a new pool
+            tagcrypt._drop_pool(workers)
+            raise
+        finally:
+            wait(tasks)
+    return _gather(spec, ((hits, length) for _, hits, length in pieces))
 
 
 def find_tag(spec: SearchSpec) -> SearchResult:
@@ -278,17 +282,17 @@ def find_tag(spec: SearchSpec) -> SearchResult:
     Matches are (plain tag, short tag) pairs, independently
     recomputable from the KDF. A fast-hash search on more than one core
     that is expected to hash at least ``_FAN_OUT_STEPS`` steps per core
-    runs in ``tagcrypt``'s fork-safe process pool (``_fan_out``); any
-    other runs in this process. Either way the pieces merge in visit
-    order, so the result is the serial search's.
+    runs as tasks that claim steps in ``tagcrypt``'s fork-safe process
+    pool (``_fan_out``); any other runs in this process. Either way the
+    steps merge in visit order, so the result is the serial search's.
     """
     target = resolve_target(spec)
-    spec = replace(spec, target=target)  # once, so that no range derives it again
+    spec = replace(spec, target=target)  # once, so that no pool task derives it again
     # steps are built with numpy: load it before the clock starts, so that elapsed times the search alone
     import numpy  # noqa: F401
     began = time.perf_counter()
 
-    fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, _cores()
+    fast, cores = spec.kdf.mode is KdfMode.FAST_HASH, tagcrypt._cores()
     if not fast:
         import logging  # here only, so that importing hoot or setting up a search never loads it
         logging.getLogger(__name__).warning(
@@ -306,8 +310,7 @@ def find_tag(spec: SearchSpec) -> SearchResult:
 def find_tag_sharded(spec: SearchSpec, shards: int) -> SearchResult:
     """``find_tag(spec)``, for callers that name a shard count; ``shards`` must be at least 1.
 
-    ``find_tag`` picks its own ranges, so the count changes nothing
-    else. Nothing in hoot calls this: it stays only because the
+    The count changes nothing else. Nothing in hoot calls this; the
     benchmark's collider-exhaustive workload and trace layer do.
     """
     if shards < 1:

@@ -63,10 +63,11 @@ caches the results; results and the error raised (the earliest failing
 tag's) are the serial loop's. Fast-hash tags (a SHA-1 takes
 microseconds) and ``short_tags`` never use lanes. A search fans out over
 ``_pool()``, a fork process pool of one worker per core that lasts as
-long as the process. Fork safety: a lock another thread holds at a fork
-stays held in the child. So no lane outlives a call (the caller is the
-first lane and joins the rest), and a pool worker takes no lock: it
-hashes candidates for a resolved ``ShortTag`` and looks up no material.
+long as the process, with a claim counter made before its workers fork.
+Fork safety: a lock another thread holds at a fork stays held in the
+child. So no lane outlives a call (the caller is the first lane and
+joins the rest), and a pool worker takes only the counter's lock, which
+the parent never holds at a fork, and looks up no material.
 Six modules load on first use, not with hoot, so that importing hoot
 stays cheap: multiprocessing and concurrent.futures with the pool,
 cryptography with the first AES context (never in a lane or a pool
@@ -114,6 +115,7 @@ _aes_ecb = None  # cryptography's Cipher, AES and one ECB mode, imported when th
 _CACHE_SIZE = 64  # entries in the tag-material cache, the one cache of derived tags
 _MAX_LANES = 2  # memory-hard lanes per batch, each holding one scrypt buffer
 _workers = None  # the fork pool, started on first use and kept for the life of the process
+_claims = None  # the pool's claim counter, a shared array with its own lock: a fan-out's next step and matches found
 _workers_lock = threading.Lock()
 _LEADING64 = struct.Struct(">Q12x")  # a 20-byte long-tag head's leading 64 bits; iter_unpack walks joined heads
 _SHA1_BLOCK = 64  # bytes; HMAC pads its key to one block
@@ -389,16 +391,18 @@ def _in_lanes(derive, items: list) -> list:
 
 
 def _pool():
-    """The lasting fork process pool, one worker per core, started on the first call; see the module docstring."""
-    global _workers
+    """The lasting fork process pool, one worker per core, and its claim counter, made on the first call."""
+    global _workers, _claims
     with _workers_lock:  # two threads asking at once start one pool between them
         if _workers is None:
             import multiprocessing  # on first use, so that importing hoot stays cheap
             from concurrent.futures import ProcessPoolExecutor
 
-            _workers = ProcessPoolExecutor(_cores(), mp_context=multiprocessing.get_context("fork"))
+            context = multiprocessing.get_context("fork")
+            _claims = context.Array("q", 2)  # made before the workers fork, so that each inherits it
+            _workers = ProcessPoolExecutor(_cores(), mp_context=context)
             atexit.register(_workers.shutdown)  # so that interpreter teardown never collects a live pool
-        return _workers
+        return _workers, _claims
 
 
 def _drop_pool(pool) -> None:

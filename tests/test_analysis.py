@@ -115,6 +115,14 @@ def test_brute_force_scaling_and_validation():
     assert brute_force_time(2000, 1e6, 1).full_seconds == math.inf
 
 
+def test_brute_force_time_divides_by_a_core_count_too_large_for_a_float():
+    # 2^1000 tries on 10^309 cores take about 1.07e-8 s, correctly rounded; 1024 tries on 10^400 cores underflow
+    assert brute_force_time(1000, 1, 10**309).full_seconds == 2**1000 / 10**309 > 0
+    with pytest.raises(ValueError, match="^rate and cores give a sweep time too small for a float$"):
+        brute_force_time(10, 1, 10**400)
+    assert brute_force_time(2000, 1, 10**400).full_seconds == math.inf  # a space too large for a float
+
+
 def test_brute_force_time_holds_where_rate_times_cores_overflows():
     budget = brute_force_time(10, 1e308, 2)  # 1e308 * 2 is inf, and 1024 / inf would read 0 seconds
     assert budget.full_seconds == 1024 / 1e308 / 2 > 0

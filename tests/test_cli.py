@@ -519,6 +519,13 @@ def test_analyze_times_an_overflowing_rate_times_cores_and_refuses_an_overflowin
     assert err == "hoot analyze: error: rate and cores give a sweep time too small for a float\n"
 
 
+@pytest.mark.parametrize("report", [["brute-force", "--bits", "10"], ["entropy", "--component", "digits:4"]])
+def test_analyze_refuses_a_core_count_too_large_for_a_float(capsys, report):
+    code, out, err = run(capsys, "analyze", *report, "--rate", "1", "--cores", "1" + "0" * 400)
+    assert code == EXIT_DATA and out == ""
+    assert err == "hoot analyze: error: rate and cores give a sweep time too small for a float\n"
+
+
 def test_analyze_corpus_pipeline(capsys, tmp_path):
     corpus_path = tmp_path / "tags.csv"
     rank_path = tmp_path / "rank.csv"
@@ -700,7 +707,7 @@ def test_a_config_file_giving_the_fast_hash_a_kdf_setting_is_refused(capsys, tmp
         assert "hoot seal: error: work is a memory-hard KDF setting" in err
     else:  # no flag takes it, under either KDF
         assert code == EXIT_USAGE and out == ""
-        assert f"hoot: error: unrecognized arguments: --kdf-{setting} " in err
+        assert err.endswith(f"hoot: error: unrecognized arguments: --kdf-{setting}=16\n")
 
 
 def test_memory_hard_takes_a_kdf_work(capsys):
@@ -746,6 +753,15 @@ def test_config_key_a_command_lacks_is_named(capsys, tmp_path):
     assert "--glyph-budget" in err
 
 
+def test_a_config_key_that_names_no_flag_is_refused_with_its_own_value(capsys, tmp_path):
+    # the key and its value are one token, so the message stays the message and the error names the value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kdf_memory": 4}))
+    code, out, err = run(capsys, "seal", "m", "--tag", "t", "--seed", "1", "--config", str(config))
+    assert code == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1] == "hoot: error: unrecognized arguments: --kdf-memory=4"
+
+
 def test_every_analyze_report_takes_its_own_config(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 10}))
@@ -755,7 +771,7 @@ def test_every_analyze_report_takes_its_own_config(capsys, tmp_path):
     config.write_text(json.dumps({"corpus": "tags.csv"}))
     code, out, err = run(capsys, *argv, "--config", str(config))
     assert code == EXIT_USAGE and out == ""
-    assert "unrecognized arguments: --corpus tags.csv" in err
+    assert "unrecognized arguments: --corpus=tags.csv" in err
     commands = build_parser()._subparsers._group_actions[0].choices
     leaves = {(name,): parser for name, parser in commands.items() if name != "analyze"}
     reports = commands["analyze"]._subparsers._group_actions[0].choices

@@ -279,7 +279,7 @@ def first_n_walk(seed: int, count: int, k: int, value: int) -> tuple[list[str], 
 
 @contextlib.contextmanager
 def submitted_ranges():
-    """Record the future of every range submitted to the process pool while the context is open."""
+    """Record the future of every task submitted to the process pool while the context is open."""
     futures = []
     submit = ProcessPoolExecutor.submit
 
@@ -318,7 +318,8 @@ def test_a_pooled_first_n_search_short_of_count_tries_the_whole_space(found):
     spec = replace(POOLED, target=ShortTag(value, 16), k=16, mode=SearchMode.FIRST_N, count=4, seed=7)
     with submitted_ranges() as futures:
         result = find_tag(spec)
-    assert len(futures) == -(-POOLED.space_size // FAST_HASH_STEP)
+    # one task per core, and between them they claimed every step
+    assert len(futures) == CORES and tagcrypt._claims[0] == -(-POOLED.space_size // FAST_HASH_STEP)
     assert [m[0].text for m in result.matches] == first_n_walk(7, 4, 16, value)[0]
     assert len(result.matches) == found and result.candidates_tried == POOLED.space_size
 
@@ -328,10 +329,30 @@ def test_a_first_n_search_leaves_no_range_running_when_it_returns():
     spec = replace(POOLED, target=PlainTag("popular-topic"), k=16, mode=SearchMode.FIRST_N, count=1, seed=3)
     with submitted_ranges() as futures:
         result = find_tag(spec)
-    # ranges past the one holding the match were in flight when it was merged, at most CORES + 2 in all
-    merged = result.candidates_tried // FAST_HASH_STEP + 1
-    assert len(result.matches) == 1 and merged < len(futures) <= merged + CORES + 1
+    # every task the search submitted was done when it returned
+    assert len(result.matches) == 1 and len(futures) == CORES
     assert all(future.done() for future in futures)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_one_claimer_on_a_fresh_counter_stops_right_after_the_step_holding_the_count_th_match(count, monkeypatch):
+    # in this process, so that the stop rule shows without a pool or a second claimer
+    value = 0x5A5  # 52 matches among POOLED's 238,328 candidates at k=12
+    spec = replace(POOLED, target=ShortTag(value, 12), k=12, mode=SearchMode.FIRST_N, count=count, seed=11)
+    texts, tried = first_n_walk(11, count, 12, value)
+    last = (tried - 1) // FAST_HASH_STEP  # the step holding the count-th match
+    monkeypatch.setattr(tagcrypt, "_claims", multiprocessing.Array("q", 2))
+    pieces = collider._claim(spec)
+    found = sum(len(hits) for _, hits, _ in pieces)
+    assert [step for step, _, _ in pieces] == list(range(last + 1))
+    assert tagcrypt._claims[:] == [last + 1, found] and found - len(pieces[-1][1]) < count <= found
+    matches, gathered = collider._gather(spec, [(hits, length) for _, hits, length in pieces])
+    assert [tag.decode() for _, tag in matches] == texts and gathered == tried
+    # exhaustive mode never stops early: the one claimer claims every step
+    tagcrypt._claims[:] = [0, 0]
+    pieces = collider._claim(replace(spec, mode=SearchMode.EXHAUSTIVE))
+    assert len(pieces) == tagcrypt._claims[0] == -(-POOLED.space_size // FAST_HASH_STEP)
+    assert tagcrypt._claims[1] == 52
 
 
 @needs_cores

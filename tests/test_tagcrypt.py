@@ -946,6 +946,43 @@ def test_a_pooled_search_forked_while_the_material_cache_is_locked_equals_the_se
     assert out.split() == ["True", "True", "True"]
 
 
+def test_a_worker_killed_mid_search_breaks_that_search_and_the_next_equals_the_serial_search():
+    # workers share the claim counter's lock, which a killed worker may leave held; the search must raise, not
+    # hang: after 120 s a watchdog kills the interpreter's process group, its pool workers included, and the run fails
+    out = run_fresh(
+        "import multiprocessing, os, signal, threading, time\n"
+        "os.setpgrp()\n"
+        "watchdog = threading.Timer(120, os.killpg, (0, signal.SIGKILL))\n"
+        "watchdog.daemon = True\n"
+        "watchdog.start()\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from hoot import PlainTag, tagcrypt\n"
+        "from hoot.collider import ALPHANUMERIC, SearchSpec, find_tag\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # so that the searches fan out on any host\n"
+        "small = SearchSpec(prefix='pool-', target=PlainTag('pool-target'), suffix_length=3, alphabet=ALPHANUMERIC, k=8)\n"
+        "large = SearchSpec(prefix='kill-', target=PlainTag('pool-target'), suffix_length=4, alphabet=ALPHANUMERIC)\n"
+        "find_tag(small)  # starts the pool\n"
+        "tagcrypt._claims[0] = 0\n"
+        "outcome = []\n"
+        "def search():\n"
+        "    try:\n"
+        "        outcome.append(len(find_tag(large).matches))\n"
+        "    except BrokenProcessPool:\n"
+        "        outcome.append('broken')\n"
+        "searcher = threading.Thread(target=search)\n"
+        "searcher.start()\n"
+        "while tagcrypt._claims[0] < 4:  # 3,616 steps in all\n"
+        "    time.sleep(0.001)\n"
+        "os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)\n"
+        "searcher.join()\n"
+        "pooled = find_tag(small)\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "serial = find_tag(small)\n"
+        "print(outcome, pooled.matches == serial.matches, pooled.candidates_tried == serial.candidates_tried)"
+    )
+    assert out.split() == ["['broken']", "True", "True"]
+
+
 @pytest.mark.parametrize("count", [2, None])
 def test_searches_seals_and_lanes_without_an_affinity_mask_equal_the_serial_loop(count, scrypt_calls, monkeypatch):
     # where os has no sched_getaffinity (macOS, for one) the core count is os.cpu_count(), or 1 when that is unknown
