@@ -355,6 +355,14 @@ def test_one_claimer_on_a_fresh_counter_stops_right_after_the_step_holding_the_c
     assert tagcrypt._claims[1] == 52
 
 
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_more_claiming_tasks_than_workers_equal_the_serial_search(mode):
+    # the tasks past the workers queue behind them; a step claimed twice or skipped would change the merge
+    spec = replace(POOLED, target=ShortTag(0x5A5, 12), k=12, mode=mode, count=20, seed=4)
+    with fast_thread_switching():
+        assert collider._fan_out(spec, 4 * CORES) == collider._walk(spec, (0, spec.space_size))
+
+
 @needs_cores
 def test_two_threads_fanning_out_at_once_start_one_pool():
     if tagcrypt._workers is not None:
